@@ -13,7 +13,6 @@ from .axis import (
     partition_by_origin,
     principal_axis,
     score_vocabulary,
-    sentiment_orientation,
 )
 from .corpus import (
     FreqTable,

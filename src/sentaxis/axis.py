@@ -14,6 +14,7 @@ positive and the seed's own score is non-negative by construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,10 +121,10 @@ def build_distance_matrix(points: PointWordSet, table: EmbeddingTable) -> Distan
 def principal_axis(dm: DistanceMatrix) -> AxisProjection:
     """Project each word's distance-matrix row onto the top two principal axes.
 
-    Rows are column-mean-centered first; eigenvectors come from deterministic
-    power iteration with deflation and a canonical sign (largest-magnitude
-    component positive). explained_variance holds each component's share of
-    the total.
+    Rows are column-mean-centered first; eigenvectors come from a symmetric
+    eigendecomposition of the covariance with a canonical sign
+    (largest-magnitude component positive). explained_variance holds each
+    component's share of the total.
     """
     x = dm.d
     centered = x - x.mean(axis=0)
@@ -209,14 +210,6 @@ def orient_by_seed(vec_a: np.ndarray, vec_b: np.ndarray, set_a, set_b,
         pos_words, neg_words, vec_pos, vec_neg = set_b, set_a, vec_b, vec_a
     return SentimentAxis(pos_words=tuple(pos_words), neg_words=tuple(neg_words),
                          vec_pos=vec_pos, vec_neg=vec_neg, seed=seed, mode=mode)
-
-
-def sentiment_orientation(word: str, axis: SentimentAxis, table: EmbeddingTable) -> float:
-    """cos(vec_pos, w) - cos(vec_neg, w), in [-2, 2]."""
-    from .vectors import cosine_similarity
-
-    vec = table[word]
-    return cosine_similarity(axis.vec_pos, vec) - cosine_similarity(axis.vec_neg, vec)
 
 
 def score_vocabulary(axis: SentimentAxis, table: EmbeddingTable) -> OrientationLexicon:
@@ -335,9 +328,12 @@ def load_orientation_lexicon(path) -> OrientationLexicon:
         if not sep or not word:
             raise ParseError("expected 'word<TAB>score'", path=path, line=lineno)
         try:
-            scores[word] = float(value)
+            score = float(value)
         except ValueError:
             raise ParseError(f"non-numeric score {value!r}", path=path, line=lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"score must be finite, got {value!r}", path=path, line=lineno)
+        scores[word] = score
     if not scores:
         raise ParseError("no scores found", path=path)
     return OrientationLexicon(scores=scores, axis=None, fingerprint=fingerprint)

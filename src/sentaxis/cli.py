@@ -65,7 +65,7 @@ def _sgns_config_from(args) -> SgnsConfig:
         dim=args.dim, window=args.window, negatives=args.negatives,
         epochs=args.epochs, initial_learning_rate=args.lr,
         min_count=args.min_count, subsample_threshold=args.subsample,
-        rng_seed=args.seed, workers=args.workers,
+        rng_seed=args.seed,
     )
 
 
@@ -80,8 +80,6 @@ def _add_training_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--subsample", type=float, default=1e-3,
                         help="frequent-word subsampling threshold (0 disables)")
     parser.add_argument("--seed", type=int, default=1, help="training RNG seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help=">1 enables lossy lock-free parallel training")
 
 
 def cmd_train_embeddings(args) -> int:

@@ -26,21 +26,6 @@ NEG = "NEG"
 FORMAT_ONE_TOKEN_PER_LINE = "one-token-per-line"
 FORMAT_INLINE = "inline"
 
-#: Penn Treebank word-level tag inventory; anything else classifies as OTHER.
-PTB_TAGS = frozenset(
-    """CC CD DT EX FW IN JJ JJR JJS LS MD NN NNS NNP NNPS PDT POS PRP PRP$
-    RB RBR RBS RP SYM TO UH VB VBD VBG VBN VBP VBZ WDT WP WP$ WRB
-    . , : ; ! ? `` '' -LRB- -RRB- $ #""".split()
-)
-
-OTHER_TAG = "OTHER"
-
-
-def tag_class(tag: str) -> str:
-    """Return the tag itself when it is a recognized PTB tag, else OTHER."""
-    return tag if tag in PTB_TAGS else OTHER_TAG
-
-
 @dataclass(frozen=True, slots=True)
 class TaggedToken:
     text: str
@@ -65,9 +50,6 @@ class TaggedDocument:
         if self.label is not None and self.label not in (POS, NEG):
             raise ValueError(f"document {self.id!r} has label {self.label!r}")
 
-    def words(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
 
 @dataclass(frozen=True, slots=True)
 class TaggedCorpus:
@@ -90,12 +72,6 @@ class TaggedCorpus:
 
     def __iter__(self):
         return iter(self.documents)
-
-    def document(self, doc_id: str) -> TaggedDocument:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,22 +247,6 @@ def count_frequencies(corpus: TaggedCorpus | Iterable[TaggedDocument]) -> FreqTa
     for doc in corpus:
         counts.update(t.text for t in doc.tokens)
     return FreqTable(counts=dict(counts), total=sum(counts.values()))
-
-
-def corpus_fingerprint(corpus: TaggedCorpus) -> str:
-    """Stable short hash over document ids and token content."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for doc in corpus.documents:
-        h.update(doc.id.encode("utf-8"))
-        for t in doc.tokens:
-            h.update(b"\x00")
-            h.update(t.text.encode("utf-8"))
-            h.update(b"\x01")
-            h.update(t.tag.encode("utf-8"))
-        h.update(b"\x02")
-    return h.hexdigest()[:16]
 
 
 def make_corpus(token_lists: Sequence[Sequence[tuple[str, str]]],

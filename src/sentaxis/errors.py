@@ -50,14 +50,6 @@ class NoQualifyingPhrasesError(SentaxisError):
         self.cutoff = cutoff
 
 
-class ConvergenceError(SentaxisError):
-    """An iterative numerical procedure failed to converge."""
-
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} after {iterations} iterations")
-        self.iterations = iterations
-
-
 class DegenerateMatrixError(SentaxisError):
     """A matrix has no variance left to analyze."""
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import TaggedCorpus, TaggedToken
-from .errors import EmptyInputError, NoQualifyingPhrasesError, ParseError
+from .errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError, ParseError
 
 #: Tags whose bearers count as modifiers when collecting point words.
 MODIFIER_TAGS = frozenset({"JJ", "JJR", "JJS", "RB", "RBR", "RBS"})
@@ -117,6 +117,8 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
 
     Frequency is counted over (w1, w2) string types across all occurrences. A
     word qualifies when its tag at a qualifying occurrence is a modifier tag.
+    Every occurrence must name a bigram of ``corpus`` (the corpus it was
+    extracted from); one that does not raises ConfigError.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -127,11 +129,18 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
     words: set[str] = set()
     word_counts: Counter[str] = Counter()
     for occ in phrases:
+        tokens = docs[occ.doc_id].tokens if occ.doc_id in docs else ()
+        if not (0 <= occ.position < len(tokens) - 1
+                and tokens[occ.position].text == occ.w1
+                and tokens[occ.position + 1].text == occ.w2):
+            raise ConfigError(
+                f"phrase {occ.w1!r} {occ.w2!r} at document {occ.doc_id!r} position "
+                f"{occ.position} is not in the corpus; were the phrases extracted "
+                f"from another corpus?")
         if occ.phrase not in qualifying:
             continue
-        doc = docs[occ.doc_id]
         for offset, word in ((0, occ.w1), (1, occ.w2)):
-            if doc.tokens[occ.position + offset].tag in modifier_tags:
+            if tokens[occ.position + offset].tag in modifier_tags:
                 words.add(word)
                 word_counts[word] += 1
     if not words:

@@ -1,51 +1,13 @@
-"""Top-two principal components by deterministic power iteration with deflation."""
+"""Top-two principal components of a symmetric PSD matrix by ``np.linalg.eigh``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateMatrixError
-
-TOLERANCE = 1e-10
-MAX_ITERATIONS = 10_000
+from .errors import DegenerateMatrixError
 
 #: Eigenvalues below this fraction of the total variance count as zero.
 _RANK_EPS = 1e-12
-
-
-def _fixed_start(n: int, exclude: np.ndarray | None) -> np.ndarray:
-    """All-ones start vector; falls back to basis vectors if it maps to zero."""
-    v = np.ones(n) / np.sqrt(n)
-    if exclude is not None:
-        v = v - (v @ exclude) * exclude
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            v = v / norm
-    return v
-
-
-def _power_iterate(matrix: np.ndarray, start: np.ndarray,
-                   tol: float, max_iter: int) -> np.ndarray:
-    v = start
-    for iteration in range(1, max_iter + 1):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # start vector sits in the null space; restart from a basis vector
-            for axis in range(matrix.shape[0]):
-                e = np.zeros(matrix.shape[0])
-                e[axis] = 1.0
-                if np.linalg.norm(matrix @ e) > 0.0:
-                    v = e
-                    break
-            else:
-                return np.zeros(matrix.shape[0])
-            continue
-        w = w / norm
-        if np.linalg.norm(w - v) < tol:
-            return w
-        v = w
-    raise ConvergenceError("power iteration did not converge", max_iter)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -54,37 +16,28 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0 else v
 
 
-def top_two_components(covariance: np.ndarray, tol: float = TOLERANCE,
-                       max_iter: int = MAX_ITERATIONS):
+def top_two_components(covariance: np.ndarray):
     """Leading two eigenpairs of a symmetric PSD matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as rows, each
     sign-fixed so its largest-magnitude component is positive. A zero matrix
-    raises; a rank-one matrix yields a zero second eigenpair.
+    raises; a rank-one matrix yields a zero second eigenpair. A tied or
+    near-tied leading pair is returned as ``eigh`` resolves it.
     """
     covariance = np.asarray(covariance, dtype=np.float64)
-    n = covariance.shape[0]
     total = float(np.trace(covariance))
     if total <= 0.0 or not np.any(covariance):
         raise DegenerateMatrixError("matrix has no variance (rank 0)")
 
+    eigenvalues, eigenvectors = np.linalg.eigh(covariance)  # ascending order
     values = np.zeros(2)
-    vectors = np.zeros((2, n))
-    deflated = covariance
-    for comp in range(2):
-        if float(np.trace(deflated)) <= _RANK_EPS * total:
-            break  # remaining variance is numerically zero
-        start = _fixed_start(n, vectors[0] if comp else None)
-        v = _power_iterate(deflated, start, tol, max_iter)
-        if not np.any(v):
-            break
-        lam = float(v @ deflated @ v)
+    vectors = np.zeros((2, covariance.shape[0]))
+    for comp in range(min(2, eigenvalues.size)):
+        lam = float(eigenvalues[-1 - comp])
         if lam <= _RANK_EPS * total:
-            break
-        v = _canonical_sign(v)
+            break  # remaining variance is numerically zero
         values[comp] = lam
-        vectors[comp] = v
-        deflated = deflated - lam * np.outer(v, v)
+        vectors[comp] = _canonical_sign(eigenvectors[:, -1 - comp])
     if values[0] == 0.0:
         raise DegenerateMatrixError("leading eigenvalue is numerically zero")
     return values, vectors

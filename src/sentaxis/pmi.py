@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .corpus import NEG, POS, TaggedCorpus, TaggedDocument, corpus_fingerprint
-from .errors import EmptyInputError, ParseError, SeedMissingError
+from .corpus import NEG, POS, TaggedCorpus, TaggedDocument
+from .errors import EmptyInputError, SeedMissingError
 from .patterns import PatternRule, extract_phrases
 
 DEFAULT_WINDOW = 10
@@ -64,7 +63,6 @@ class NearIndex:
         self.postings: dict[str, dict[str, list[int]]] = {}
         self.doc_hits: dict[str, set[str]] = {}
         self.near_hits: dict[frozenset[Term], set[str]] = {}
-        self.fingerprint = ""
 
     def add_document(self, doc: TaggedDocument) -> None:
         for position, token in enumerate(doc.tokens):
@@ -146,7 +144,6 @@ def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> Near
     index = NearIndex(window=window)
     for doc in corpus.documents:
         index.add_document(doc)
-    index.fingerprint = corpus_fingerprint(corpus)
     return index
 
 
@@ -232,65 +229,3 @@ def classify_review_pmi(index: NearIndex, review: TaggedDocument,
     mean = sum(values) / len(values)
     label = NEG if mean < 0.0 else POS
     return PmiReviewResult(label=label, mean_so=mean, n_phrases=len(values), no_phrase=False)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def save_index(index: NearIndex, path) -> None:
-    """TSV dump of postings plus any cached NEAR pairs."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# near_index window={index.window} corpus={index.fingerprint}\n")
-        for term in sorted(index.postings):
-            for doc_id in sorted(index.postings[term]):
-                positions = ",".join(str(p) for p in index.postings[term][doc_id])
-                fh.write(f"p\t{term}\t{doc_id}\t{positions}\n")
-        for key in sorted(index.near_hits, key=_pair_sort_key):
-            a, b = _pair_terms(key)
-            docs = ",".join(sorted(index.near_hits[key]))
-            fh.write(f"n\t{_term_str(a)}\t{_term_str(b)}\t{docs}\n")
-
-
-def _term_str(term: Term) -> str:
-    return term if isinstance(term, str) else " ".join(term)
-
-
-def _term_from_str(text: str) -> Term:
-    parts = text.split(" ")
-    return parts[0] if len(parts) == 1 else (parts[0], parts[1])
-
-
-def _pair_terms(key: frozenset) -> tuple[Term, Term]:
-    items = sorted(key, key=_term_str)
-    return (items[0], items[0]) if len(items) == 1 else (items[0], items[1])
-
-
-def _pair_sort_key(key: frozenset) -> tuple[str, ...]:
-    return tuple(sorted(_term_str(t) for t in key))
-
-
-def load_index(path) -> NearIndex:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# near_index"):
-        raise ParseError("missing '# near_index' header", path=path, line=1)
-    header = dict(part.split("=", 1) for part in lines[0].split()[2:])
-    index = NearIndex(window=int(header["window"]))
-    index.fingerprint = header.get("corpus", "")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if parts[0] == "p" and len(parts) == 4:
-            term, doc_id, positions = parts[1], parts[2], parts[3]
-            index.postings.setdefault(term, {})[doc_id] = [
-                int(p) for p in positions.split(",")]
-            index.doc_hits.setdefault(term, set()).add(doc_id)
-        elif parts[0] == "n" and len(parts) == 4:
-            a, b = _term_from_str(parts[1]), _term_from_str(parts[2])
-            docs = set(parts[3].split(",")) if parts[3] else set()
-            index.near_hits[frozenset((a, b))] = docs
-        else:
-            raise ParseError(f"unrecognized record {parts[0]!r}", path=path, line=lineno)
-    return index

@@ -4,15 +4,12 @@ The update math lives in two pure functions (:func:`negative_sampling_loss`
 and :func:`negative_sampling_grads`) so the analytic gradients can be checked
 against finite differences; the training loop applies exactly those gradients.
 
-Determinism is contractual in single-threaded mode: equal seeds give
-bit-identical tables. With ``workers > 1`` document shards race on the shared
-weight arrays without locks (lossy updates, word2vec-style) and determinism is
-not guaranteed.
+Training runs in one thread and draws every random number from one generator
+seeded by ``rng_seed``, so equal seeds give bit-identical tables.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -32,10 +29,9 @@ class SgnsConfig:
     min_count: int = 5
     subsample_threshold: float = 1e-3
     rng_seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "epochs", "min_count", "workers"):
+        for name in ("dim", "window", "negatives", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.initial_learning_rate < 1.0:
@@ -124,41 +120,30 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     ]
     doc_ids = [ids for ids in doc_ids if ids.size]
     total_tokens = int(counts.sum())
-    planned = config.epochs * total_tokens
-
-    if config.workers == 1:
-        _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                         planned, _Progress())
-    else:
-        _train_threaded(doc_ids, w_in, w_out, keep_p, noise_cdf, config, planned)
+    _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
+                     config.epochs * total_tokens)
 
     metadata = {"model": "sgns", "corpus_tokens": corpus_total,
                 "vocab_tokens": total_tokens, **asdict(config)}
     return EmbeddingTable(words, w_in, metadata=metadata)
 
 
-class _Progress:
-    __slots__ = ("tokens",)
-
-    def __init__(self):
-        self.tokens = 0
-
-
 def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                     planned, progress) -> None:
+                     planned) -> None:
     lr0 = config.initial_learning_rate
     lr_floor = 1e-4 * lr0
     window = config.window
     negatives = config.negatives
+    tokens = 0
 
     for _ in range(config.epochs):
         for ids in doc_ids:
             kept = ids[rng.random(ids.size) < keep_p[ids]]
             n = kept.size
-            progress.tokens += ids.size
+            tokens += ids.size
             if n < 2:
                 continue
-            lr = max(lr_floor, lr0 * (1.0 - progress.tokens / (planned + 1)))
+            lr = max(lr_floor, lr0 * (1.0 - tokens / (planned + 1)))
             shrink = rng.integers(1, window + 1, size=n)
             for i in range(n):
                 # all context pairs of one center step together (one
@@ -182,21 +167,3 @@ def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
                 d_center, d_outputs = negative_sampling_grads(v, w_out[rows], m)
                 w_in[center] = v - lr * d_center
                 np.subtract.at(w_out, rows, lr * d_outputs)
-
-
-def _train_threaded(doc_ids, w_in, w_out, keep_p, noise_cdf, config, planned) -> None:
-    # Lock-free racing updates over document shards; lossy by design.
-    shards = [doc_ids[k::config.workers] for k in range(config.workers)]
-    shards = [s for s in shards if s]
-    shared = _Progress()
-    threads = []
-    for k, shard in enumerate(shards):
-        rng = np.random.default_rng(config.rng_seed + k + 1)
-        t = threading.Thread(
-            target=_train_documents,
-            args=(shard, w_in, w_out, keep_p, noise_cdf, config, rng, planned, shared),
-        )
-        threads.append(t)
-        t.start()
-    for t in threads:
-        t.join()

@@ -68,14 +68,6 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         except KeyError:
             raise OovError(f"word {word!r} not in vocabulary") from None
 
-    vector = __getitem__
-
-    def row(self, word: str) -> int:
-        try:
-            return self._index[word]
-        except KeyError:
-            raise OovError(f"word {word!r} not in vocabulary") from None
-
     def fingerprint(self) -> str:
         """Stable short hash over vocabulary and vector bytes."""
         h = hashlib.sha256()

@@ -18,7 +18,6 @@ from sentaxis.axis import (
     save_orientation_lexicon,
     save_projection_csv,
     score_vocabulary,
-    sentiment_orientation,
 )
 from sentaxis.corpus import PolarityLexicon
 from sentaxis.errors import (
@@ -31,6 +30,12 @@ from sentaxis.errors import (
 )
 from sentaxis.patterns import PointWordSet
 from sentaxis.vectors import EmbeddingTable, cosine_distance, cosine_similarity
+
+
+def sentiment_orientation(word: str, axis: SentimentAxis, table: EmbeddingTable) -> float:
+    """Scalar oracle for score_vocabulary: cos(vec_pos, w) - cos(vec_neg, w)."""
+    vec = table[word]
+    return cosine_similarity(axis.vec_pos, vec) - cosine_similarity(axis.vec_neg, vec)
 
 
 def points_of(*words) -> PointWordSet:

@@ -3,6 +3,7 @@ import pytest
 from sentaxis.cli import main
 from sentaxis.corpus import save_polarity_lexicon, save_tagged_corpus
 from sentaxis.evaluation import read_report
+from sentaxis.patterns import extract_phrases, load_point_words, select_point_words
 from sentaxis.vectors import load_embeddings
 
 from synthgen import gold_lexicon, make_reviews
@@ -192,3 +193,41 @@ def test_bad_cutoff_range_is_tool_error(world, capsys):
                  "--csv", str(world["root"] / "x.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_rejects_nan_lexicon_score(world, tmp_path, capsys):
+    lexicon = tmp_path / "nan.tsv"
+    lexicon.write_text("# mode=unsupervised\nbad\t-0.5\ngood\tnan\n", encoding="utf-8")
+    code = main(["classify", "--lexicon", str(lexicon),
+                 "--reviews", str(world["reviews"]),
+                 "--report", str(tmp_path / "r.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{lexicon}:3:" in err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_select_points_rejects_phrases_of_another_corpus(tmp_path, capsys):
+    corpora = {"big": make_reviews(30, seed=5), "small": make_reviews(12, seed=6)}
+    for name, corpus in corpora.items():
+        save_tagged_corpus(corpus, tmp_path / f"{name}.tsv")
+        assert main(["extract-phrases", "--corpus", str(tmp_path / f"{name}.tsv"),
+                     "--out", str(tmp_path / f"{name}.phrases")]) == 0
+        out = tmp_path / f"{name}.points"
+        assert main(["select-points", "--phrases", str(tmp_path / f"{name}.phrases"),
+                     "--corpus", str(tmp_path / f"{name}.tsv"),
+                     "--cutoff", "2", "--out", str(out)]) == 0
+        expected = select_point_words(extract_phrases(corpus), corpus, 2).words
+        assert load_point_words(out).words == expected
+    capsys.readouterr()
+
+    for phrases, corpus in (("big", "small"), ("small", "big")):
+        code = main(["select-points", "--phrases", str(tmp_path / f"{phrases}.phrases"),
+                     "--corpus", str(tmp_path / f"{corpus}.tsv"),
+                     "--cutoff", "2", "--out", str(tmp_path / "mixed.points")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "document 'd0000" in err and "position" in err
+        assert "Traceback" not in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sentaxis.axis import DistanceMatrix, principal_axis
-from sentaxis.errors import ConvergenceError, DegenerateMatrixError
+from sentaxis.errors import DegenerateMatrixError
 from sentaxis.pca import top_two_components
 
 
@@ -15,13 +15,11 @@ def random_distance_matrix(rng, k: int) -> DistanceMatrix:
 
 
 def oracle_projection(dm: DistanceMatrix):
-    """Full eigendecomposition route (independent of power iteration)."""
+    """SVD of the centered matrix (independent of the covariance eigensolver)."""
     centered = dm.d - dm.d.mean(axis=0)
-    cov = centered.T @ centered / (dm.d.shape[0] - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh((cov + cov.T) / 2.0)
-    top = eigenvectors[:, -1]
-    second = eigenvectors[:, -2]
-    return centered @ top, centered @ second, eigenvalues[-1], eigenvalues[-2]
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    eigenvalues = singular ** 2 / (dm.d.shape[0] - 1)
+    return centered @ vt[0], centered @ vt[1], eigenvalues[0], eigenvalues[1]
 
 
 def relative_gap(dm: DistanceMatrix) -> float:
@@ -110,27 +108,22 @@ class TestPowerIteration:
         assert values[1] == 0.0
         assert np.all(vectors[1] == 0.0)
 
-    def test_start_vector_in_null_space_recovers(self):
-        # all-ones start is a null vector of this matrix; basis fallback kicks in
-        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        values, vectors = top_two_components(m)
-        assert values[0] == pytest.approx(2.0, abs=1e-9)
-        assert matches_up_to_sign(vectors[0], np.array([1, -1]) / np.sqrt(2), 1e-6)
-
-    def test_near_degenerate_pair_reports_nonconvergence(self):
-        slow = np.diag([1.0, 1.0 - 1e-9])
-        with pytest.raises(ConvergenceError) as err:
-            top_two_components(slow)
-        assert err.value.iterations == 10_000
+    def test_near_tied_pair_returns_both_eigenvalues(self):
+        values, _ = top_two_components(np.diag([1.0, 1.0 - 1e-9]))
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        assert values[1] == pytest.approx(1.0 - 1e-9, abs=1e-12)
 
     def test_matches_eigh_across_sizes(self):
         rng = np.random.default_rng(99)
         for k in range(3, 9):
             a = rng.normal(size=(k, k))
             cov = a @ a.T
-            eigenvalues, eigenvectors = np.linalg.eigh(cov)
-            if (eigenvalues[-1] - eigenvalues[-2]) / eigenvalues[-1] < 1e-3:
+            # eigenpairs of a a^T are the squared singular values and left
+            # singular vectors of a
+            left, singular, _ = np.linalg.svd(a)
+            eigenvalues = singular ** 2
+            if (eigenvalues[0] - eigenvalues[1]) / eigenvalues[0] < 1e-3:
                 continue
             values, vectors = top_two_components(cov)
-            assert values[0] == pytest.approx(eigenvalues[-1], rel=1e-8)
-            assert matches_up_to_sign(vectors[0], eigenvectors[:, -1], 1e-6)
+            assert values[0] == pytest.approx(eigenvalues[0], rel=1e-8)
+            assert matches_up_to_sign(vectors[0], left[:, 0], 1e-6)

@@ -8,8 +8,6 @@ from sentaxis.pmi import (
     build_near_index,
     classify_review_pmi,
     hits,
-    load_index,
-    save_index,
     so_phrase,
 )
 
@@ -258,26 +256,3 @@ class TestClassifyReview:
         assert ("very", "good") in cache
         second = classify_review_pmi(index, review, so_cache=cache)
         assert first == second
-
-
-class TestPersistence:
-    def test_round_trip_preserves_queries(self, tmp_path):
-        index = make_index(2, 1, 5, 4)
-        index.near_docs(("very", "good"), "excellent")  # populate the cache
-        path = tmp_path / "index.tsv"
-        save_index(index, path)
-        again = load_index(path)
-        assert again.window == index.window
-        assert again.fingerprint == index.fingerprint
-        assert hits(again, "excellent") == hits(index, "excellent")
-        assert again.near_docs(("very", "good"), "excellent") == \
-            index.near_docs(("very", "good"), "excellent")
-        assert again.near_docs(("very", "good"), "poor") == \
-            index.near_docs(("very", "good"), "poor")
-
-    def test_header_recorded(self, tmp_path):
-        index = make_index(1, 1, 2, 2, window=7)
-        path = tmp_path / "index.tsv"
-        save_index(index, path)
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("# near_index window=7 corpus=")

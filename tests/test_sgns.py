@@ -134,13 +134,6 @@ class TestTraining:
         assert cosine_similarity(table["good"], table["great"]) > \
             cosine_similarity(table["good"], table["the"])
 
-    def test_parallel_mode_trains(self):
-        corpus = make_reviews(30, seed=8)
-        config = SgnsConfig(dim=8, epochs=1, min_count=2, rng_seed=1, workers=3)
-        table = train_sgns(corpus, config)
-        assert np.all(np.isfinite(table.matrix))
-        assert np.all(np.linalg.norm(table.matrix, axis=1) > 0)
-
 
 class TestConfig:
     def test_rejects_nonpositive_counts(self):

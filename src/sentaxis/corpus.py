@@ -130,7 +130,12 @@ def _parse_one_token_per_line(text: str, path) -> list[TaggedDocument]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise ParseError("expected 'token<TAB>TAG'", path=path, line=lineno)
-        tokens.append(TaggedToken(text=parts[0].strip().lower(), tag=parts[1].strip()))
+        # the vector file, format B and the review format all separate tokens
+        # by whitespace, so a token holding any could not be written back
+        token = parts[0].strip().lower()
+        if len(token.split()) != 1:
+            raise ParseError(f"token {token!r} contains whitespace", path=path, line=lineno)
+        tokens.append(TaggedToken(text=token, tag=parts[1].strip()))
     if tokens:
         documents.append(_finish_document(len(documents), tokens))
     return documents

@@ -3,13 +3,18 @@
 Vectors are stored unnormalized; the geometry helpers normalize on the fly.
 The on-disk text format is: a header line ``vocab_count dim`` followed by one
 ``word v1 v2 ... v_dim`` line per word (space separators, UTF-8). The same
-format imports externally trained vectors.
+format imports externally trained vectors. Words contain no whitespace;
+trailing whitespace and blank lines are ignored; every value must be a finite
+number. Loading streams the file once, in time linear in its size, and names
+``path:line`` for every malformed row.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -101,29 +106,44 @@ def load_embeddings(path) -> EmbeddingTable:
             raise ParseError("header must be 'vocab_count dim'", path=path, line=1) from None
         if vocab_count < 1 or dim < 1:
             raise ParseError("vocab_count and dim must be positive", path=path, line=1)
-        words: list[str] = []
+        # Every row takes at least 2*dim + 1 bytes (a one-byte word, then a
+        # separator and a digit per value), so a header promising more than
+        # the file can hold is rejected before the matrix is allocated. A pipe
+        # reports no size, so only regular files are checked.
+        st = os.fstat(fh.fileno())
+        if S_ISREG(st.st_mode) and vocab_count * (2 * dim + 1) > st.st_size:
+            raise ParseError(
+                f"header promises {vocab_count} rows of {dim} values, "
+                f"more than {st.st_size} bytes can hold", path=path, line=1)
         matrix = np.empty((vocab_count, dim), dtype=np.float64)
+        lines: dict[str, int] = {}  # word -> its line number, in file order
         lineno = 1
         for line in fh:
             lineno += 1
-            if not line.strip():
-                continue
             row = line.split()
+            if not row:
+                continue
             if len(row) != dim + 1:
                 raise ParseError(
                     f"expected {dim} values for word {row[0]!r}, got {len(row) - 1}",
                     path=path, line=lineno)
-            if len(words) >= vocab_count:
+            if len(lines) >= vocab_count:
                 raise ParseError("more rows than the header promised", path=path, line=lineno)
             word = row[0]
-            if word in set(words):
+            if word in lines:
                 raise ParseError(f"duplicate word {word!r}", path=path, line=lineno)
             try:
-                matrix[len(words)] = [float(v) for v in row[1:]]
+                matrix[len(lines)] = row[1:]
             except ValueError:
                 raise ParseError(f"non-numeric vector component for {word!r}",
                                  path=path, line=lineno) from None
-            words.append(word)
+            lines[word] = lineno
+    words = list(lines)
+    finite = np.isfinite(matrix[:len(words)]).all(axis=1)
+    if not finite.all():
+        word = words[int(np.argmin(finite))]
+        raise ParseError(f"non-finite vector component for {word!r}",
+                         path=path, line=lines[word])
     if len(words) != vocab_count:
         raise ParseError(f"header promised {vocab_count} rows, found {len(words)}", path=path)
     return EmbeddingTable(words, matrix, metadata={"source": str(path)})

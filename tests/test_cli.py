@@ -231,3 +231,29 @@ def test_select_points_rejects_phrases_of_another_corpus(tmp_path, capsys):
         assert err.startswith("error:")
         assert "document 'd0000" in err and "position" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+def test_score_rejects_non_finite_vector_component(world, tmp_path, capsys, value):
+    vectors = tmp_path / "v.txt"
+    vectors.write_text(f"3 2\ngood 1 0\nbad 0 {value}\nfine 1 1\n", encoding="utf-8")
+    code = main(["score", "--axis", str(tmp_path / "axis"),
+                 "--embeddings", str(vectors), "--out", str(tmp_path / "lex.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{vectors}:3:" in err
+    assert not (tmp_path / "lex.tsv").exists()
+
+
+def test_train_embeddings_rejects_token_with_whitespace(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("the\tDT\nnew york\tNNP\nfilm\tNN\n", encoding="utf-8")
+    out = tmp_path / "v.txt"
+    code = main(["train-embeddings", "--corpus", str(corpus), "--dim", "4",
+                 "--epochs", "1", "--min-count", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{corpus}:2:" in err
+    assert not out.exists()

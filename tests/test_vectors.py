@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,17 @@ finite_vectors = arrays(
     np.float64, st.integers(min_value=2, max_value=6),
     elements=st.floats(min_value=-50, max_value=50, allow_nan=False)
     .filter(lambda x: x == 0.0 or abs(x) >= 1e-3))
+
+# any UTF-8-encodable word without whitespace; default float draws include
+# -0.0, subnormals and magnitudes near the float64 limits
+vector_files = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+    .filter(lambda w: w.split() == [w]),
+    min_size=1, max_size=8, unique=True,
+).flatmap(lambda words: st.tuples(
+    st.just(words),
+    arrays(np.float64, st.tuples(st.just(len(words)), st.integers(1, 5)),
+           elements=st.floats(allow_nan=False, allow_infinity=False))))
 
 
 class TestCosine:
@@ -107,8 +120,53 @@ class TestTableIO:
     def test_duplicate_word_raises(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 2\na 1 0\na 0 1\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_embeddings(path)
+        assert err.value.line == 3
+
+    def test_non_numeric_component_names_its_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\nc 0 one\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_embeddings(path)
+        assert err.value.line == 4
+        assert f"{path}:4:" in str(err.value)
+
+    def test_trailing_spaces_and_blank_lines_are_ignored(self, tmp_path):
+        # word2vec's C tool ends every row with a space
+        path = tmp_path / "v.txt"
+        path.write_text("2 3 \n\na 1 0 0 \n\n  \nb 0 1 0 \n\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.words == ("a", "b")
+        assert np.array_equal(table.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_header_larger_than_file_raises_before_allocating(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("2000000000 1000\na " + " ".join(["0"] * 1000) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_embeddings(path)
+        assert err.value.line == 1
+
+    def test_load_time_is_linear_in_rows(self, tmp_path):
+        rows = 50_000
+        path = tmp_path / "v.txt"
+        path.write_text(f"{rows} 2\n" + "".join(f"w{i} {i} -1.5\n" for i in range(rows)),
+                        encoding="utf-8")
+        start = time.perf_counter()
+        table = load_embeddings(path)
+        assert time.perf_counter() - start < 5.0
+        assert len(table) == rows
+        assert table["w49999"].tolist() == [49999.0, -1.5]
+
+    @given(drawn=vector_files)
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, drawn):
+        words, matrix = drawn
+        path = tmp_path_factory.mktemp("rt") / "v.txt"
+        save_embeddings(EmbeddingTable(words, matrix), path)
+        again = load_embeddings(path)
+        assert again.words == tuple(words)
+        assert again.matrix.tobytes() == matrix.tobytes()
 
     def test_round_trip_within_tolerance(self, tmp_path):
         rng = np.random.default_rng(42)

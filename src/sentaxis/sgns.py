@@ -1,16 +1,31 @@
-"""Skip-gram negative-sampling trainer, from scratch on numpy.
+"""Skip-gram negative-sampling trainer on numpy, with a compiled update step.
 
 The update math lives in two pure functions (:func:`negative_sampling_loss`
 and :func:`negative_sampling_grads`) so the analytic gradients can be checked
 against finite differences; the training loop applies exactly those gradients.
 
 Training runs in one thread and draws every random number from one generator
-seeded by ``rng_seed``, so equal seeds give bit-identical tables.
+seeded by ``rng_seed``, so equal seeds give bit-identical tables. Python draws
+each document's random numbers; one step call then applies all of that
+document's updates. The step is ``sgns_kernel.c``, compiled with ``cc`` on
+first use into ``__pycache__/`` beside this file and loaded through
+``ctypes``. Without a compiler, or if the build fails, the same draws go
+through :func:`_numpy_step`, the per-center numpy loop the kernel reproduces
+(to about 1e-13: only the order of the dot-product sums differs).
+``table.metadata["sgns_kernel"]`` records which step ran: ``"c"`` or
+``"numpy"``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import math
+import os
+import tempfile
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +51,8 @@ class SgnsConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.initial_learning_rate < 1.0:
             raise ConfigError("initial_learning_rate must be in (0, 1)")
-        if self.subsample_threshold < 0.0:
-            raise ConfigError("subsample_threshold must be >= 0")
+        if not (math.isfinite(self.subsample_threshold) and self.subsample_threshold >= 0.0):
+            raise ConfigError("subsample_threshold must be a finite number >= 0")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -120,16 +135,24 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     ]
     doc_ids = [ids for ids in doc_ids if ids.size]
     total_tokens = int(counts.sum())
+    step = _load_kernel() or _numpy_step
     _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                     config.epochs * total_tokens)
+                     config.epochs * total_tokens, step)
 
     metadata = {"model": "sgns", "corpus_tokens": corpus_total,
-                "vocab_tokens": total_tokens, **asdict(config)}
+                "vocab_tokens": total_tokens, **asdict(config),
+                "sgns_kernel": "numpy" if step is _numpy_step else "c"}
     return EmbeddingTable(words, w_in, metadata=metadata)
 
 
 def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                     planned) -> None:
+                     planned, step) -> None:
+    """Draw each document's random numbers, then apply ``step`` to it once.
+
+    The draws come in the order the per-center loop made them (keep mask,
+    window radii, then every center's noise words in center order), so the
+    C kernel and the numpy step see the same stream.
+    """
     lr0 = config.initial_learning_rate
     lr_floor = 1e-4 * lr0
     window = config.window
@@ -145,25 +168,77 @@ def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
                 continue
             lr = max(lr_floor, lr0 * (1.0 - tokens / (planned + 1)))
             shrink = rng.integers(1, window + 1, size=n)
-            for i in range(n):
-                # all context pairs of one center step together (one
-                # mini-batch), sharing the pre-update parameters
-                b = shrink[i]
-                lo = i - b if i >= b else 0
-                hi = min(n, i + b + 1)
-                targets = np.concatenate((kept[lo:i], kept[i + 1:hi]))
-                m = targets.size
-                if m == 0:
-                    continue
-                negs = np.searchsorted(noise_cdf, rng.random(m * negatives))
-                # guard: cdf tail can round below 1.0
-                negs = np.minimum(negs, len(noise_cdf) - 1)
-                # drop noise draws that hit their own pair's context word
-                negs = negs.reshape(m, negatives)
-                keep_negs = negs[negs != targets[:, None]]
-                rows = np.concatenate((targets, keep_negs))
-                center = kept[i]
-                v = w_in[center]
-                d_center, d_outputs = negative_sampling_grads(v, w_out[rows], m)
-                w_in[center] = v - lr * d_center
-                np.subtract.at(w_out, rows, lr * d_outputs)
+            pos = np.arange(n)
+            contexts = np.minimum(n, pos + shrink + 1) - np.maximum(0, pos - shrink) - 1
+            negs = np.searchsorted(noise_cdf, rng.random(int(contexts.sum()) * negatives))
+            # guard: cdf tail can round below 1.0
+            negs = np.minimum(negs, len(noise_cdf) - 1)
+            step(kept, shrink, negs, lr, w_in, w_out, negatives)
+
+
+def _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
+    """One document of updates, one center at a time; the kernel's reference."""
+    n = kept.size
+    drawn = 0
+    for i in range(n):
+        # all context pairs of one center step together (one
+        # mini-batch), sharing the pre-update parameters
+        b = shrink[i]
+        lo = i - b if i >= b else 0
+        hi = min(n, i + b + 1)
+        targets = np.concatenate((kept[lo:i], kept[i + 1:hi]))
+        m = targets.size
+        pair_negs = negs[drawn:drawn + m * negatives].reshape(m, negatives)
+        drawn += m * negatives
+        # drop noise draws that hit their own pair's context word
+        keep_negs = pair_negs[pair_negs != targets[:, None]]
+        rows = np.concatenate((targets, keep_negs))
+        center = kept[i]
+        v = w_in[center]
+        d_center, d_outputs = negative_sampling_grads(v, w_out[rows], m)
+        w_in[center] = v - lr * d_center
+        np.subtract.at(w_out, rows, lr * d_outputs)
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("sgns_kernel.c")
+_KERNEL_CACHE = _KERNEL_SOURCE.parent / "__pycache__"
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _load_kernel():
+    """The step of ``sgns_kernel.c``, or None if it cannot be built or loaded.
+
+    The first call in a checkout compiles it with ``cc`` into
+    ``__pycache__/sgns_kernel-<key>.so``, keyed by the sha256 of the source
+    and the flags; later processes load that file.
+    """
+    import subprocess  # here, not at the top: importing sentaxis stays as fast
+    from numpy.ctypeslib import ndpointer
+
+    try:
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
+        library = _KERNEL_CACHE / f"sgns_kernel-{key.hexdigest()[:16]}.so"
+        if not library.exists():
+            _KERNEL_CACHE.mkdir(exist_ok=True)
+            # build under a private name, then move into place in one step, so
+            # a concurrent process never loads a half-written library
+            with tempfile.TemporaryDirectory(dir=_KERNEL_CACHE) as tmp:
+                built = Path(tmp) / library.name
+                subprocess.run(["cc", *_KERNEL_FLAGS, "-o", str(built),
+                                str(_KERNEL_SOURCE), "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(built, library)
+        kernel = ctypes.CDLL(str(library)).sgns_document
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    ids = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    matrix = ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    kernel.argtypes = [ids, ids, ids, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                       ctypes.c_double, matrix, matrix]
+    kernel.restype = ctypes.c_int
+
+    def step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
+        if kernel(kept, shrink, negs, kept.size, negatives, w_in.shape[1], lr, w_in, w_out):
+            raise MemoryError("sgns kernel could not allocate its scratch rows")
+    return step

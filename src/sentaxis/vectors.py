@@ -85,6 +85,11 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
+    """Write ``table`` in the text format; a word holding whitespace is
+    rejected before the file is opened, since it could not be read back."""
+    for word in table.words:
+        if word.split() != [word]:
+            raise ValueError(f"word {word!r} contains whitespace")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
@@ -115,7 +120,12 @@ def load_embeddings(path) -> EmbeddingTable:
             raise ParseError(
                 f"header promises {vocab_count} rows of {dim} values, "
                 f"more than {st.st_size} bytes can hold", path=path, line=1)
-        matrix = np.empty((vocab_count, dim), dtype=np.float64)
+        try:
+            matrix = np.empty((vocab_count, dim), dtype=np.float64)
+        except MemoryError:
+            raise ParseError(
+                f"header promises {vocab_count} rows of {dim} values, "
+                "more than memory can hold", path=path, line=1) from None
         lines: dict[str, int] = {}  # word -> its line number, in file order
         lineno = 1
         for line in fh:

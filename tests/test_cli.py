@@ -257,3 +257,16 @@ def test_train_embeddings_rejects_token_with_whitespace(tmp_path, capsys):
     assert err.startswith("error:")
     assert f"{corpus}:2:" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_embeddings_rejects_non_finite_subsample(world, tmp_path, capsys, value):
+    out = tmp_path / "v.txt"
+    code = main(["train-embeddings", "--corpus", str(world["corpus"]), "--dim", "4",
+                 "--epochs", "1", "--min-count", "3", "--subsample", value,
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "subsample_threshold" in err
+    assert not out.exists()

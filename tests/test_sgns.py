@@ -1,6 +1,10 @@
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
+from sentaxis import sgns
 from sentaxis.corpus import make_corpus
 from sentaxis.errors import ConfigError
 from sentaxis.sgns import (
@@ -146,6 +150,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SgnsConfig(initial_learning_rate=1.5)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_subsample_threshold(self, threshold):
+        with pytest.raises(ConfigError, match="subsample_threshold"):
+            SgnsConfig(subsample_threshold=threshold)
+
 
 class TestSamplingHelpers:
     def test_keep_probabilities_disabled_at_zero_threshold(self):
@@ -165,3 +174,118 @@ class TestSamplingHelpers:
         # 16^0.75 = 8, so the first word owns 8/9 of the mass
         assert cdf[0] == pytest.approx(8.0 / 9.0)
         assert cdf[-1] == pytest.approx(1.0)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test, as a new process would."""
+    load = sgns._load_kernel
+    load.cache_clear()
+    yield
+    load.cache_clear()
+
+
+def context_counts(shrink, n):
+    # pairs per center, counted one position at a time
+    return [sum(1 for j in range(i - b, i + b + 1) if 0 <= j < n and j != i)
+            for i, b in enumerate(shrink)]
+
+
+class TestKernel:
+    def test_numpy_step_keeps_the_random_stream(self, monkeypatch):
+        # the fingerprint the per-center loop gave before the draws were
+        # hoisted out of it, one document at a time
+        monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
+        table = train_sgns(make_reviews(60, seed=3),
+                           SgnsConfig(dim=12, epochs=2, min_count=2, rng_seed=7))
+        assert table.metadata["sgns_kernel"] == "numpy"
+        assert table.fingerprint() == "73dd5a9b40a269eb"
+
+    @needs_cc
+    @pytest.mark.parametrize("kept, shrink, draws", [
+        ([0, 1], [1, 2], [1, 1, 0, 2, 0, 1]),
+        ([2, 3, 2, 4], [3, 1, 2, 1], [3, 2, 2, 4, 3, 0, 2, 2, 4, 1, 3, 2, 2, 3, 4, 2, 0, 3]),
+        ([1, 1, 1, 1, 1], [2, 2, 2, 2, 2], [1, 0] * 21),
+    ], ids=["two-tokens", "draws-hit-context", "repeated-rows"])
+    def test_kernel_matches_numpy_step(self, kept, shrink, draws):
+        negatives = 3
+        kept = np.array(kept, dtype=np.int64)
+        shrink = np.array(shrink, dtype=np.int64)
+        count = sum(context_counts(shrink, kept.size)) * negatives
+        negs = np.resize(np.array(draws, dtype=np.int64), count)
+        rng = np.random.default_rng(0)
+        w_in = rng.normal(scale=0.5, size=(5, 7))
+        w_out = rng.normal(scale=0.5, size=(5, 7))
+        kernel_step = sgns._load_kernel()
+        assert kernel_step is not None
+        expected = w_in.copy(), w_out.copy()
+        sgns._numpy_step(kept, shrink, negs, 0.05, *expected, negatives)
+        assert not np.array_equal(w_out, expected[1])
+        kernel_step(kept, shrink, negs, 0.05, w_in, w_out, negatives)
+        assert np.max(np.abs(w_in - expected[0])) <= 1e-9
+        assert np.max(np.abs(w_out - expected[1])) <= 1e-9
+
+    @needs_cc
+    @pytest.mark.parametrize("corpus, config", [
+        (make_reviews(60, seed=3), SgnsConfig(dim=12, epochs=2, min_count=2, rng_seed=7)),
+        # every window covers the whole document, so only the clamping decides
+        (two_sentence_corpus(),
+         SgnsConfig(dim=4, window=10**6, epochs=2, min_count=1, rng_seed=2)),
+    ], ids=["reviews", "window-wider-than-documents"])
+    def test_kernel_training_matches_numpy_training(self, monkeypatch, corpus, config):
+        compiled = train_sgns(corpus, config)
+        monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
+        reference = train_sgns(corpus, config)
+        assert compiled.metadata["sgns_kernel"] == "c"
+        assert compiled.words == reference.words
+        assert np.max(np.abs(compiled.matrix - reference.matrix)) <= 1e-9
+
+    def test_hidden_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, fresh_kernel):
+        corpus = make_reviews(30, seed=8)
+        config = SgnsConfig(dim=8, epochs=1, min_count=2, rng_seed=3)
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        fallback = train_sgns(corpus, config)
+        assert list((tmp_path / "cache").iterdir()) == []
+        monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
+        forced = train_sgns(corpus, config)
+        assert fallback.metadata["sgns_kernel"] == forced.metadata["sgns_kernel"] == "numpy"
+        assert fallback.fingerprint() == forced.fingerprint()
+
+    @needs_cc
+    def test_failed_build_falls_back_to_numpy(self, monkeypatch, tmp_path, fresh_kernel):
+        broken = tmp_path / "sgns_kernel.c"
+        broken.write_text("int sgns_document(void) { return }\n")
+        monkeypatch.setattr(sgns, "_KERNEL_SOURCE", broken)
+        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
+        table = train_sgns(two_sentence_corpus(), SgnsConfig(dim=4, epochs=1, min_count=1))
+        assert table.metadata["sgns_kernel"] == "numpy"
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @needs_cc
+    def test_second_call_reuses_the_cached_library(self, monkeypatch, tmp_path, fresh_kernel):
+        builds = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: builds.append(a) or run(*a, **k))
+        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path)
+        corpus = two_sentence_corpus()
+        config = SgnsConfig(dim=4, epochs=1, min_count=1, rng_seed=1)
+        first = train_sgns(corpus, config)
+        sgns._load_kernel.cache_clear()  # a later process finds the file
+        second = train_sgns(corpus, config)
+        assert first.metadata["sgns_kernel"] == second.metadata["sgns_kernel"] == "c"
+        assert len(builds) == 1
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+        assert np.array_equal(first.matrix, second.matrix)
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self, tmp_path):
+        built = subprocess.run(
+            ["cc", "-Wall", "-Wextra", "-Werror", *sgns._KERNEL_FLAGS,
+             "-o", str(tmp_path / "kernel.so"), str(sgns._KERNEL_SOURCE), "-lm"],
+            capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr

@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -147,6 +148,27 @@ class TestTableIO:
         with pytest.raises(ParseError) as err:
             load_embeddings(path)
         assert err.value.line == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_header_larger_than_memory_raises(self):
+        # a pipe reports no size, so the header is only caught at allocation
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"2000000000 1000\n")
+            os.close(write_end)
+            with pytest.raises(ParseError) as err:
+                load_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert err.value.line == 1
+        assert f"/dev/fd/{read_end}:1:" in str(err.value)
+
+    @pytest.mark.parametrize("word", ["new york", "tab\there", "line\nbreak", "nb\u00a0sp"])
+    def test_save_rejects_word_with_whitespace(self, tmp_path, word):
+        path = tmp_path / "v.txt"
+        with pytest.raises(ValueError, match="whitespace"):
+            save_embeddings(EmbeddingTable([word, "b"], np.ones((2, 2))), path)
+        assert not path.exists()
 
     def test_load_time_is_linear_in_rows(self, tmp_path):
         rows = 50_000

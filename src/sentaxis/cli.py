@@ -21,7 +21,7 @@ from .corpus import (
     load_polarity_lexicon,
     load_tagged_corpus,
 )
-from .errors import ParseError, SentaxisError
+from .errors import ConfigError, ParseError, SentaxisError
 from .sgns import SgnsConfig, train_sgns
 from .vectors import load_embeddings, save_embeddings
 
@@ -158,11 +158,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pmi_baseline(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
+    seeds = args.seeds.split(",")
+    if len(seeds) != 2 or not all(seeds):
+        raise ConfigError(f"--seeds must be 'pos,neg', got {args.seeds!r}")
+    pos_seed, neg_seed = seeds
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)
-    pos_seed, _, neg_seed = args.seeds.partition(",")
-    if not pos_seed or not neg_seed:
-        raise SentaxisError(f"--seeds must be 'pos,neg', got {args.seeds!r}")
     index = pmi.build_near_index(corpus, window=args.window)
     report = eval_mod.evaluate_pmi(index, reviews, pos_seed=pos_seed, neg_seed=neg_seed,
                                    unit=args.hit_unit,
@@ -308,10 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SentaxisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SentaxisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

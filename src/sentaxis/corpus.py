@@ -121,45 +121,65 @@ def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedC
 def _parse_one_token_per_line(text: str, path) -> list[TaggedDocument]:
     documents: list[TaggedDocument] = []
     tokens: list[TaggedToken] = []
+    # a line's token depends only on its text, and a corpus repeats few
+    # distinct lines, so each is parsed (and checked) once, at its first line
+    parsed: dict[str, TaggedToken | None] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            if tokens:
-                documents.append(_finish_document(len(documents), tokens))
-                tokens = []
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise ParseError("expected 'token<TAB>TAG'", path=path, line=lineno)
-        # the vector file, format B and the review format all separate tokens
-        # by whitespace, so a token holding any could not be written back
-        token = parts[0].strip().lower()
-        if len(token.split()) != 1:
-            raise ParseError(f"token {token!r} contains whitespace", path=path, line=lineno)
-        tokens.append(TaggedToken(text=token, tag=parts[1].strip()))
+        try:
+            token = parsed[line]
+        except KeyError:
+            token = parsed[line] = _parse_token_line(line, path, lineno)
+        if token is not None:
+            tokens.append(token)
+        elif tokens:
+            documents.append(_finish_document(len(documents), tokens))
+            tokens = []
     if tokens:
         documents.append(_finish_document(len(documents), tokens))
     return documents
 
 
+def _parse_token_line(line: str, path, lineno: int) -> TaggedToken | None:
+    """The token of one format-A line, or None for a blank line."""
+    if not line.strip():
+        return None
+    parts = line.split("\t")
+    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+        raise ParseError("expected 'token<TAB>TAG'", path=path, line=lineno)
+    # the vector file, format B and the review format all separate tokens
+    # by whitespace, so a token holding any could not be written back
+    token = parts[0].strip().lower()
+    if len(token.split()) != 1:
+        raise ParseError(f"token {token!r} contains whitespace", path=path, line=lineno)
+    return TaggedToken(text=token, tag=parts[1].strip())
+
+
 def _parse_inline(text: str, path) -> list[TaggedDocument]:
     documents: list[TaggedDocument] = []
+    parsed: dict[str, TaggedToken] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        tokens = _parse_inline_tokens(line, path, lineno)
+        tokens = _parse_inline_tokens(line, path, lineno, parsed)
         documents.append(_finish_document(len(documents), tokens))
     return documents
 
 
-def _parse_inline_tokens(line: str, path, lineno: int) -> list[TaggedToken]:
+def _parse_inline_tokens(line: str, path, lineno: int,
+                         parsed: dict[str, TaggedToken]) -> list[TaggedToken]:
+    """Tokens of one ``token_TAG ...`` line; ``parsed`` caches each distinct piece."""
     tokens = []
     for piece in line.split():
-        word, sep, tag = piece.rpartition("_")
-        if not sep or not word or not tag:
-            raise ParseError(
-                f"expected 'token_TAG', got {piece!r}", path=path, line=lineno
-            )
-        tokens.append(TaggedToken(text=word.lower(), tag=tag))
+        try:
+            token = parsed[piece]
+        except KeyError:
+            word, sep, tag = piece.rpartition("_")
+            if not sep or not word or not tag:
+                raise ParseError(
+                    f"expected 'token_TAG', got {piece!r}", path=path, line=lineno
+                ) from None
+            token = parsed[piece] = TaggedToken(text=word.lower(), tag=tag)
+        tokens.append(token)
     return tokens
 
 
@@ -189,6 +209,7 @@ def load_labeled_reviews(path, drop_other_labels: bool = False) -> TaggedCorpus:
     """
     path = Path(path)
     documents: list[TaggedDocument] = []
+    parsed: dict[str, TaggedToken] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -201,7 +222,7 @@ def load_labeled_reviews(path, drop_other_labels: bool = False) -> TaggedCorpus:
                 continue
             raise ParseError(f"label must be POS or NEG, got {label_part!r}",
                              path=path, line=lineno)
-        tokens = _parse_inline_tokens(text_part, path, lineno)
+        tokens = _parse_inline_tokens(text_part, path, lineno, parsed)
         documents.append(
             TaggedDocument(id=f"r{len(documents):06d}", tokens=tuple(tokens), label=label)
         )

@@ -128,8 +128,13 @@ def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus | Iterable[TaggedDo
                  neg_seed: str = pmi.DEFAULT_NEG_SEED,
                  config_snapshot: dict | None = None,
                  unit: str = pmi.HIT_UNIT_DOCS) -> EvalReport:
-    """PMI baseline accuracy; phrase orientations are cached across reviews."""
+    """PMI baseline accuracy; phrase orientations are cached across reviews.
+
+    Both seeds are checked before any review is classified, so a missing seed
+    is an error even when no review yields a phrase.
+    """
     docs = _gold_documents(reviews)
+    pmi.seed_hits(index, pos_seed, neg_seed, unit)
     rules = patterns.builtin_rules()
     cache: dict = {}
 

@@ -11,6 +11,20 @@ log2[(hits(phrase NEAR pos_seed) * hits(neg_seed)) /
      (hits(phrase NEAR neg_seed) * hits(pos_seed))]
 with 0.01 substituted for zero NEAR counts. Zero seed marginals are an error:
 the corpus cannot support the baseline.
+
+The index is a few numpy arrays. ``terms`` holds one int32 term id per token,
+the documents laid end to end, each followed by ``pad = min(window, longest
+document)`` slots of a padding id that no term has. Queries reach ``pad``
+slots either way: two tokens of one document are at most ``longest - 1``
+apart, so clamping the window to the longest document changes no answer,
+and two tokens of different documents are at least ``pad + 1`` apart, so no
+window crosses a document boundary. One stable argsort of ``terms`` lists
+every term's positions in ascending order; ``postings`` holds each term's
+slice of it. A phrase's positions are its first word's positions whose next
+slot holds its second word. For NEAR(a, b), two ``searchsorted`` calls of
+a's positions ± pad into b's positions count b's occurrences in reach of
+each occurrence of a: their sum is the token-level count, and the distinct
+documents of the occurrences with a partner are the NEAR documents.
 """
 
 from __future__ import annotations
@@ -18,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import NEG, POS, TaggedCorpus, TaggedDocument
 from .errors import EmptyInputError, SeedMissingError
@@ -47,104 +63,99 @@ class PmiReviewResult:
     no_phrase: bool
 
 
-class NearIndex:
-    """Positional postings with document-level hit counting.
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
 
-    ``doc_hits`` maps each term to the documents containing it. ``near_hits``
-    maps unordered term pairs to documents where they co-occur within the
-    window; it fills on demand from the postings, so only queried pairs are
-    materialized.
+
+class NearIndex:
+    """NEAR(window) index over a corpus, held as position arrays.
+
+    ``terms`` is the padded id array of the module docstring, ``doc_of`` the
+    document index of each of its slots and ``pad`` the reach of every query
+    (``window`` clamped to the longest document). ``postings`` maps each term
+    to its ascending positions in ``terms``. ``near_hits`` maps unordered term
+    pairs to the documents where they co-occur within the window; it fills on
+    demand, so only queried pairs are materialized.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
+    def __init__(self, documents: Sequence[TaggedDocument], window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError("window must be >= 1")
+        if not documents:
+            raise EmptyInputError("corpus is empty")
         self.window = window
-        self.postings: dict[str, dict[str, list[int]]] = {}
-        self.doc_hits: dict[str, set[str]] = {}
+        self.doc_ids = tuple(doc.id for doc in documents)
+        lengths = np.array([len(doc.tokens) for doc in documents])
+        self.pad = min(window, int(lengths.max()))
+        self.term_ids: dict[str, int] = {}
+        ids = [self.term_ids.setdefault(token.text, len(self.term_ids))
+               for doc in documents for token in doc.tokens]
+        pad_id = len(self.term_ids)
+        # every document's slots start after the earlier documents' tokens and padding
+        slots = np.arange(len(ids)) + np.repeat(np.arange(len(documents)) * self.pad, lengths)
+        self.terms = np.full(len(ids) + len(documents) * self.pad, pad_id, dtype=np.int32)
+        self.terms[slots] = ids
+        self.doc_of = np.repeat(np.arange(len(documents), dtype=np.int32), lengths + self.pad)
+        # a stable sort keeps each term's positions ascending; padding sorts last
+        order = np.argsort(self.terms, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(self.terms, minlength=pad_id + 1))))
+        self.postings: dict[str, np.ndarray] = {
+            term: order[bounds[i]:bounds[i + 1]] for term, i in self.term_ids.items()}
+        self._doc_counts: dict[Term, int] = {}
         self.near_hits: dict[frozenset[Term], set[str]] = {}
 
-    def add_document(self, doc: TaggedDocument) -> None:
-        for position, token in enumerate(doc.tokens):
-            docs = self.postings.setdefault(token.text, {})
-            docs.setdefault(doc.id, []).append(position)
-            self.doc_hits.setdefault(token.text, set()).add(doc.id)
-
-    def _positions(self, term: Term) -> dict[str, list[int]]:
-        """Occurrence positions per document; phrases anchor at their first token."""
+    def _positions(self, term: Term) -> np.ndarray:
+        """Ascending occurrence positions; phrases anchor at their first token."""
         if isinstance(term, str):
-            return self.postings.get(term, {})
+            return self.postings.get(term, _NO_POSITIONS)
         w1, w2 = term
-        first = self.postings.get(w1, {})
-        second = self.postings.get(w2, {})
-        result: dict[str, list[int]] = {}
-        for doc_id, starts in first.items():
-            if doc_id not in second:
-                continue
-            follow = set(second[doc_id])
-            anchors = [p for p in starts if p + 1 in follow]
-            if anchors:
-                result[doc_id] = anchors
-        return result
+        first = self.postings.get(w1)
+        second = self.term_ids.get(w2)
+        if first is None or second is None:
+            return _NO_POSITIONS
+        # a document's last token is followed by padding, never by a term
+        return first[self.terms[first + 1] == second]
+
+    def _doc_set(self, positions: np.ndarray) -> set[str]:
+        return {self.doc_ids[i] for i in np.unique(self.doc_of[positions]).tolist()}
 
     def docs_with(self, term: Term) -> set[str]:
-        if isinstance(term, str):
-            return self.doc_hits.get(term, set())
-        return set(self._positions(term))
+        return self._doc_set(self._positions(term))
+
+    def document_count(self, term: Term) -> int:
+        """Documents containing the term (document-level counting); once per term."""
+        count = self._doc_counts.get(term)
+        if count is None:
+            count = self._doc_counts[term] = len(np.unique(self.doc_of[self._positions(term)]))
+        return count
 
     def occurrence_count(self, term: Term) -> int:
         """Total occurrences across the corpus (token-level counting)."""
-        return sum(len(p) for p in self._positions(term).values())
+        return len(self._positions(term))
+
+    def _in_window(self, a: Term, b: Term) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of a, and how many positions of b lie within the window of each."""
+        pos_a = self._positions(a)
+        pos_b = self._positions(b)
+        low = np.searchsorted(pos_b, pos_a - self.pad, side="left")
+        high = np.searchsorted(pos_b, pos_a + self.pad, side="right")
+        return pos_a, high - low
 
     def near_docs(self, a: Term, b: Term) -> set[str]:
         """Documents where a and b occur within the window, order-free."""
         key = frozenset((a, b))
-        cached = self.near_hits.get(key)
-        if cached is not None:
-            return cached
-        pos_a = self._positions(a)
-        pos_b = self._positions(b)
-        docs = set()
-        for doc_id in pos_a.keys() & pos_b.keys():
-            if _within_window(pos_a[doc_id], pos_b[doc_id], self.window):
-                docs.add(doc_id)
-        self.near_hits[key] = docs
+        docs = self.near_hits.get(key)
+        if docs is None:
+            pos_a, partners = self._in_window(a, b)
+            docs = self.near_hits[key] = self._doc_set(pos_a[partners > 0])
         return docs
 
     def near_pair_count(self, a: Term, b: Term) -> int:
         """Number of in-window occurrence pairs (token-level counting)."""
-        pos_a = self._positions(a)
-        pos_b = self._positions(b)
-        pairs = 0
-        for doc_id in pos_a.keys() & pos_b.keys():
-            for p in pos_a[doc_id]:
-                for q in pos_b[doc_id]:
-                    if abs(p - q) <= self.window:
-                        pairs += 1
-        return pairs
-
-
-def _within_window(left: Sequence[int], right: Sequence[int], window: int) -> bool:
-    # postings are position-sorted; a linear merge finds the closest pair
-    i = j = 0
-    while i < len(left) and j < len(right):
-        gap = left[i] - right[j]
-        if abs(gap) <= window:
-            return True
-        if gap > 0:
-            j += 1
-        else:
-            i += 1
-    return False
+        return int(self._in_window(a, b)[1].sum())
 
 
 def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> NearIndex:
-    if len(corpus) == 0:
-        raise EmptyInputError("corpus is empty")
-    index = NearIndex(window=window)
-    for doc in corpus.documents:
-        index.add_document(doc)
-    return index
+    return NearIndex(corpus.documents, window=window)
 
 
 HIT_UNIT_DOCS = "docs"
@@ -159,7 +170,7 @@ def hits(index: NearIndex, term_or_phrase: Term, unit: str = HIT_UNIT_DOCS) -> i
     for sensitivity analysis and counts every occurrence.
     """
     if unit == HIT_UNIT_DOCS:
-        return len(index.docs_with(term_or_phrase))
+        return index.document_count(term_or_phrase)
     if unit == HIT_UNIT_TOKENS:
         return index.occurrence_count(term_or_phrase)
     raise ValueError(f"unit must be 'docs' or 'tokens', got {unit!r}")
@@ -171,17 +182,22 @@ def _near_count(index: NearIndex, a: Term, b: Term, unit: str) -> int:
     return index.near_pair_count(a, b)
 
 
+def seed_hits(index: NearIndex, pos_seed: str, neg_seed: str,
+              unit: str = HIT_UNIT_DOCS) -> tuple[int, int]:
+    """Hit counts of both seeds; a seed that never occurs is an error."""
+    counts = hits(index, pos_seed, unit), hits(index, neg_seed, unit)
+    for seed, count in zip((pos_seed, neg_seed), counts):
+        if count == 0:
+            raise SeedMissingError(f"seed {seed!r} never occurs in the indexed corpus")
+    return counts
+
+
 def so_phrase(index: NearIndex, phrase: tuple[str, str],
               pos_seed: str = DEFAULT_POS_SEED,
               neg_seed: str = DEFAULT_NEG_SEED,
               unit: str = HIT_UNIT_DOCS) -> PhraseSO:
     """Log-ratio orientation of a phrase from hit counts."""
-    seed_pos_hits = hits(index, pos_seed, unit)
-    seed_neg_hits = hits(index, neg_seed, unit)
-    if seed_pos_hits == 0:
-        raise SeedMissingError(f"seed {pos_seed!r} never occurs in the indexed corpus")
-    if seed_neg_hits == 0:
-        raise SeedMissingError(f"seed {neg_seed!r} never occurs in the indexed corpus")
+    seed_pos_hits, seed_neg_hits = seed_hits(index, pos_seed, neg_seed, unit)
     near_pos = _near_count(index, phrase, pos_seed, unit)
     near_neg = _near_count(index, phrase, neg_seed, unit)
     smoothed_pos = near_pos if near_pos else ZERO_HIT_SMOOTHING

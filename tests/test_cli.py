@@ -145,6 +145,53 @@ def test_pmi_missing_seed_is_tool_error(world, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pmi_missing_seed_is_detected_when_no_review_has_a_phrase(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("excellent\tJJ\nfilm\tNN\n\nthe\tDT\nfilm\tNN\n", encoding="utf-8")
+    reviews = tmp_path / "reviews.tsv"
+    reviews.write_text("POS\tthe_DT film_NN\nNEG\tthe_DT film_NN\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    code = main(["pmi-baseline", "--corpus", str(corpus), "--reviews", str(reviews),
+                 "--report", str(report)])
+    assert code == 1
+    assert "'poor'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_pmi_missing_corpus_file_is_tool_error(world, tmp_path, capsys):
+    missing = tmp_path / "nope.tsv"
+    code = main(["pmi-baseline", "--corpus", str(missing),
+                 "--reviews", str(world["reviews"]),
+                 "--report", str(tmp_path / "r.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_pmi_report_in_missing_directory_is_tool_error(world, tmp_path, capsys):
+    report = tmp_path / "nodir" / "r.txt"
+    code = main(["pmi-baseline", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]), "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--window", "0"), ("--window", "-3"),
+    ("--seeds", "excellent"), ("--seeds", "excellent,"), ("--seeds", ",poor"),
+    ("--seeds", "excellent,poor,bad"),
+])
+def test_pmi_bad_argument_rejected_before_reading_files(tmp_path, capsys, flag, value):
+    # the input files do not exist: the argument must be checked first
+    code = main(["pmi-baseline", "--corpus", str(tmp_path / "nope.tsv"),
+                 "--reviews", str(tmp_path / "nope-reviews.tsv"),
+                 "--report", str(tmp_path / "r.txt"), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and "nope" not in err
+
+
 def test_tag_variance(world, tmp_path):
     annotated = tmp_path / "annotated.tsv"
     annotated.write_text(

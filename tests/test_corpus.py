@@ -82,6 +82,58 @@ class TestLoadTaggedCorpus:
         assert sum(len(d.tokens) for d in corpus) == nonblank
 
 
+class TestRepeatedLines:
+    """Each distinct line or piece is parsed once; results must not depend on it."""
+
+    def test_format_a_matches_cache_free_parse(self, tmp_path):
+        reviews = make_reviews(80, seed=9)
+        text = "\n\n".join(
+            "\n".join(f"{t.text.upper()}\t{t.tag} " for t in doc.tokens) for doc in reviews
+        ) + "\n \n\n"
+        expected = [
+            tuple(TaggedToken(text=word.strip().lower(), tag=tag.strip())
+                  for word, tag in (line.split("\t") for line in block.splitlines()
+                                    if line.strip()))
+            for block in text.split("\n\n") if block.strip()
+        ]
+        corpus = load_tagged_corpus(write(tmp_path, "c.tsv", text))
+        assert [doc.tokens for doc in corpus] == expected
+
+    def test_review_format_matches_cache_free_parse(self, tmp_path):
+        reviews = make_reviews(80, seed=10)
+        lines = [f"{doc.label}\t" + " ".join(f"{t.text.title()}_{t.tag}" for t in doc.tokens)
+                 for doc in reviews]
+        loaded = load_labeled_reviews(write(tmp_path, "r.tsv", "\n".join(lines) + "\n"))
+        expected = []
+        for line in lines:
+            label, _, body = line.partition("\t")
+            tokens = []
+            for piece in body.split():
+                word, _, tag = piece.rpartition("_")
+                tokens.append(TaggedToken(text=word.lower(), tag=tag))
+            expected.append((label, tuple(tokens)))
+        assert [(doc.label, doc.tokens) for doc in loaded] == expected
+
+    @pytest.mark.parametrize("bad", ["nonsense", "new york\tNNP"])
+    def test_format_a_bad_line_after_valid_lines_names_its_line(self, tmp_path, bad):
+        text = f"good\tJJ\nfilm\tNN\n\ngood\tJJ\n{bad}\nfilm\tNN\n{bad}\n"
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(write(tmp_path, "c.tsv", text))
+        assert err.value.line == 5
+
+    def test_inline_bad_piece_is_reported_at_first_occurrence(self, tmp_path):
+        text = "good_JJ film_NN\ngood_JJ film\nfilm_NN film\n"
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(write(tmp_path, "c.txt", text), FORMAT_INLINE)
+        assert err.value.line == 2
+
+    def test_review_bad_piece_is_reported_at_first_occurrence(self, tmp_path):
+        text = "POS\tgood_JJ film_NN\nNEG\tgood_JJ film_NN\nNEG\tfilm bad_JJ\nPOS\tfilm\n"
+        with pytest.raises(ParseError) as err:
+            load_labeled_reviews(write(tmp_path, "r.tsv", text))
+        assert err.value.line == 3
+
+
 class TestRoundTrip:
     @given(token_lists=st.lists(
         st.lists(

@@ -1,5 +1,6 @@
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sentaxis.corpus import NEG, POS, TaggedCorpus, make_corpus
 from sentaxis.errors import EmptyInputError, SeedMissingError
@@ -10,6 +11,10 @@ from sentaxis.pmi import (
     hits,
     so_phrase,
 )
+from sentaxis.evaluation import evaluate_pmi
+from sentaxis.patterns import extract_phrases
+
+from synthgen import make_reviews
 
 
 def words_doc(*words):
@@ -256,3 +261,87 @@ class TestClassifyReview:
         assert ("very", "good") in cache
         second = classify_review_pmi(index, review, so_cache=cache)
         assert first == second
+
+
+VOCABULARY = ("a", "b", "c", "d", "e")
+
+
+def scan_positions(tokens, term):
+    """Anchor positions of a word or contiguous phrase in one document."""
+    if isinstance(term, str):
+        return [i for i, t in enumerate(tokens) if t == term]
+    return [i for i in range(len(tokens) - 1) if (tokens[i], tokens[i + 1]) == term]
+
+
+def scan_oracle(docs, window, a, b):
+    """Per-document positions of a, b and their in-window pairs, by brute force."""
+    rows = []
+    for i, tokens in enumerate(docs):
+        pos_a, pos_b = scan_positions(tokens, a), scan_positions(tokens, b)
+        pairs = sum(1 for p in pos_a for q in pos_b if abs(p - q) <= window)
+        rows.append((f"d{i:06d}", pos_a, pos_b, pairs))
+    return rows
+
+
+terms = st.one_of(
+    st.sampled_from(VOCABULARY + ("zz",)),
+    st.tuples(st.sampled_from(VOCABULARY + ("zz",)), st.sampled_from(VOCABULARY + ("zz",))),
+)
+
+
+class TestArrayIndexAgainstScan:
+    @given(vocabulary_size=st.integers(1, 5),
+           raw_docs=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=12),
+                             min_size=1, max_size=6),
+           window=st.integers(1, 15), a=terms, b=terms)
+    def test_every_query_matches_scan(self, vocabulary_size, raw_docs, window, a, b):
+        docs = [[VOCABULARY[i % vocabulary_size] for i in raw] for raw in raw_docs]
+        index = build_near_index(make_corpus([words_doc(*d) for d in docs]), window=window)
+        rows = scan_oracle(docs, window, a, b)
+        near = {doc_id for doc_id, _, _, pairs in rows if pairs}
+        with_a = {doc_id for doc_id, pos_a, _, _ in rows if pos_a}
+        assert index.near_docs(a, b) == near
+        assert index.near_docs(b, a) == near
+        assert index.near_pair_count(a, b) == sum(pairs for *_, pairs in rows)
+        assert index.docs_with(a) == with_a
+        assert index.occurrence_count(a) == sum(len(pos_a) for _, pos_a, _, _ in rows)
+        assert hits(index, a) == len(with_a)
+        assert hits(index, a, unit="tokens") == index.occurrence_count(a)
+
+    def test_phrase_does_not_run_across_documents(self):
+        # 'b' ends the first document and starts the second
+        index = build_near_index(make_corpus([words_doc("a", "b"), words_doc("b", "a")]),
+                                 window=15)
+        assert hits(index, ("b", "b")) == 0
+        assert hits(index, ("a", "b")) == 1
+        assert index.near_docs(("b", "a"), "zz") == set()
+
+    def test_unknown_words(self):
+        index = build_near_index(make_corpus([words_doc("a", "b", "a")]), window=2)
+        assert index.docs_with("zz") == set()
+        assert hits(index, ("a", "zz")) == 0
+        assert hits(index, ("zz", "a"), unit="tokens") == 0
+        assert index.near_docs(("a", "zz"), "b") == set()
+        assert index.near_pair_count("zz", "a") == 0
+
+    def test_huge_window_pads_by_the_longest_document(self):
+        docs = [words_doc("a", "b", "c"), words_doc("c",), words_doc("b", "x", "x", "a", "x")]
+        index = build_near_index(make_corpus(docs), window=10**9)
+        assert index.pad == 5
+        assert len(index.terms) == 9 + 3 * 5
+        assert index.near_docs("a", "c") == {"d000000"}
+        assert index.near_pair_count("a", "b") == 2
+
+
+class TestIndexSizesReadByTheBenchmark:
+    """The benchmark's tracing reads len(index.postings) and len(index.near_hits)."""
+
+    def test_postings_and_near_hits_sizes(self):
+        train = make_reviews(60, seed=3)
+        index = build_near_index(train, window=10)
+        assert len(index.postings) == len({t.text for d in train for t in d.tokens})
+        reviews = make_reviews(20, seed=4)
+        evaluate_pmi(index, reviews)
+        queried = {occ.phrase for occ in extract_phrases(reviews)}
+        assert queried
+        assert len(index.near_hits) == 2 * len(queried)

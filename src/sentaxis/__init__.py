@@ -52,7 +52,6 @@ from .vectors import (
     cosine_distance,
     cosine_similarity,
     load_embeddings,
-    nearest_neighbors,
     save_embeddings,
 )
 

@@ -14,16 +14,16 @@ positive and the seed's own score is non-negative by construction.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import pca
+from . import pca, records
 from .corpus import PolarityLexicon
 from .errors import (
     AmbiguousOrientationError,
+    ConfigError,
     DegenerateMatrixError,
     DegenerateVectorError,
     InsufficientDataError,
@@ -155,19 +155,18 @@ def partition_by_origin(proj: AxisProjection) -> tuple[tuple[str, ...], tuple[st
 
 
 def partition_by_lexicon(points: PointWordSet, lex: PolarityLexicon):
-    """Split point words by polarity sign relative to the lexicon's threshold.
+    """Split point words by the sign of their lexicon polarity.
 
-    Words missing from the lexicon or exactly at the threshold are dropped.
+    Words missing from the lexicon or scored exactly 0 (neutral) are dropped.
     Returns (positive_side, negative_side, dropped).
     """
     set_a, set_b, dropped = [], [], []
-    threshold = lex.neutral_threshold
     for word in sorted(points.words):
         if word not in lex:
             dropped.append(word)
-        elif lex.score(word) > threshold:
+        elif lex.score(word) > 0.0:
             set_a.append(word)
-        elif lex.score(word) < threshold:
+        elif lex.score(word) < 0.0:
             set_b.append(word)
         else:
             dropped.append(word)
@@ -214,6 +213,9 @@ def orient_by_seed(vec_a: np.ndarray, vec_b: np.ndarray, set_a, set_b,
 
 def score_vocabulary(axis: SentimentAxis, table: EmbeddingTable) -> OrientationLexicon:
     """Orientation score for every vocabulary word."""
+    if axis.vec_pos.shape != (table.dim,) or axis.vec_neg.shape != (table.dim,):
+        raise ConfigError(f"axis vectors have {axis.vec_pos.size} and {axis.vec_neg.size} "
+                          f"values, word vectors {table.dim}")
     norms = np.linalg.norm(table.matrix, axis=1)
     if np.any(norms == 0.0):
         bad = table.words[int(np.argmin(norms))]
@@ -249,93 +251,71 @@ def correlate_with_gold(proj: AxisProjection, gold: PolarityLexicon) -> float:
 # persistence
 
 AXIS_FILENAME = "axis.tsv"
+_AXIS_KEYS = ("mode", "seed", "vec_pos", "vec_neg")
 
 
 def save_axis(axis: SentimentAxis, directory) -> Path:
-    """Write the axis as one record-per-line TSV under the directory."""
+    """Write the axis as ``key<TAB>value`` records under the directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / AXIS_FILENAME
-    lines = [f"mode\t{axis.mode}", f"seed\t{axis.seed}"]
-    lines.extend(f"pos\t{w}" for w in axis.pos_words)
-    lines.extend(f"neg\t{w}" for w in axis.neg_words)
-    lines.append("vec_pos\t" + " ".join(repr(float(v)) for v in axis.vec_pos))
-    lines.append("vec_neg\t" + " ".join(repr(float(v)) for v in axis.vec_neg))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records.write(path, [("mode", axis.mode), ("seed", axis.seed),
+                         *(("pos", w) for w in axis.pos_words),
+                         *(("neg", w) for w in axis.neg_words),
+                         ("vec_pos", " ".join(repr(float(v)) for v in axis.vec_pos)),
+                         ("vec_neg", " ".join(repr(float(v)) for v in axis.vec_neg))])
     return path
 
 
 def load_axis(directory_or_file) -> SentimentAxis:
+    """Read ``axis.tsv``: one record per pos/neg word, exactly one of each other key."""
     path = Path(directory_or_file)
     if path.is_dir():
         path = path / AXIS_FILENAME
-    fields: dict[str, str] = {}
-    pos_words: list[str] = []
-    neg_words: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("\t")
-        if not sep:
-            raise ParseError("expected 'key<TAB>value'", path=path, line=lineno)
-        if key == "pos":
-            pos_words.append(value)
-        elif key == "neg":
-            neg_words.append(value)
-        elif key in ("mode", "seed", "vec_pos", "vec_neg"):
-            fields[key] = value
+    _, rows = records.read(path, ("key", "value"))
+    words: dict[str, list[str]] = {"pos": [], "neg": []}
+    single: dict[str, tuple[int, str]] = {}
+    for line, (key, value) in rows:
+        if key in words:
+            words[key].append(value)
+        elif key in _AXIS_KEYS and key not in single:
+            single[key] = (line, value)
         else:
-            raise ParseError(f"unknown record type {key!r}", path=path, line=lineno)
-    missing = {"mode", "seed", "vec_pos", "vec_neg"} - fields.keys()
+            raise ParseError(f"unknown or repeated record type {key!r}", path=path, line=line)
+    missing = set(_AXIS_KEYS) - single.keys()
     if missing:
         raise ParseError(f"missing records: {sorted(missing)}", path=path)
-    return SentimentAxis(
-        pos_words=tuple(pos_words),
-        neg_words=tuple(neg_words),
-        vec_pos=np.array([float(v) for v in fields["vec_pos"].split()]),
-        vec_neg=np.array([float(v) for v in fields["vec_neg"].split()]),
-        seed=fields["seed"],
-        mode=fields["mode"],
-    )
+    vec_pos, vec_neg = (
+        np.array([records.finite_float(path, single[key][0], v, key)
+                  for v in single[key][1].split()]) for key in ("vec_pos", "vec_neg"))
+    if len(vec_pos) != len(vec_neg):
+        raise ParseError(f"vec_neg has {len(vec_neg)} values, vec_pos {len(vec_pos)}",
+                         path=path, line=single["vec_neg"][0])
+    return SentimentAxis(pos_words=tuple(words["pos"]), neg_words=tuple(words["neg"]),
+                         vec_pos=vec_pos, vec_neg=vec_neg,
+                         seed=single["seed"][1], mode=single["mode"][1])
 
 
 def save_orientation_lexicon(lexicon: OrientationLexicon, path) -> None:
-    """TSV ``word<TAB>score`` sorted by word, with provenance header comments."""
-    path = Path(path)
-    mode = lexicon.axis.mode if lexicon.axis is not None else "unknown"
-    seed = lexicon.axis.seed if lexicon.axis is not None else "unknown"
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# embedding_fingerprint={lexicon.fingerprint}\n")
-        fh.write(f"# mode={mode}\n")
-        fh.write(f"# seed={seed}\n")
-        for word in sorted(lexicon.scores):
-            fh.write(f"{word}\t{lexicon.scores[word]!r}\n")
+    """Records ``word<TAB>score`` sorted by word, with provenance headers."""
+    axis = lexicon.axis
+    records.write(path, ((w, lexicon.scores[w]) for w in sorted(lexicon.scores)),
+                  {"embedding_fingerprint": lexicon.fingerprint,
+                   "mode": axis.mode if axis is not None else "unknown",
+                   "seed": axis.seed if axis is not None else "unknown"})
 
 
 def load_orientation_lexicon(path) -> OrientationLexicon:
-    path = Path(path)
+    """Read an orientation lexicon; a repeated word is an error."""
+    headers, rows = records.read(path, ("word", "score"))
     scores: dict[str, float] = {}
-    fingerprint = ""
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ")
-            if body.startswith("embedding_fingerprint="):
-                fingerprint = body.partition("=")[2]
-            continue
-        word, sep, value = line.partition("\t")
-        if not sep or not word:
-            raise ParseError("expected 'word<TAB>score'", path=path, line=lineno)
-        try:
-            score = float(value)
-        except ValueError:
-            raise ParseError(f"non-numeric score {value!r}", path=path, line=lineno) from None
-        if not math.isfinite(score):
-            raise ParseError(f"score must be finite, got {value!r}", path=path, line=lineno)
-        scores[word] = score
+    for line, (word, value) in rows:
+        if word in scores:
+            raise ParseError(f"duplicate word {word!r}", path=path, line=line)
+        scores[word] = records.finite_float(path, line, value, "score")
     if not scores:
         raise ParseError("no scores found", path=path)
+    _, fingerprint = headers.get("embedding_fingerprint", (0, ""))
     return OrientationLexicon(scores=scores, axis=None, fingerprint=fingerprint)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import axis as axis_mod
 from . import evaluation as eval_mod
-from . import patterns, pmi
+from . import patterns, pmi, records
 from .corpus import (
     FORMAT_INLINE,
     FORMAT_ONE_TOKEN_PER_LINE,
@@ -21,7 +21,7 @@ from .corpus import (
     load_polarity_lexicon,
     load_tagged_corpus,
 )
-from .errors import ConfigError, ParseError, SentaxisError
+from .errors import ConfigError, SentaxisError
 from .sgns import SgnsConfig, train_sgns
 from .vectors import load_embeddings, save_embeddings
 
@@ -40,12 +40,18 @@ def _add_review_filter_args(parser: argparse.ArgumentParser) -> None:
                         help="drop reviews shorter than N tokens")
 
 
+def _check_review_args(args, output: str) -> None:
+    """Fail before any file is read on a negative filter or a missing output directory."""
+    for flag, value in (("--limit", args.limit), ("--min-tokens", args.min_tokens)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
+    if not Path(output).parent.is_dir():
+        raise ConfigError(f"cannot write {output}: its directory does not exist")
+
+
 def _load_reviews(args) -> "eval_mod.TaggedCorpus":
-    reviews = load_labeled_reviews(args.reviews)
-    if args.limit is not None or args.min_tokens is not None:
-        reviews = eval_mod.filter_reviews(reviews, limit=args.limit,
-                                          min_tokens=args.min_tokens)
-    return reviews
+    return eval_mod.filter_reviews(load_labeled_reviews(args.reviews),
+                                   limit=args.limit, min_tokens=args.min_tokens)
 
 
 def _parse_cutoffs(text: str) -> list[int]:
@@ -126,13 +132,17 @@ def cmd_build_axis(args) -> int:
 def cmd_score(args) -> int:
     table = load_embeddings(args.embeddings)
     oriented = axis_mod.load_axis(args.axis)
-    lexicon = axis_mod.score_vocabulary(oriented, table)
+    try:
+        lexicon = axis_mod.score_vocabulary(oriented, table)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.axis} does not match {args.embeddings}: {exc}") from None
     axis_mod.save_orientation_lexicon(lexicon, args.out)
     print(f"scored {len(lexicon.scores)} words -> {args.out}")
     return 0
 
 
 def cmd_classify(args) -> int:
+    _check_review_args(args, args.report)
     lexicon = axis_mod.load_orientation_lexicon(args.lexicon)
     reviews = _load_reviews(args)
     report = eval_mod.evaluate(reviews, lexicon,
@@ -144,6 +154,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_review_args(args, args.csv)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)
     table = load_embeddings(args.embeddings)
@@ -164,6 +175,7 @@ def cmd_pmi_baseline(args) -> int:
     if len(seeds) != 2 or not all(seeds):
         raise ConfigError(f"--seeds must be 'pos,neg', got {args.seeds!r}")
     pos_seed, neg_seed = seeds
+    _check_review_args(args, args.report)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)
     index = pmi.build_near_index(corpus, window=args.window)
@@ -180,20 +192,10 @@ def cmd_pmi_baseline(args) -> int:
 
 
 def cmd_tag_variance(args) -> int:
-    annotated = []
-    path = Path(args.annotated)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError("expected 'token<TAB>tag<TAB>polarity'", path=path, line=lineno)
-        try:
-            polarity = float(parts[2])
-        except ValueError:
-            raise ParseError(f"non-numeric polarity {parts[2]!r}",
-                             path=path, line=lineno) from None
-        annotated.append((TaggedToken(text=parts[0].lower(), tag=parts[1]), polarity))
+    _, rows = records.read(args.annotated, ("token", "tag", "polarity"))
+    annotated = [(TaggedToken(text=token.lower(), tag=tag),
+                  records.finite_float(args.annotated, line, polarity, "polarity"))
+                 for line, (token, tag, polarity) in rows]
     report = patterns.tag_polarity_variance(annotated)
     patterns.save_tag_variance(report, args.out)
     print(f"{len(report.per_tag)} tags, total variance {report.total_variance:.6g} -> {args.out}")
@@ -275,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument("--reviews", required=True)
     p.add_argument("--window", type=int, default=pmi.DEFAULT_WINDOW)
-    p.add_argument("--seeds", default=f"{pmi.DEFAULT_POS_SEED},{pmi.DEFAULT_NEG_SEED}",
-                   help="comma-separated positive,negative seed words")
+    p.add_argument("--seeds", type=str.lower,
+                   default=f"{pmi.DEFAULT_POS_SEED},{pmi.DEFAULT_NEG_SEED}",
+                   help="comma-separated positive,negative seed words (lowercased)")
     p.add_argument("--hit-unit", default=pmi.HIT_UNIT_DOCS,
                    choices=[pmi.HIT_UNIT_DOCS, pmi.HIT_UNIT_TOKENS],
                    help="count hits per document or per occurrence")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import records
 from .errors import EmptyInputError, ParseError
 
 POS = "POS"
@@ -79,7 +80,6 @@ class PolarityLexicon:
     """word -> centered real polarity score; 0 is neutral."""
 
     entries: dict[str, float]
-    neutral_threshold: float = 0.0
     duplicate_count: int = 0
 
     def __contains__(self, word: str) -> bool:
@@ -200,71 +200,38 @@ def save_tagged_corpus(corpus: TaggedCorpus, path, format: str = FORMAT_ONE_TOKE
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_labeled_reviews(path, drop_other_labels: bool = False) -> TaggedCorpus:
-    """Parse a labeled review file: ``LABEL<TAB>token_TAG token_TAG ...``.
-
-    Reviews whose label is neither POS nor NEG raise a parse error unless
-    ``drop_other_labels`` is set, in which case they are skipped (the hook for
-    excluding neutral-labeled reviews from a binary evaluation).
-    """
-    path = Path(path)
+def load_labeled_reviews(path) -> TaggedCorpus:
+    """Parse ``LABEL<TAB>token_TAG token_TAG ...`` records (see :mod:`.records`)."""
+    _, rows = records.read(path, ("LABEL", "tagged text"))
     documents: list[TaggedDocument] = []
     parsed: dict[str, TaggedToken] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        label_part, sep, text_part = line.partition("\t")
-        if not sep or not text_part.strip():
-            raise ParseError("expected 'LABEL<TAB>tagged text'", path=path, line=lineno)
-        label = label_part.strip().upper()
-        if label not in (POS, NEG):
-            if drop_other_labels:
-                continue
-            raise ParseError(f"label must be POS or NEG, got {label_part!r}",
-                             path=path, line=lineno)
-        tokens = _parse_inline_tokens(text_part, path, lineno, parsed)
-        documents.append(
-            TaggedDocument(id=f"r{len(documents):06d}", tokens=tuple(tokens), label=label)
-        )
+    for line, (label, text) in rows:
+        if label.strip().upper() not in (POS, NEG):
+            raise ParseError(f"label must be POS or NEG, got {label!r}", path=path, line=line)
+        tokens = _parse_inline_tokens(text, path, line, parsed)
+        documents.append(TaggedDocument(id=f"r{len(documents):06d}", tokens=tuple(tokens),
+                                        label=label.strip().upper()))
     if not documents:
         raise EmptyInputError(f"{path}: no labeled reviews found")
     return TaggedCorpus(documents=tuple(documents), source=str(path))
 
 
-def load_polarity_lexicon(path, neutral_threshold: float = 0.0) -> PolarityLexicon:
-    """Parse a TSV polarity lexicon (``word<TAB>score``); '#' lines are comments.
+def load_polarity_lexicon(path) -> PolarityLexicon:
+    """Parse a polarity lexicon of ``word<TAB>score`` records (see :mod:`.records`).
 
-    Duplicate words keep the last entry; the number of overwritten entries is
-    recorded in ``duplicate_count``.
+    Words are lowercased. Duplicate words keep the last entry; the number of
+    overwritten entries is recorded in ``duplicate_count``.
     """
-    path = Path(path)
-    entries: dict[str, float] = {}
-    duplicates = 0
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip():
-            raise ParseError("expected 'word<TAB>score'", path=path, line=lineno)
-        word = parts[0].strip().lower()
-        try:
-            score = float(parts[1])
-        except ValueError:
-            raise ParseError(f"non-numeric score {parts[1]!r}", path=path, line=lineno) from None
-        if score != score or score in (float("inf"), float("-inf")):
-            raise ParseError(f"score must be finite, got {parts[1]!r}", path=path, line=lineno)
-        if word in entries:
-            duplicates += 1
-        entries[word] = score
+    _, rows = records.read(path, ("word", "score"))
+    entries = {word.strip().lower(): records.finite_float(path, line, score, "score")
+               for line, (word, score) in rows}
     if not entries:
         raise EmptyInputError(f"{path}: no lexicon entries found")
-    return PolarityLexicon(entries=entries, neutral_threshold=neutral_threshold,
-                           duplicate_count=duplicates)
+    return PolarityLexicon(entries=entries, duplicate_count=len(rows) - len(entries))
 
 
 def save_polarity_lexicon(lexicon: PolarityLexicon, path) -> None:
-    lines = [f"{w}\t{s!r}" for w, s in sorted(lexicon.entries.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records.write(path, sorted(lexicon.entries.items()))
 
 
 def count_frequencies(corpus: TaggedCorpus | Iterable[TaggedDocument]) -> FreqTable:

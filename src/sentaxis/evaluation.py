@@ -31,7 +31,6 @@ from .vectors import EmbeddingTable, load_embeddings, save_embeddings
 
 MODE_UNSUP = "unsup"
 MODE_SEMI = "semi"
-MODE_PMI = "pmi"
 
 _MODE_NAMES = {
     MODE_UNSUP: axis_mod.MODE_UNSUPERVISED,

@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import records
 from .corpus import TaggedCorpus, TaggedToken
 from .errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError, ParseError
 
@@ -111,8 +111,7 @@ def extract_phrases(corpus: TaggedCorpus,
 
 
 def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus,
-                       cutoff: int,
-                       modifier_tags: frozenset[str] = MODIFIER_TAGS) -> PointWordSet:
+                       cutoff: int) -> PointWordSet:
     """Collect modifier words from phrases whose type frequency reaches the cutoff.
 
     Frequency is counted over (w1, w2) string types across all occurrences. A
@@ -140,7 +139,7 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
         if occ.phrase not in qualifying:
             continue
         for offset, word in ((0, occ.w1), (1, occ.w2)):
-            if tokens[occ.position + offset].tag in modifier_tags:
+            if tokens[occ.position + offset].tag in MODIFIER_TAGS:
                 words.add(word)
                 word_counts[word] += 1
     if not words:
@@ -176,68 +175,42 @@ def tag_polarity_variance(annotated: Sequence[tuple[TaggedToken, float]]) -> Tag
 # persistence
 
 def save_phrases(phrases: Iterable[PhraseOccurrence], path) -> None:
-    """TSV dump: w1, w2, rule, doc_id, position."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for occ in phrases:
-            fh.write(f"{occ.w1}\t{occ.w2}\t{occ.rule_index}\t{occ.doc_id}\t{occ.position}\n")
+    """Records ``w1<TAB>w2<TAB>rule<TAB>doc_id<TAB>position``."""
+    records.write(path, ((o.w1, o.w2, o.rule_index, o.doc_id, o.position) for o in phrases))
 
 
 def load_phrases(path) -> list[PhraseOccurrence]:
-    path = Path(path)
-    occurrences = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError("expected 5 tab-separated fields", path=path, line=lineno)
-        try:
-            occurrences.append(PhraseOccurrence(
-                w1=parts[0], w2=parts[1], rule_index=int(parts[2]),
-                doc_id=parts[3], position=int(parts[4])))
-        except ValueError:
-            raise ParseError("rule and position must be integers", path=path, line=lineno) from None
-    return occurrences
+    _, rows = records.read(path, ("w1", "w2", "rule", "doc_id", "position"))
+    return [PhraseOccurrence(w1=w1, w2=w2, rule_index=records.integer(path, line, rule, "rule"),
+                             doc_id=doc_id,
+                             position=records.integer(path, line, position, "position"))
+            for line, (w1, w2, rule, doc_id, position) in rows]
 
 
 def save_point_words(points: PointWordSet, path) -> None:
-    """TSV dump ``word<TAB>count`` with the cutoff recorded in a header comment."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"# cutoff={points.cutoff}\n")
-        for word in sorted(points.words):
-            fh.write(f"{word}\t{points.word_counts.get(word, 0)}\n")
+    """Records ``word<TAB>count`` with the cutoff in a ``# cutoff=`` header."""
+    records.write(path, ((w, points.word_counts.get(w, 0)) for w in sorted(points.words)),
+                  {"cutoff": points.cutoff})
 
 
 def load_point_words(path) -> PointWordSet:
-    path = Path(path)
-    cutoff = 1
+    """Point words; a repeated word is an error, a missing cutoff header means 1."""
+    headers, rows = records.read(path, ("word", "count"))
     word_counts: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("# ")
-            if body.startswith("cutoff="):
-                cutoff = int(body.partition("=")[2])
-            continue
-        word, sep, count = line.partition("\t")
-        if not sep or not word:
-            raise ParseError("expected 'word<TAB>count'", path=path, line=lineno)
-        try:
-            word_counts[word] = int(count)
-        except ValueError:
-            raise ParseError(f"non-integer count {count!r}", path=path, line=lineno) from None
+    for line, (word, count) in rows:
+        if word in word_counts:
+            raise ParseError(f"duplicate word {word!r}", path=path, line=line)
+        word_counts[word] = records.integer(path, line, count, "count")
     if not word_counts:
         raise EmptyInputError(f"{path}: no point words found")
+    cutoff = records.integer(path, *headers["cutoff"], "cutoff") if "cutoff" in headers else 1
     return PointWordSet(words=frozenset(word_counts), cutoff=cutoff,
                         word_counts=word_counts)
 
 
 def save_tag_variance(report: TagVarianceReport, path) -> None:
-    """TSV ``tag<TAB>variance<TAB>count<TAB>share`` sorted by weighted share."""
+    """Records ``tag<TAB>variance<TAB>count<TAB>share`` sorted by weighted share."""
     shares = report.shares()
     rows = sorted(report.per_tag.items(), key=lambda kv: (-shares[kv[0]], kv[0]))
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"# total_variance={report.total_variance!r}\n")
-        for tag, (variance, count) in rows:
-            fh.write(f"{tag}\t{variance!r}\t{count}\t{shares[tag]!r}\n")
+    records.write(path, ((tag, var, count, shares[tag]) for tag, (var, count) in rows),
+                  {"total_variance": report.total_variance})

@@ -181,27 +181,3 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cosine_similarity; ranges over [0, 2]."""
     return 1.0 - cosine_similarity(a, b)
-
-
-def nearest_neighbors(table: EmbeddingTable, word: str, k: int) -> list[tuple[str, float]]:
-    """Top-k vocabulary words by cosine similarity, query excluded.
-
-    Ties break lexicographically; k is clamped to vocabulary size - 1.
-    Zero-norm candidate rows (possible in imported tables) are skipped.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    query = table[word]
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise DegenerateVectorError(f"query vector for {word!r} is zero")
-    norms = np.linalg.norm(table.matrix, axis=1)
-    sims = table.matrix @ query
-    scored = []
-    for i, candidate in enumerate(table.words):
-        if candidate == word or norms[i] == 0.0:
-            continue
-        sim = max(-1.0, min(1.0, float(sims[i]) / (float(norms[i]) * qnorm)))
-        scored.append((candidate, sim))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]

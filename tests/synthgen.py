@@ -109,4 +109,4 @@ def gold_lexicon() -> PolarityLexicon:
         entries[word] = 1.0 + 0.1 * i
     for i, word in enumerate(NEGATIVE_ADJECTIVES):
         entries[word] = -(1.0 + 0.1 * i)
-    return PolarityLexicon(entries=entries, neutral_threshold=0.0)
+    return PolarityLexicon(entries=entries)

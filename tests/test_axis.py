@@ -22,6 +22,7 @@ from sentaxis.axis import (
 from sentaxis.corpus import PolarityLexicon
 from sentaxis.errors import (
     AmbiguousOrientationError,
+    ConfigError,
     InsufficientDataError,
     OovError,
     PartitionError,
@@ -287,6 +288,10 @@ class TestScoreVocabulary:
         )
         total = len(oriented_axis.pos_words) + len(oriented_axis.neg_words)
         print(f"partition sign agreement: {agree}/{total}")
+
+    def test_axis_of_another_dimension_raises(self, oriented_axis):
+        with pytest.raises(ConfigError, match="3 and 3 values, word vectors 2"):
+            score_vocabulary(oriented_axis, EmbeddingTable(["a", "b"], np.eye(2)))
 
     def test_fingerprint_recorded(self, oriented_axis, clustered_table):
         lexicon = score_vocabulary(oriented_axis, clustered_table)

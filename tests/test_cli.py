@@ -317,3 +317,93 @@ def test_train_embeddings_rejects_non_finite_subsample(world, tmp_path, capsys, 
     assert err.startswith("error:")
     assert "subsample_threshold" in err
     assert not out.exists()
+
+
+AXIS = "mode\tunsupervised\nseed\tgood\npos\tgood\nneg\tbad\nvec_pos\t1.0 0.0\nvec_neg\t0.0 1.0\n"
+VECTORS_2D = "3 2\ngood 1 0\nbad 0 1\nfine 1 1\n"
+
+
+@pytest.mark.parametrize("command,text,line", [
+    pytest.param("score", AXIS.replace("1.0 0.0", "nan 0.0"), 5, id="axis-nan"),
+    pytest.param("score", AXIS.replace("1.0 0.0", "abc 0.0"), 5, id="axis-abc"),
+    pytest.param("score", AXIS.replace("0.0 1.0", "0.0"), 6, id="axis-unequal-lengths"),
+    pytest.param("score", AXIS + "seed\tbad\n", 7, id="axis-second-seed"),
+    pytest.param("score", AXIS + "mode\tsemi-supervised\n", 7, id="axis-second-mode"),
+    pytest.param("score", AXIS + "vec_pos\t1.0 0.0\n", 7, id="axis-second-vec_pos"),
+    pytest.param("score", AXIS + "vec_neg\t0.0 1.0\n", 7, id="axis-second-vec_neg"),
+    pytest.param("build-axis", "# cutoff=two\ngood\t2\nbad\t2\nfine\t1\n", 1,
+                 id="points-bad-cutoff"),
+    pytest.param("build-axis", "# cutoff=2\ngood\t2\nbad\t2\ngood\t1\n", 4,
+                 id="points-second-word"),
+    pytest.param("tag-variance", "good\tJJ\t1.0\nbad\tJJ\tnan\n", 2, id="tag-variance-nan"),
+    pytest.param("classify", "# mode=unsupervised\ngood\t0.5\nbad\t-0.5\ngood\t0.25\n", 4,
+                 id="lexicon-second-word"),
+])
+def test_malformed_stage_file_ends_in_its_file_and_line(tmp_path, capsys, command, text, line):
+    bad = tmp_path / "input.tsv"
+    bad.write_text(text, encoding="utf-8")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text(VECTORS_2D, encoding="utf-8")
+    reviews = tmp_path / "reviews.tsv"
+    reviews.write_text("POS\tgood_JJ film_NN\nNEG\tbad_JJ film_NN\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    argv = {
+        "score": ["--axis", bad, "--embeddings", vectors, "--out", out],
+        "build-axis": ["--points", bad, "--embeddings", vectors, "--mode", "unsup",
+                       "--out", out],
+        "tag-variance": ["--annotated", bad, "--out", out],
+        "classify": ["--lexicon", bad, "--reviews", reviews, "--report", out],
+    }[command]
+    assert main([command, *map(str, argv)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{line}:")
+    assert not out.exists()
+
+
+def test_score_names_both_files_on_dimension_mismatch(tmp_path, capsys):
+    axis = tmp_path / "axis.tsv"
+    axis.write_text(AXIS, encoding="utf-8")
+    vectors = tmp_path / "v3.txt"
+    vectors.write_text("2 3\ngood 1 0 0\nbad 0 1 0\n", encoding="utf-8")
+    out = tmp_path / "lex.tsv"
+    code = main(["score", "--axis", str(axis), "--embeddings", str(vectors), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(axis) in err and str(vectors) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "pmi-baseline", "sweep"])
+@pytest.mark.parametrize("flag,value", [("--limit", "-1"), ("--min-tokens", "-5")])
+def test_negative_review_filter_rejected_before_reading_files(tmp_path, capsys,
+                                                              command, flag, value):
+    nope = str(tmp_path / "nope.tsv")
+    argv = {
+        "classify": ["--lexicon", nope, "--report", str(tmp_path / "r.txt")],
+        "pmi-baseline": ["--corpus", nope, "--report", str(tmp_path / "r.txt")],
+        "sweep": ["--corpus", nope, "--embeddings", nope, "--cutoffs", "1",
+                  "--mode", "unsup", "--csv", str(tmp_path / "s.csv")],
+    }[command]
+    assert main([command, *argv, "--reviews", nope, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be >= 0") and "nope" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "pmi-baseline"])
+def test_report_in_missing_directory_rejected_before_reading_files(tmp_path, capsys, command):
+    nope = str(tmp_path / "nope.tsv")
+    report = tmp_path / "nodir" / "r.txt"
+    inputs = ["--lexicon", nope] if command == "classify" else ["--corpus", nope]
+    code = main([command, *inputs, "--reviews", nope, "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err and "nope" not in err
+
+
+def test_pmi_seeds_are_lowercased_like_the_corpus(world, tmp_path):
+    reports = []
+    for seeds in ("excellent,poor", "Excellent,POOR"):
+        reports.append(tmp_path / f"{seeds}.txt")
+        assert main(["pmi-baseline", "--corpus", str(world["corpus"]),
+                     "--reviews", str(world["reviews"]), "--seeds", seeds,
+                     "--report", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()

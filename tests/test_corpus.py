@@ -226,11 +226,6 @@ class TestLabeledReviews:
         with pytest.raises(ParseError):
             load_labeled_reviews(path)
 
-    def test_unknown_label_dropped_with_flag(self, tmp_path):
-        path = write(tmp_path, "r.tsv", "NEU\tso_RB so_RB\nPOS\tgood_JJ film_NN\n")
-        reviews = load_labeled_reviews(path, drop_other_labels=True)
-        assert len(reviews) == 1
-
 
 class TestTagInventory:
     def test_unknown_tags_are_preserved(self, tmp_path):

@@ -223,12 +223,6 @@ class TestSelectPointWords:
             )
             assert found, word
 
-    def test_modifier_tags_configurable(self):
-        corpus, phrases = self.corpus_and_phrases()
-        adj_only = select_point_words(phrases, corpus, cutoff=1,
-                                      modifier_tags=frozenset({"JJ"}))
-        assert adj_only.words == {"good", "bad"}
-
 
 class TestTagVariance:
     def test_two_point_variance(self):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sentaxis.errors import DegenerateVectorError, OovError, ParseError
+from sentaxis.errors import DegenerateVectorError, ParseError
 from sentaxis.vectors import (
     EmbeddingTable,
     cosine_distance,
     cosine_similarity,
     load_embeddings,
-    nearest_neighbors,
     save_embeddings,
 )
 
@@ -217,48 +216,3 @@ class TestTableIO:
             EmbeddingTable(["a", "a"], np.ones((2, 2)))
         with pytest.raises(ValueError):
             EmbeddingTable([""], np.ones((1, 2)))
-
-
-class TestNearestNeighbors:
-    def test_exhaustive_ranking_oracle(self, toy_table):
-        # oracle: compute every similarity directly and sort the same way
-        def oracle(word, k):
-            sims = []
-            for other in toy_table.words:
-                if other == word:
-                    continue
-                sims.append((other, cosine_similarity(toy_table[word], toy_table[other])))
-            sims.sort(key=lambda p: (-p[1], p[0]))
-            return sims[:k]
-
-        for word in toy_table.words:
-            got = nearest_neighbors(toy_table, word, 3)
-            expected = oracle(word, 3)
-            assert [w for w, _ in got] == [w for w, _ in expected]
-            for (_, s_got), (_, s_exp) in zip(got, expected):
-                assert s_got == pytest.approx(s_exp, abs=1e-12)
-
-    def test_k_clamped_to_vocabulary(self, toy_table):
-        got = nearest_neighbors(toy_table, "anchor", 99)
-        assert len(got) == len(toy_table) - 1
-
-    def test_descending_and_query_excluded(self, toy_table):
-        got = nearest_neighbors(toy_table, "anchor", 4)
-        sims = [s for _, s in got]
-        assert sims == sorted(sims, reverse=True)
-        assert "anchor" not in [w for w, _ in got]
-
-    def test_tie_broken_lexicographically(self):
-        table = EmbeddingTable(
-            ["query", "zeta", "alpha"],
-            np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
-        got = nearest_neighbors(table, "query", 2)
-        assert [w for w, _ in got] == ["alpha", "zeta"]
-
-    def test_oov_raises(self, toy_table):
-        with pytest.raises(OovError):
-            nearest_neighbors(toy_table, "missing", 1)
-
-    def test_bad_k_raises(self, toy_table):
-        with pytest.raises(ValueError):
-            nearest_neighbors(toy_table, "anchor", 0)

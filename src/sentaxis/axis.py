@@ -274,9 +274,12 @@ def load_axis(directory_or_file) -> SentimentAxis:
         path = path / AXIS_FILENAME
     _, rows = records.read(path, ("key", "value"))
     words: dict[str, list[str]] = {"pos": [], "neg": []}
+    side: dict[str, str] = {}
     single: dict[str, tuple[int, str]] = {}
     for line, (key, value) in rows:
         if key in words:
+            if side.setdefault(value, key) != key:
+                raise ParseError(f"{value!r} is listed as both pos and neg", path=path, line=line)
             words[key].append(value)
         elif key in _AXIS_KEYS and key not in single:
             single[key] = (line, value)
@@ -291,6 +294,8 @@ def load_axis(directory_or_file) -> SentimentAxis:
     if len(vec_pos) != len(vec_neg):
         raise ParseError(f"vec_neg has {len(vec_neg)} values, vec_pos {len(vec_pos)}",
                          path=path, line=single["vec_neg"][0])
+    if np.array_equal(vec_pos, vec_neg):
+        raise ParseError("vec_neg equals vec_pos", path=path, line=single["vec_neg"][0])
     return SentimentAxis(pos_words=tuple(words["pos"]), neg_words=tuple(words["neg"]),
                          vec_pos=vec_pos, vec_neg=vec_neg,
                          seed=single["seed"][1], mode=single["mode"][1])

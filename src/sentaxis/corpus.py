@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import records
 from .errors import EmptyInputError, ParseError
@@ -183,23 +183,6 @@ def _parse_inline_tokens(line: str, path, lineno: int,
     return tokens
 
 
-def save_tagged_corpus(corpus: TaggedCorpus, path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> None:
-    """Serialize a corpus; formats carry tokens and tags only (no ids, no labels)."""
-    path = Path(path)
-    lines: list[str] = []
-    if format == FORMAT_ONE_TOKEN_PER_LINE:
-        for i, doc in enumerate(corpus.documents):
-            if i:
-                lines.append("")
-            lines.extend(f"{t.text}\t{t.tag}" for t in doc.tokens)
-    elif format == FORMAT_INLINE:
-        for doc in corpus.documents:
-            lines.append(" ".join(f"{t.text}_{t.tag}" for t in doc.tokens))
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def load_labeled_reviews(path) -> TaggedCorpus:
     """Parse ``LABEL<TAB>token_TAG token_TAG ...`` records (see :mod:`.records`)."""
     _, rows = records.read(path, ("LABEL", "tagged text"))
@@ -240,18 +223,3 @@ def count_frequencies(corpus: TaggedCorpus | Iterable[TaggedDocument]) -> FreqTa
     for doc in corpus:
         counts.update(t.text for t in doc.tokens)
     return FreqTable(counts=dict(counts), total=sum(counts.values()))
-
-
-def make_corpus(token_lists: Sequence[Sequence[tuple[str, str]]],
-                labels: Sequence[str | None] | None = None,
-                source: str = "inline") -> TaggedCorpus:
-    """Build a corpus from (token, tag) tuples; convenience for tests and fixtures."""
-    docs = []
-    for i, pairs in enumerate(token_lists):
-        label = labels[i] if labels is not None else None
-        docs.append(TaggedDocument(
-            id=f"d{i:06d}",
-            tokens=tuple(TaggedToken(text=w.lower(), tag=t) for w, t in pairs),
-            label=label,
-        ))
-    return TaggedCorpus(documents=tuple(docs), source=source)

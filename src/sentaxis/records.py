@@ -10,6 +10,7 @@ blank. Every error is a :class:`ParseError` that names ``path:line``.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,10 +59,28 @@ def integer(path, line: int, text: str, what: str) -> int:
 def write(path, rows: Iterable[Sequence], headers: dict | None = None) -> None:
     """``# key=value`` headers, then one tab-joined line per row. A float is
     written as a Python float's ``repr``, which reads back bit-identical
-    (numpy 2's ``repr`` of a float64 is ``np.float64(...)``)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(f"# {key}={_text(value)}\n" for key, value in (headers or {}).items())
-        fh.writelines("\t".join(map(_text, row)) + "\n" for row in rows)
+    (numpy 2's ``repr`` of a float64 is ``np.float64(...)``). A field holding
+    a tab or a line break raises ``ValueError`` and leaves no file behind."""
+    path = Path(path)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(_line(path, [f"# {key}={_text(value)}"])
+                          for key, value in (headers or {}).items())
+            fh.writelines(_line(path, row) for row in rows)
+    except ValueError:
+        path.unlink(missing_ok=True)  # a partial file would not read back
+        raise
+
+
+# every character str.splitlines ends a line at
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _line(path, fields: Sequence) -> str:
+    line = "\t".join(map(_text, fields))
+    if line.count("\t") != len(fields) - 1 or _LINE_BREAK.search(line):
+        raise ValueError(f"{path}: a field of {line!r} holds a tab or a line break")
+    return line + "\n"
 
 
 def _text(value) -> str:

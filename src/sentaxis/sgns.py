@@ -1,20 +1,23 @@
-"""Skip-gram negative-sampling trainer on numpy, with a compiled update step.
+"""Skip-gram negative-sampling trainer on numpy, with a compiled training loop.
 
 The update math lives in two pure functions (:func:`negative_sampling_loss`
 and :func:`negative_sampling_grads`) so the analytic gradients can be checked
 against finite differences; the training loop applies exactly those gradients.
 
 Training runs in one thread and draws every random number from one generator
-seeded by ``rng_seed``, so equal seeds give bit-identical tables. Python draws
-each document's random numbers; one step call then applies all of that
-document's updates. The step is ``sgns_kernel.c``, compiled with ``cc`` on
-first use into ``__pycache__/`` beside this file and loaded through
-``ctypes``. Without a compiler, or if the build fails, the same draws go
-through :func:`_numpy_step`, the per-center numpy loop the kernel reproduces
-(to about 1e-13: only the order of the dot-product sums differs).
-``table.metadata["sgns_kernel"]`` records which step ran: ``"c"`` or
-``"numpy"``.
-"""
+seeded by ``rng_seed``, so equal seeds give bit-identical tables. The whole
+epoch and document loop is one call of ``sgns_kernel.c``, compiled with
+``cc`` on first use into ``__pycache__/`` beside this file and loaded through
+``ctypes``. It links numpy's ``libnpyrandom.a`` and draws from the
+generator's own ``bitgen_t``, through the functions ``Generator.random`` and
+``Generator.integers`` call, so it takes the same numbers in the same order
+as the numpy loop. Without a compiler, numpy's random header or that
+library, or if the build fails, :func:`_train_documents` runs instead: it
+draws each document's numbers in Python and applies them with
+:func:`_numpy_step`, the per-center numpy loop the kernel reproduces (to
+about 1e-13: only the order of the dot-product sums differs).
+``table.metadata["sgns_kernel"]`` records which loop ran: ``"c"`` or
+``"numpy"``."""
 
 from __future__ import annotations
 
@@ -47,12 +50,17 @@ class SgnsConfig:
 
     def __post_init__(self):
         for name in ("dim", "window", "negatives", "epochs", "min_count"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+            # the kernel takes them as 64-bit integers and doubles the window
+            if not 1 <= getattr(self, name) < 2**62:
+                raise ConfigError(f"{name} must be in [1, 2**62)")
         if not 0.0 < self.initial_learning_rate < 1.0:
             raise ConfigError("initial_learning_rate must be in (0, 1)")
         if not (math.isfinite(self.subsample_threshold) and self.subsample_threshold >= 0.0):
             raise ConfigError("subsample_threshold must be a finite number >= 0")
+
+
+# the learning rate decays linearly, but never below this fraction of its initial value
+_LR_FLOOR = 1e-4
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -130,31 +138,30 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     noise_cdf = _noise_cdf(counts)
 
     doc_ids = [
-        np.array([word_id[t.text] for t in doc.tokens if t.text in word_id], dtype=np.intp)
+        np.array([word_id[t.text] for t in doc.tokens if t.text in word_id], dtype=np.int64)
         for doc in corpus.documents
     ]
     doc_ids = [ids for ids in doc_ids if ids.size]
     total_tokens = int(counts.sum())
-    step = _load_kernel() or _numpy_step
-    _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                     config.epochs * total_tokens, step)
+    train = _load_kernel() or _train_documents
+    train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, config.epochs * total_tokens)
 
     metadata = {"model": "sgns", "corpus_tokens": corpus_total,
                 "vocab_tokens": total_tokens, **asdict(config),
-                "sgns_kernel": "numpy" if step is _numpy_step else "c"}
+                "sgns_kernel": "numpy" if train is _train_documents else "c"}
     return EmbeddingTable(words, w_in, metadata=metadata)
 
 
 def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
-                     planned, step) -> None:
-    """Draw each document's random numbers, then apply ``step`` to it once.
+                     planned) -> None:
+    """Draw each document's random numbers, then apply :func:`_numpy_step` to it.
 
     The draws come in the order the per-center loop made them (keep mask,
-    window radii, then every center's noise words in center order), so the
-    C kernel and the numpy step see the same stream.
+    window radii, then every center's noise words in center order). This is
+    the reference the kernel's ``sgns_train`` reproduces draw for draw.
     """
     lr0 = config.initial_learning_rate
-    lr_floor = 1e-4 * lr0
+    lr_floor = _LR_FLOOR * lr0
     window = config.window
     negatives = config.negatives
     tokens = 0
@@ -173,7 +180,7 @@ def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
             negs = np.searchsorted(noise_cdf, rng.random(int(contexts.sum()) * negatives))
             # guard: cdf tail can round below 1.0
             negs = np.minimum(negs, len(noise_cdf) - 1)
-            step(kept, shrink, negs, lr, w_in, w_out, negatives)
+            _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives)
 
 
 def _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
@@ -205,19 +212,32 @@ _KERNEL_CACHE = _KERNEL_SOURCE.parent / "__pycache__"
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _numpy_random_library() -> Path:
+    """numpy's static library of the generator's C functions."""
+    return Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+
+
+def _kernel_build_argv(output: Path) -> tuple[str, ...]:
+    """The compiler command that builds ``sgns_kernel.c`` into ``output``."""
+    return ("cc", *_KERNEL_FLAGS, "-I", np.get_include(), "-o", str(output),
+            str(_KERNEL_SOURCE), str(_numpy_random_library()), "-lm")
+
+
 @functools.cache
 def _load_kernel():
-    """The step of ``sgns_kernel.c``, or None if it cannot be built or loaded.
+    """The training loop of ``sgns_kernel.c``, or None if it cannot be built or loaded.
 
     The first call in a checkout compiles it with ``cc`` into
-    ``__pycache__/sgns_kernel-<key>.so``, keyed by the sha256 of the source
-    and the flags; later processes load that file.
+    ``__pycache__/sgns_kernel-<key>.so``, linked against numpy's
+    ``libnpyrandom.a``. The key is the sha256 of the source, the flags,
+    numpy's version and the library's bytes; later processes load that file.
     """
     import subprocess  # here, not at the top: importing sentaxis stays as fast
     from numpy.ctypeslib import ndpointer
 
     try:
-        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode()
+                             + np.__version__.encode() + _numpy_random_library().read_bytes())
         library = _KERNEL_CACHE / f"sgns_kernel-{key.hexdigest()[:16]}.so"
         if not library.exists():
             _KERNEL_CACHE.mkdir(exist_ok=True)
@@ -225,20 +245,30 @@ def _load_kernel():
             # a concurrent process never loads a half-written library
             with tempfile.TemporaryDirectory(dir=_KERNEL_CACHE) as tmp:
                 built = Path(tmp) / library.name
-                subprocess.run(["cc", *_KERNEL_FLAGS, "-o", str(built),
-                                str(_KERNEL_SOURCE), "-lm"],
+                subprocess.run(_kernel_build_argv(built),
                                check=True, capture_output=True, timeout=120)
                 os.replace(built, library)
-        kernel = ctypes.CDLL(str(library)).sgns_document
+        kernel = ctypes.CDLL(str(library)).sgns_train
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     ids = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    table = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     matrix = ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    kernel.argtypes = [ids, ids, ids, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_double, matrix, matrix]
+    count = ctypes.c_int64
+    kernel.argtypes = [ids, ids, count, table, table, count, count, count, count, count,
+                       ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p]
     kernel.restype = ctypes.c_int
 
-    def step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
-        if kernel(kept, shrink, negs, kept.size, negatives, w_in.shape[1], lr, w_in, w_out):
-            raise MemoryError("sgns kernel could not allocate its scratch rows")
-    return step
+    def train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, planned) -> None:
+        offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+        np.cumsum([ids.size for ids in doc_ids], out=offsets[1:])
+        lr0 = config.initial_learning_rate
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            failed = kernel(np.concatenate(doc_ids), offsets, len(doc_ids), keep_p, noise_cdf,
+                            noise_cdf.size, config.epochs, config.window, config.negatives,
+                            w_in.shape[1], lr0, _LR_FLOOR * lr0, planned, w_in, w_out,
+                            bit_generator.ctypes.bit_generator)
+        if failed:
+            raise MemoryError("sgns kernel could not allocate its scratch memory")
+    return train

@@ -1,10 +1,20 @@
-/* One document of SGNS updates: the compiled form of sgns._numpy_step, with
- * the same arguments. Compiled with -ffp-contract=off, so each product rounds
- * as it does in numpy. negs holds `negatives` noise ids per (center, context)
- * pair, in center order. Returns -1 if the scratch rows cannot be allocated. */
+/* The whole SGNS training loop: the compiled form of sgns._train_documents
+ * with sgns._numpy_step. Compiled with -ffp-contract=off, so each product
+ * rounds as it does in numpy. Every random number comes from numpy's own
+ * generator through the functions Generator.random and Generator.integers
+ * call, in the order the numpy loop draws them, so both paths consume the
+ * same stream. Linked against numpy's libnpyrandom.a. */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+#include "numpy/random/bitgen.h"
+
+/* declared in numpy/random/distributions.h, which also pulls in Python.h */
+extern void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+extern void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                                       intptr_t cnt, bool use_masked, uint64_t *out);
 
 #define LOGE2 0.693147180559945309417232121458176568
 
@@ -30,19 +40,14 @@ static double dot(const double *u, const double *v, int64_t dim)
     return sum;
 }
 
-int sgns_document(const int64_t *kept, const int64_t *shrink, const int64_t *negs,
-                  int64_t n, int64_t negatives, int64_t dim, double lr,
-                  double *w_in, double *w_out)
+/* One document of updates, the compiled form of sgns._numpy_step. negs holds
+ * `negatives` noise ids per (center, context) pair, in center order; rows and
+ * coeff hold at least the rows of one center, grad holds dim entries. */
+static void document(const int64_t *kept, const int64_t *shrink, const int64_t *negs,
+                     int64_t n, int64_t negatives, int64_t dim, double lr,
+                     double *w_in, double *w_out, int64_t *rows, double *coeff, double *grad)
 {
-    int64_t cap = 0;
-    for (int64_t i = 0; i < n; i++)
-        cap = shrink[i] > cap ? shrink[i] : cap;
-    cap = (2 * cap < n ? 2 * cap : n) * (1 + negatives); /* rows of one center */
-    int64_t *rows = malloc(cap * sizeof *rows);
-    double *coeff = malloc(cap * sizeof *coeff), *grad = malloc(dim * sizeof *grad);
-    int ok = rows != NULL && coeff != NULL && grad != NULL;
-
-    for (int64_t i = 0; ok && i < n; i++) {
+    for (int64_t i = 0; i < n; i++) {
         /* the context words, then the noise draws that miss their own pair's */
         int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
         int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
@@ -75,8 +80,86 @@ int sgns_document(const int64_t *kept, const int64_t *shrink, const int64_t *neg
         for (int64_t j = 0; j < dim; j++)
             v[j] -= lr * grad[j];
     }
+}
+
+/* np.searchsorted(cdf, u) (side "left"), clamped to the last word: the cdf
+ * tail can round below 1.0 */
+static int64_t noise_word(const double *cdf, int64_t vocab, double u)
+{
+    int64_t lo = 0, hi = vocab;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < vocab ? lo : vocab - 1;
+}
+
+/* Every epoch over every document: ids[offsets[d]:offsets[d + 1]] are the
+ * vocabulary ids of document d. Returns -1 if scratch memory runs out. */
+int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
+               const double *keep_p, const double *noise_cdf, int64_t vocab,
+               int64_t epochs, int64_t window, int64_t negatives, int64_t dim,
+               double lr0, double lr_floor, int64_t planned,
+               double *w_in, double *w_out, bitgen_t *bitgen)
+{
+    int64_t longest = 0;
+    for (int64_t d = 0; d < n_docs; d++)
+        longest = offsets[d + 1] - offsets[d] > longest ? offsets[d + 1] - offsets[d] : longest;
+    int64_t span = 2 * window < longest ? 2 * window : longest;
+    int64_t cap = span * (1 + negatives); /* rows of one center */
+    int64_t *kept = malloc(longest * sizeof *kept), *shrink = malloc(longest * sizeof *shrink);
+    int64_t *rows = malloc(cap * sizeof *rows), *negs = NULL;
+    double *uniform = malloc(longest * sizeof *uniform), *coeff = malloc(cap * sizeof *coeff);
+    double *grad = malloc(dim * sizeof *grad), *draws = NULL;
+    int64_t draws_cap = 0, tokens = 0;
+    int ok = kept && shrink && rows && uniform && coeff && grad;
+
+    for (int64_t e = 0; ok && e < epochs; e++) {
+        for (int64_t d = 0; ok && d < n_docs; d++) {
+            const int64_t *doc = ids + offsets[d];
+            int64_t size = offsets[d + 1] - offsets[d], n = 0;
+            random_standard_uniform_fill(bitgen, size, uniform);
+            for (int64_t j = 0; j < size; j++)
+                if (uniform[j] < keep_p[doc[j]])
+                    kept[n++] = doc[j];
+            tokens += size;
+            if (n < 2)
+                continue;
+            double lr = lr0 * (1.0 - (double)tokens / (double)(planned + 1));
+            lr = lr > lr_floor ? lr : lr_floor;
+            random_bounded_uint64_fill(bitgen, 1, (uint64_t)(window - 1), n, false,
+                                       (uint64_t *)shrink);
+            int64_t count = 0;
+            for (int64_t i = 0; i < n; i++) {
+                int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
+                int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
+                count += (hi - lo - 1) * negatives;
+            }
+            if (count > draws_cap) {
+                free(draws);
+                free(negs);
+                draws = malloc(count * sizeof *draws);
+                negs = malloc(count * sizeof *negs);
+                draws_cap = count;
+                if (!(ok = draws && negs))
+                    break;
+            }
+            random_standard_uniform_fill(bitgen, count, draws);
+            for (int64_t j = 0; j < count; j++)
+                negs[j] = noise_word(noise_cdf, vocab, draws[j]);
+            document(kept, shrink, negs, n, negatives, dim, lr, w_in, w_out, rows, coeff, grad);
+        }
+    }
+    free(kept);
+    free(shrink);
     free(rows);
+    free(negs);
+    free(uniform);
     free(coeff);
     free(grad);
+    free(draws);
     return ok ? 0 : -1;
 }

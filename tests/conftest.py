@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sentaxis.corpus import make_corpus
 from sentaxis.vectors import EmbeddingTable
+
+from corpus_helpers import make_corpus
 
 
 @pytest.fixture

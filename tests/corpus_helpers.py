@@ -1,0 +1,46 @@
+"""Build tagged corpora in memory and write them to files, for tests."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Sequence
+
+from sentaxis.corpus import (
+    FORMAT_INLINE,
+    FORMAT_ONE_TOKEN_PER_LINE,
+    TaggedCorpus,
+    TaggedDocument,
+    TaggedToken,
+)
+
+
+def make_corpus(token_lists: Sequence[Sequence[tuple[str, str]]],
+                labels: Sequence[str | None] | None = None,
+                source: str = "inline") -> TaggedCorpus:
+    """Build a corpus from (token, tag) tuples."""
+    docs = []
+    for i, pairs in enumerate(token_lists):
+        label = labels[i] if labels is not None else None
+        docs.append(TaggedDocument(
+            id=f"d{i:06d}",
+            tokens=tuple(TaggedToken(text=w.lower(), tag=t) for w, t in pairs),
+            label=label,
+        ))
+    return TaggedCorpus(documents=tuple(docs), source=source)
+
+
+def save_tagged_corpus(corpus: TaggedCorpus, path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> None:
+    """Serialize a corpus; formats carry tokens and tags only (no ids, no labels)."""
+    path = Path(path)
+    lines: list[str] = []
+    if format == FORMAT_ONE_TOKEN_PER_LINE:
+        for i, doc in enumerate(corpus.documents):
+            if i:
+                lines.append("")
+            lines.extend(f"{t.text}\t{t.tag}" for t in doc.tokens)
+    elif format == FORMAT_INLINE:
+        for doc in corpus.documents:
+            lines.append(" ".join(f"{t.text}_{t.tag}" for t in doc.tokens))
+    else:
+        raise ValueError(f"unknown corpus format {format!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

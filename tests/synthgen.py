@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from sentaxis.corpus import NEG, POS, PolarityLexicon, TaggedCorpus, make_corpus
+from sentaxis.corpus import NEG, POS, PolarityLexicon, TaggedCorpus
+
+from corpus_helpers import make_corpus
 
 POSITIVE_ADJECTIVES = [
     "wonderful", "superb", "brilliant", "charming", "delightful",

@@ -18,7 +18,7 @@ from sentaxis import axis as axis_mod
 from sentaxis import evaluation as ev
 from sentaxis import patterns, pmi
 from sentaxis.axis import SentimentAxis, principal_axis
-from sentaxis.corpus import TaggedToken, make_corpus, save_polarity_lexicon, save_tagged_corpus
+from sentaxis.corpus import TaggedToken, save_polarity_lexicon
 from sentaxis.sgns import (
     SgnsConfig,
     negative_sampling_grads,
@@ -27,6 +27,7 @@ from sentaxis.sgns import (
 )
 from sentaxis.vectors import EmbeddingTable
 
+from corpus_helpers import make_corpus, save_tagged_corpus
 from pattern_fixture import FIFTY_DOCUMENTS
 from synthgen import gold_lexicon, make_reviews
 from test_patterns import oracle_extract

@@ -1,11 +1,12 @@
 import pytest
 
 from sentaxis.cli import main
-from sentaxis.corpus import save_polarity_lexicon, save_tagged_corpus
+from sentaxis.corpus import save_polarity_lexicon
 from sentaxis.evaluation import read_report
 from sentaxis.patterns import extract_phrases, load_point_words, select_point_words
 from sentaxis.vectors import load_embeddings
 
+from corpus_helpers import save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 
@@ -331,6 +332,10 @@ VECTORS_2D = "3 2\ngood 1 0\nbad 0 1\nfine 1 1\n"
     pytest.param("score", AXIS + "mode\tsemi-supervised\n", 7, id="axis-second-mode"),
     pytest.param("score", AXIS + "vec_pos\t1.0 0.0\n", 7, id="axis-second-vec_pos"),
     pytest.param("score", AXIS + "vec_neg\t0.0 1.0\n", 7, id="axis-second-vec_neg"),
+    pytest.param("score", AXIS + "pos\tbad\n", 7, id="axis-word-on-both-sides"),
+    pytest.param("score", AXIS.replace("neg\tbad", "pos\tbad\nneg\tbad"), 5,
+                 id="axis-word-on-both-sides-pos-first"),
+    pytest.param("score", AXIS.replace("0.0 1.0", "1.0 0.0"), 6, id="axis-identical-vectors"),
     pytest.param("build-axis", "# cutoff=two\ngood\t2\nbad\t2\nfine\t1\n", 1,
                  id="points-bad-cutoff"),
     pytest.param("build-axis", "# cutoff=2\ngood\t2\nbad\t2\ngood\t1\n", 4,

@@ -13,11 +13,10 @@ from sentaxis.corpus import (
     load_labeled_reviews,
     load_polarity_lexicon,
     load_tagged_corpus,
-    make_corpus,
-    save_tagged_corpus,
 )
 from sentaxis.errors import EmptyInputError, ParseError
 
+from corpus_helpers import make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 

@@ -6,9 +6,7 @@ from sentaxis.axis import OrientationLexicon
 from sentaxis.corpus import (
     NEG,
     POS,
-    make_corpus,
     save_polarity_lexicon,
-    save_tagged_corpus,
 )
 from sentaxis.errors import ConfigError, EmptyInputError, PipelineError
 from sentaxis.evaluation import (
@@ -28,6 +26,7 @@ from sentaxis.evaluation import (
 )
 from sentaxis.sgns import SgnsConfig, train_sgns
 
+from corpus_helpers import make_corpus, save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 

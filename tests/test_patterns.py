@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sentaxis.corpus import TaggedToken, make_corpus
+from sentaxis.corpus import TaggedToken
 from sentaxis.errors import EmptyInputError, NoQualifyingPhrasesError
 from sentaxis.patterns import (
     MODIFIER_TAGS,
@@ -17,6 +17,7 @@ from sentaxis.patterns import (
     tag_polarity_variance,
 )
 
+from corpus_helpers import make_corpus
 from pattern_fixture import FIFTY_DOCUMENTS
 
 

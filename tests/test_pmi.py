@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sentaxis.corpus import NEG, POS, TaggedCorpus, make_corpus
+from sentaxis.corpus import NEG, POS, TaggedCorpus
 from sentaxis.errors import EmptyInputError, SeedMissingError
 from sentaxis.pmi import (
     NearIndex,
@@ -14,6 +14,7 @@ from sentaxis.pmi import (
 from sentaxis.evaluation import evaluate_pmi
 from sentaxis.patterns import extract_phrases
 
+from corpus_helpers import make_corpus
 from synthgen import make_reviews
 
 

@@ -72,6 +72,20 @@ class TestRead:
         records.write(path, [("a", np.float64(0.1), 3)], {"total": np.float64(2.5)})
         assert path.read_text(encoding="utf-8") == "# total=2.5\na\t0.1\t3\n"
 
+    @pytest.mark.parametrize("word", ["a\tb", "a\nb", "a\rb", "a\u2028b"])
+    def test_write_rejects_field_with_tab_or_line_break(self, tmp_path, word):
+        path = tmp_path / "points.tsv"
+        points = PointWordSet(frozenset({"good", word}), 1, word_counts={"good": 2, word: 1})
+        with pytest.raises(ValueError, match=str(path)):
+            save_point_words(points, path)
+        assert not path.exists()
+
+    def test_write_rejects_header_with_line_break(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        with pytest.raises(ValueError, match=str(path)):
+            records.write(path, [("a", 1)], {"mode": "semi\nb\t2"})
+        assert not path.exists()
+
 
 class TestRoundTrip:
     @given(st.dictionaries(words, finite, min_size=1, max_size=8),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sentaxis import sgns
-from sentaxis.corpus import make_corpus
 from sentaxis.errors import ConfigError
 from sentaxis.sgns import (
     SgnsConfig,
@@ -17,6 +16,7 @@ from sentaxis.sgns import (
 )
 from sentaxis.vectors import cosine_similarity
 
+from corpus_helpers import make_corpus
 from synthgen import make_reviews
 
 
@@ -152,6 +152,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SgnsConfig(epochs=0)
 
+    def test_rejects_counts_beyond_64_bits(self):
+        # ctypes would pass 2**64 + 5 to the kernel as 5
+        with pytest.raises(ConfigError, match="window"):
+            SgnsConfig(window=2**64 + 5)
+
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ConfigError):
             SgnsConfig(initial_learning_rate=1.5)
@@ -194,10 +199,22 @@ def fresh_kernel():
     load.cache_clear()
 
 
-def context_counts(shrink, n):
-    # pairs per center, counted one position at a time
-    return [sum(1 for j in range(i - b, i + b + 1) if 0 <= j < n and j != i)
-            for i, b in enumerate(shrink)]
+def recorded_documents(monkeypatch):
+    """The (kept, shrink, negs) of every document the numpy loop steps through."""
+    seen = []
+    step = sgns._numpy_step
+    monkeypatch.setattr(sgns, "_numpy_step",
+                        lambda kept, shrink, negs, *rest: seen.append((kept, shrink, negs))
+                        or step(kept, shrink, negs, *rest))
+    return seen
+
+
+def draws_hitting_context(kept, shrink, negs, negatives):
+    # noise draws equal to their own pair's context word, one pair at a time
+    pairs = [kept[j] for i, b in enumerate(shrink)
+             for j in range(max(0, i - b), min(kept.size, i + b + 1)) if j != i]
+    return sum(int(negs[p * negatives + q] == word)
+               for p, word in enumerate(pairs) for q in range(negatives))
 
 
 class TestKernel:
@@ -211,28 +228,50 @@ class TestKernel:
         assert table.fingerprint() == "73dd5a9b40a269eb"
 
     @needs_cc
-    @pytest.mark.parametrize("kept, shrink, draws", [
-        ([0, 1], [1, 2], [1, 1, 0, 2, 0, 1]),
-        ([2, 3, 2, 4], [3, 1, 2, 1], [3, 2, 2, 4, 3, 0, 2, 2, 4, 1, 3, 2, 2, 3, 4, 2, 0, 3]),
-        ([1, 1, 1, 1, 1], [2, 2, 2, 2, 2], [1, 0] * 21),
-    ], ids=["two-tokens", "draws-hit-context", "repeated-rows"])
-    def test_kernel_matches_numpy_step(self, kept, shrink, draws):
-        negatives = 3
-        kept = np.array(kept, dtype=np.int64)
-        shrink = np.array(shrink, dtype=np.int64)
-        count = sum(context_counts(shrink, kept.size)) * negatives
-        negs = np.resize(np.array(draws, dtype=np.int64), count)
-        rng = np.random.default_rng(0)
-        w_in = rng.normal(scale=0.5, size=(5, 7))
-        w_out = rng.normal(scale=0.5, size=(5, 7))
-        kernel_step = sgns._load_kernel()
-        assert kernel_step is not None
-        expected = w_in.copy(), w_out.copy()
-        sgns._numpy_step(kept, shrink, negs, 0.05, *expected, negatives)
-        assert not np.array_equal(w_out, expected[1])
-        kernel_step(kept, shrink, negs, 0.05, w_in, w_out, negatives)
-        assert np.max(np.abs(w_in - expected[0])) <= 1e-9
-        assert np.max(np.abs(w_out - expected[1])) <= 1e-9
+    def test_kernel_keeps_the_per_document_step_vectors(self):
+        # the fingerprint of the per-document C step the training loop replaced
+        table = train_sgns(make_reviews(60, seed=3),
+                           SgnsConfig(dim=12, epochs=2, min_count=2, rng_seed=7))
+        assert table.metadata["sgns_kernel"] == "c"
+        assert table.fingerprint() == "3722fa76e6675b48"
+
+    @needs_cc
+    @pytest.mark.parametrize("docs, keep, window, hits", [
+        ([[0, 1]], 1.0, 2, False),
+        ([[2, 3, 2, 4], [3, 2]], 1.0, 3, True),
+        ([[1, 1, 1, 1, 1]], 1.0, 2, False),
+        # radii from an empty range: the generator draws none
+        ([[0, 3, 1, 4, 2]], 1.0, 1, False),
+        # one-token documents and ones that keep fewer than two draw only their mask
+        ([[4], [0, 1, 2], [3, 3, 1], [2, 0], [1]], 0.4, 2, False),
+        ([[0, 1, 2], [4, 3]], 1.0, 10**6, False),
+    ], ids=["two-tokens", "draws-hit-context", "repeated-rows", "window-one",
+            "short-kept-documents", "window-wider-than-documents"])
+    def test_kernel_matches_numpy_step(self, monkeypatch, docs, keep, window, hits):
+        # noise mass mostly on words 2 and 3, so draws often hit their context
+        noise_cdf = np.cumsum([0.02, 0.03, 0.5, 0.4, 0.05])
+        keep_p = np.full(5, keep)
+        doc_ids = [np.array(d, dtype=np.int64) for d in docs]
+        config = SgnsConfig(window=window, negatives=3, epochs=3, initial_learning_rate=0.05)
+        start = np.random.default_rng(0)
+        weights = start.normal(scale=0.5, size=(5, 7)), start.normal(scale=0.5, size=(5, 7))
+        kernel = sgns._load_kernel()
+        assert kernel is not None
+        stepped = recorded_documents(monkeypatch)
+        runs = []
+        for train in (kernel, sgns._train_documents):
+            rng = np.random.default_rng(11)
+            w_in, w_out = weights[0].copy(), weights[1].copy()
+            train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, 40)
+            runs.append((w_in, w_out, rng.bit_generator.state))
+        (w_in, w_out, state), (ref_in, ref_out, ref_state) = runs
+        assert not np.array_equal(ref_out, weights[1])
+        assert np.max(np.abs(w_in - ref_in)) <= 1e-9
+        assert np.max(np.abs(w_out - ref_out)) <= 1e-9
+        # the same draws, and as many: both loops leave the generator alike
+        assert state == ref_state
+        if hits:
+            assert sum(draws_hitting_context(*doc, 3) for doc in stepped) > 0
 
     @needs_cc
     @pytest.mark.parametrize("corpus, config", [
@@ -240,7 +279,10 @@ class TestKernel:
         # every window covers the whole document, so only the clamping decides
         (two_sentence_corpus(),
          SgnsConfig(dim=4, window=10**6, epochs=2, min_count=1, rng_seed=2)),
-    ], ids=["reviews", "window-wider-than-documents"])
+        (make_reviews(30, seed=4), SgnsConfig(dim=8, window=1, min_count=2, rng_seed=3)),
+        (make_reviews(30, seed=5),
+         SgnsConfig(dim=8, epochs=2, min_count=2, subsample_threshold=0.0, rng_seed=4)),
+    ], ids=["reviews", "window-wider-than-documents", "window-one", "no-subsampling"])
     def test_kernel_training_matches_numpy_training(self, monkeypatch, corpus, config):
         compiled = train_sgns(corpus, config)
         monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
@@ -265,7 +307,7 @@ class TestKernel:
     @needs_cc
     def test_failed_build_falls_back_to_numpy(self, monkeypatch, tmp_path, fresh_kernel):
         broken = tmp_path / "sgns_kernel.c"
-        broken.write_text("int sgns_document(void) { return }\n")
+        broken.write_text("int sgns_train(void) { return }\n")
         monkeypatch.setattr(sgns, "_KERNEL_SOURCE", broken)
         monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
         table = train_sgns(two_sentence_corpus(), SgnsConfig(dim=4, epochs=1, min_count=1))
@@ -289,9 +331,18 @@ class TestKernel:
         assert np.array_equal(first.matrix, second.matrix)
 
     @needs_cc
+    def test_missing_random_library_falls_back_to_numpy(self, monkeypatch, tmp_path,
+                                                        fresh_kernel):
+        monkeypatch.setattr(sgns, "_numpy_random_library", lambda: tmp_path / "libnpyrandom.a")
+        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
+        table = train_sgns(two_sentence_corpus(), SgnsConfig(dim=4, epochs=1, min_count=1))
+        assert table.metadata["sgns_kernel"] == "numpy"
+        assert not (tmp_path / "cache").exists()
+
+    @needs_cc
     def test_source_compiles_without_warnings(self, tmp_path):
-        built = subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", *sgns._KERNEL_FLAGS,
-             "-o", str(tmp_path / "kernel.so"), str(sgns._KERNEL_SOURCE), "-lm"],
-            capture_output=True, text=True)
+        # the command the loader runs, linking included, with warnings as errors
+        cc, *args = sgns._kernel_build_argv(tmp_path / "kernel.so")
+        built = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", *args],
+                               capture_output=True, text=True)
         assert built.returncode == 0, built.stderr

@@ -106,7 +106,7 @@ def _finish_document(doc_index: int, tokens: list[TaggedToken]) -> TaggedDocumen
 def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedCorpus:
     """Parse a tagged corpus file; tokens are lowercased at load time."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = records.read_text(path)
     if format == FORMAT_ONE_TOKEN_PER_LINE:
         documents = _parse_one_token_per_line(text, path)
     elif format == FORMAT_INLINE:

@@ -4,7 +4,8 @@ One record per line, fields separated by tabs, UTF-8. Blank lines are
 skipped. A line that starts with ``#`` and holds no tab is a comment, and a
 comment of the form ``# key=value`` is a header; so a record's first field may
 start with ``#``. A record has exactly its layout's number of fields, none
-blank. Every error is a :class:`ParseError` that names ``path:line``.
+blank. Every error is a :class:`ParseError` that names ``path:line``, bytes
+that are not UTF-8 included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def read(path, layout: Sequence[str]) -> tuple[dict, list]:
     (line, fields) in file order; ``layout`` names the fields."""
     headers: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, list[str]]] = []
-    for line, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line, text in enumerate(read_text(path).splitlines(), start=1):
         if not text.strip():
             continue
         if text.startswith("#") and "\t" not in text:
@@ -37,6 +38,30 @@ def read(path, layout: Sequence[str]) -> tuple[dict, list]:
             raise ParseError("expected '" + "<TAB>".join(layout) + "'", path=path, line=line)
         rows.append((line, fields))
     return headers, rows
+
+
+def read_text(path) -> str:
+    """All of ``path`` as UTF-8 text; bytes that are not UTF-8 raise a
+    :class:`ParseError` naming their line as ``str.splitlines`` counts it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path, data.decode("utf-8", "surrogateescape").splitlines()) from None
+
+
+def not_utf8(path, lines: Iterable[str]) -> ParseError:
+    """The error naming the first of ``lines`` that holds a byte that is not
+    UTF-8; ``lines`` are decoded with ``errors="surrogateescape"``, which
+    turns each such byte into a lone surrogate."""
+    for line, text in enumerate(lines, start=1):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00
+            return ParseError(f"byte {byte:#04x} is not UTF-8", path=path, line=line)
+    # a stream that cannot be read twice, or a file changed since
+    return ParseError("not UTF-8", path=path)
 
 
 def finite_float(path, line: int, text: str, what: str) -> float:

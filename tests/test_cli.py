@@ -159,6 +159,15 @@ def test_pmi_missing_seed_is_detected_when_no_review_has_a_phrase(tmp_path, caps
     assert not report.exists()
 
 
+def test_pmi_undecodable_corpus_names_file_and_line(world, tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(b"the\tDT\n\xff\tNN\n")
+    code = main(["pmi-baseline", "--corpus", str(corpus), "--reviews", str(world["reviews"]),
+                 "--report", str(tmp_path / "r.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {corpus}:2: byte 0xff is not UTF-8\n"
+
+
 def test_pmi_missing_corpus_file_is_tool_error(world, tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     code = main(["pmi-baseline", "--corpus", str(missing),

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from sentaxis.corpus import (
     FORMAT_INLINE,
+    FORMAT_ONE_TOKEN_PER_LINE,
     NEG,
     POS,
     FreqTable,
@@ -67,6 +68,18 @@ class TestLoadTaggedCorpus:
         with pytest.raises(ParseError) as err:
             load_tagged_corpus(path, FORMAT_INLINE)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("format,data,line", [
+        (FORMAT_ONE_TOKEN_PER_LINE, b"good\tJJ\r\n\r\n\xff\tNN\n", 3),
+        (FORMAT_INLINE, b"good_JJ movie_NN\nbad_JJ caf\xe9_NN\n", 2),  # Latin-1
+    ], ids=[FORMAT_ONE_TOKEN_PER_LINE, FORMAT_INLINE])
+    def test_undecodable_byte_names_its_line(self, tmp_path, format, data, line):
+        path = tmp_path / "c.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(path, format)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{path}:{line}: byte 0x")
 
     def test_hundred_reviews_match_line_count_oracle(self, tmp_path):
         # the oracle counts lines of the raw text, independent of the parser

@@ -58,6 +58,14 @@ class TestRead:
         assert err.value.line == line
         assert str(err.value).startswith(f"{path}:{line}:")
 
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        # a lone CR ends a line as str.splitlines counts them
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"a\t1\r\nb\t2\rc\t3\n\xffd\t4\n")
+        with pytest.raises(ParseError) as err:
+            records.read(path, ("word", "count"))
+        assert str(err.value) == f"{path}:4: byte 0xff is not UTF-8"
+
     @pytest.mark.parametrize("text", ["nan", "-inf", "1e400", "abc", ""])
     def test_finite_float_rejects(self, text):
         with pytest.raises(ParseError, match="f.tsv:7:"):

@@ -1,11 +1,15 @@
+import math
 import os
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sentaxis import vectors
 from sentaxis.errors import DegenerateVectorError, ParseError
 from sentaxis.vectors import (
     EmbeddingTable,
@@ -209,6 +213,12 @@ class TestTableIO:
         same = EmbeddingTable(toy_table.words, toy_table.matrix.copy())
         assert toy_table.fingerprint() == same.fingerprint()
 
+    def test_fingerprint_is_pinned(self):
+        # the digest is recorded in every lexicon, so it must never drift
+        table = EmbeddingTable(["a", "#b", "café", "über"],
+                               np.arange(12, dtype=float).reshape(4, 3) / 7 - 0.5)
+        assert table.fingerprint() == "45da2dc4814147f3"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EmbeddingTable(["a"], np.array([[np.nan, 1.0]]))
@@ -216,3 +226,211 @@ class TestTableIO:
             EmbeddingTable(["a", "a"], np.ones((2, 2)))
         with pytest.raises(ValueError):
             EmbeddingTable([""], np.ones((1, 2)))
+
+
+def rows(start, stop):
+    return "".join(f"w{i} {i} -1.5\n" for i in range(start, stop))
+
+
+# after the header, B rows fill the first block; the second starts at line B + 2
+B = vectors.BLOCK_LINES
+SECOND = B + 2
+
+
+class TestBlockLoader:
+    """The blocks numpy parses must give exactly the per-line messages and lines."""
+
+    @pytest.mark.parametrize("text,line,message", [
+        pytest.param(f"{B + 1} 2\n" + rows(0, B) + "x 1\n", SECOND,
+                     "expected 2 values for word 'x', got 1", id="second-block-first-line-short"),
+        pytest.param(f"{B + 1} 2\n" + rows(0, B) + "x 1 one\n", SECOND,
+                     "non-numeric vector component for 'x'", id="second-block-first-line-word"),
+        pytest.param(f"{B + 1} 2\n" + rows(0, B) + "w0 1 2\n", SECOND,
+                     "duplicate word 'w0'", id="duplicate-across-blocks"),
+        pytest.param(f"{B} 2\n" + rows(0, B) + "x 1 2\n", SECOND,
+                     "more rows than the header promised", id="second-block-extra-row"),
+        pytest.param(f"1500 2\n" + rows(0, 1499) + "x 1 2 3\n", 1501,
+                     "expected 2 values for word 'x', got 3", id="last-line-extra-value"),
+        pytest.param("2 2\na 1 2 3\nb 1 2 3\n", 2,
+                     "expected 2 values for word 'a', got 3", id="every-row-extra-value"),
+        pytest.param("3 2\na 1 2\r\n\r\nb 1\r\nc 1 2\r\n", 4,
+                     "expected 2 values for word 'b', got 1", id="crlf"),
+        pytest.param("2 2\nnb\u00a0sp 1 2\nb 1 2\n", 2,
+                     "expected 2 values for word 'nb', got 3", id="nbsp-in-word"),
+        pytest.param("2 2\na 1_000 2\nb 1 2\n", 2,
+                     "non-numeric vector component for 'a'", id="underscore-digits"),
+        pytest.param("2 2\na 1 2\nb \u0661 2\n", 3,
+                     "non-numeric vector component for 'b'", id="arabic-indic-digit"),
+        pytest.param(f"{B + 1} 2\n" + rows(0, B - 1) + "x nan 1\n" + "y 1\n", SECOND,
+                     "expected 2 values for word 'y', got 1", id="bad-row-before-non-finite-report"),
+        pytest.param(f"{B + 2} 2\n" + rows(0, B) + "x 0 1\ny 1e400 1\n", SECOND + 1,
+                     "non-finite vector component for 'y'", id="non-finite-in-second-block"),
+    ])
+    def test_bad_file_gives_its_first_bad_line(self, tmp_path, text, line, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("text,words", [
+        pytest.param(f"{B + 1} 2\n" + rows(0, B) + "\n" * B + " \t\n" + rows(B, B + 1),
+                     [f"w{i}" for i in range(B + 1)], id="block-of-blank-lines"),
+        pytest.param("2 2\r\na 1 2\r\n\r\nb 3 4\r\n", ["a", "b"], id="crlf"),
+        pytest.param("2 2\n#a 1 2\n# 3 4\n", ["#a", "#"], id="hash-words"),
+    ])
+    def test_awkward_valid_file_loads(self, tmp_path, text, words):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert list(load_embeddings(path).words) == words
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        # a lone CR ends a line, as it does when the rows are read
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"3 2\na 1 0\rb 0 1\n\xe9t\xe9 1 1\n")
+        with pytest.raises(ParseError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}:4: byte 0xe9 is not UTF-8"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_undecodable_byte_names_no_line(self):
+        # the bytes before the bad one are consumed, so no line can be named;
+        # a second bad byte more than a read chunk further on is not reported
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"1002 2\na 1 0\n\xe9 0 1\n" + rows(0, 999).encode()
+                     + b"\xe9t\xe9 1 1\n")
+            os.close(write_end)
+            with pytest.raises(ParseError) as err:
+                load_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(err.value) == f"/dev/fd/{read_end}: not UTF-8"
+
+    @pytest.mark.parametrize("numpy_default", [None, "bytes"], ids=["numpy-2", "numpy-1"])
+    def test_words_load_as_text_under_either_numpy_default(self, tmp_path, numpy_default):
+        # numpy 1's np.loadtxt defaults to encoding="bytes", numpy 2's to None
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, encoding=numpy_default, **kwargs):
+            return real_loadtxt(*args, encoding=encoding, **kwargs)
+
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\n\u65e5\u672c 1 2\ncaf\u00e9 3 4\nb 5 6\n", encoding="utf-8")
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            table = load_embeddings(path)
+        assert table.words == ("\u65e5\u672c", "caf\u00e9", "b")
+        assert list(table["\u65e5\u672c"]) == [1.0, 2.0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_bad_row_names_its_line(self):
+        # a pipe cannot be read twice, so a bad block is checked from memory
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"2 2\na 1 0\na 0 1\n")
+            os.close(write_end)
+            with pytest.raises(ParseError) as err:
+                load_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(err.value) == f"/dev/fd/{read_end}:3: duplicate word 'a'"
+
+    def test_peak_memory_stays_near_the_matrix(self, tmp_path):
+        # the whole file in one np.loadtxt call peaks at about 2.1x the matrix
+        n, dim = 20_000, 100
+        path = tmp_path / "v.txt"
+        values = np.random.default_rng(0).uniform(-1, 1, size=(n, dim))
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(f"{n} {dim}\n")
+            np.savetxt(fh, np.column_stack([np.arange(n), values]),
+                       fmt="w%d" + " %.6f" * dim)
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n
+        assert peak < 1.6 * table.matrix.nbytes
+
+    @given(drawn=st.data(), valid=st.booleans())
+    def test_matches_per_line_parse(self, tmp_path_factory, drawn, valid):
+        path = tmp_path_factory.mktemp("pl") / "v.txt"
+        path.write_text(drawn.draw(_vector_text(valid)), encoding="utf-8", newline="")
+        expected = per_line_load(path)
+        assert not (valid and isinstance(expected, str))
+        with mock.patch.object(vectors, "BLOCK_LINES", drawn.draw(st.integers(1, 4))):
+            if isinstance(expected, str):
+                with pytest.raises(ParseError) as err:
+                    load_embeddings(path)
+                assert str(err.value) == f"{path}:{expected}"
+            else:
+                table = load_embeddings(path)
+                assert list(table.words) == expected[0]
+                assert table.matrix.tobytes() == expected[1].tobytes()
+
+
+def per_line_load(path):
+    """The loader's rules one line at a time, values read by ``float``: the
+    (words, matrix) of a good file, or ``"line: message"`` of a bad one."""
+    with open(path, encoding="utf-8") as fh:
+        vocab_count, dim = map(int, fh.readline().split())
+        if vocab_count < 1:
+            return "1: vocab_count and dim must be positive"
+        size = os.path.getsize(path)
+        if vocab_count * (2 * dim + 1) > size:
+            return (f"1: header promises {vocab_count} rows of {dim} values, "
+                    f"more than {size} bytes can hold")
+        found = {}  # word -> (line, values)
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            word = fields[0]
+            if len(fields) != dim + 1:
+                return f"{lineno}: expected {dim} values for word {word!r}, got {len(fields) - 1}"
+            if len(found) == vocab_count:
+                return f"{lineno}: more rows than the header promised"
+            if word in found:
+                return f"{lineno}: duplicate word {word!r}"
+            try:
+                found[word] = (lineno, [float(v) if v.isascii() and "_" not in v else float("?")
+                                        for v in fields[1:]])
+            except ValueError:
+                return f"{lineno}: non-numeric vector component for {word!r}"
+    for word, (lineno, values) in found.items():
+        if not all(map(math.isfinite, values)):
+            return f"{lineno}: non-finite vector component for {word!r}"
+    if len(found) != vocab_count:
+        return f" header promised {vocab_count} rows, found {len(found)}"
+    return list(found), np.array([values for _, values in found.values()])
+
+
+_word = (st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+         .filter(lambda w: w.split() == [w]))
+_good_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.6f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:+e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([".5", "5.", "-0", "1E3", "00.1"]),
+)
+_bad_number = st.sampled_from(["nan", "-inf", "1e400", "1_000", "\u0661", "one", "0x1"])
+
+
+@st.composite
+def _vector_text(draw, valid: bool):
+    """A vector file's text; unless ``valid``, rows may repeat a word, hold
+    one value too few or too many or a bad value, and the header may be off."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(_word, min_size=1, max_size=9, unique=valid))
+    off = st.just(0) if valid else st.sampled_from([0] * 10 + [-1, 1])
+    number = _good_number if valid else st.one_of(_good_number, _bad_number)
+    lines = [f"{len(words) + draw(off)} {dim}"]
+    for word in words:
+        values = [draw(number) for _ in range(dim + draw(off))]
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        lines.append(sep.join([word, *values]) + draw(st.sampled_from(["", " ", "\t"])))
+        lines.extend([""] * draw(st.sampled_from([0, 0, 1, 2])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))

@@ -9,14 +9,21 @@ Two tagged-corpus file formats are supported:
 
 Labeled review sets use a third format: ``LABEL<TAB>token_TAG token_TAG ...``
 with one review per line and LABEL in {POS, NEG}.
+
+A tagged corpus is decoded whole but split into lines a piece of about
+``PIECE_CHARS`` characters at a time, so the lines of a large file never all
+exist at once. Each piece ends right after a ``"\\n"``, so no ``"\\r\\n"`` is
+cut, and every other line break ``str.splitlines`` knows is one character:
+the pieces' lines are exactly the whole text's lines, numbered the same.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import records
 from .errors import EmptyInputError, ParseError
@@ -26,6 +33,11 @@ NEG = "NEG"
 
 FORMAT_ONE_TOKEN_PER_LINE = "one-token-per-line"
 FORMAT_INLINE = "inline"
+
+# Characters of a tagged corpus split into lines at a time. One piece's lines
+# take about 8 times its size as str objects and list slots; a whole 8 MB
+# corpus's would take 66 MB.
+PIECE_CHARS = 1 << 20
 
 @dataclass(frozen=True, slots=True)
 class TaggedToken:
@@ -118,13 +130,28 @@ def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedC
     return TaggedCorpus(documents=tuple(documents), source=str(path))
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a piece at a time (module docstring)."""
+    return chain.from_iterable(piece.splitlines() for piece in _pieces(text, PIECE_CHARS))
+
+
+def _pieces(text: str, size: int) -> Iterator[str]:
+    """``text`` in pieces of at least ``size`` characters (the last may be
+    shorter), each ending right after a ``"\\n"`` or at the end of ``text``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _parse_one_token_per_line(text: str, path) -> list[TaggedDocument]:
     documents: list[TaggedDocument] = []
     tokens: list[TaggedToken] = []
     # a line's token depends only on its text, and a corpus repeats few
     # distinct lines, so each is parsed (and checked) once, at its first line
     parsed: dict[str, TaggedToken | None] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         try:
             token = parsed[line]
         except KeyError:
@@ -157,7 +184,7 @@ def _parse_token_line(line: str, path, lineno: int) -> TaggedToken | None:
 def _parse_inline(text: str, path) -> list[TaggedDocument]:
     documents: list[TaggedDocument] = []
     parsed: dict[str, TaggedToken] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         tokens = _parse_inline_tokens(line, path, lineno, parsed)

@@ -25,12 +25,20 @@ slot holds its second word. For NEAR(a, b), two ``searchsorted`` calls of
 a's positions ± pad into b's positions count b's occurrences in reach of
 each occurrence of a: their sum is the token-level count, and the distinct
 documents of the occurrences with a partner are the NEAR documents.
+
+Building the index holds no per-token Python object and no int64 array
+beside the sorted positions: term ids go straight from the tokens into an
+int32 array (each new term numbered in first-seen order), and a boolean mask
+of token and padding slots places them. Its peak is little more than the
+arrays it keeps, 16 bytes a slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +74,14 @@ class PmiReviewResult:
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
 
 
+class _FirstSeenIds(dict):
+    """term -> id; looking up a new term gives it the next id."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = term_id = len(self)
+        return term_id
+
+
 class NearIndex:
     """NEAR(window) index over a corpus, held as position arrays.
 
@@ -86,20 +102,24 @@ class NearIndex:
         self.doc_ids = tuple(doc.id for doc in documents)
         lengths = np.array([len(doc.tokens) for doc in documents])
         self.pad = min(window, int(lengths.max()))
-        self.term_ids: dict[str, int] = {}
-        ids = [self.term_ids.setdefault(token.text, len(self.term_ids))
-               for doc in documents for token in doc.tokens]
-        pad_id = len(self.term_ids)
-        # every document's slots start after the earlier documents' tokens and padding
-        slots = np.arange(len(ids)) + np.repeat(np.arange(len(documents)) * self.pad, lengths)
+        term_ids = _FirstSeenIds()
+        tokens = chain.from_iterable(map(attrgetter("tokens"), documents))
+        ids = np.fromiter(map(term_ids.__getitem__, map(attrgetter("text"), tokens)),
+                          dtype=np.int32, count=int(lengths.sum()))
+        self.term_ids: dict[str, int] = dict(term_ids)
+        pad_id = len(term_ids)
+        # each document's tokens, then its padding: a mask over the slots
+        runs = np.column_stack((lengths, np.full_like(lengths, self.pad))).ravel()
         self.terms = np.full(len(ids) + len(documents) * self.pad, pad_id, dtype=np.int32)
-        self.terms[slots] = ids
-        self.doc_of = np.repeat(np.arange(len(documents), dtype=np.int32), lengths + self.pad)
+        self.terms[np.repeat(np.tile([True, False], len(documents)), runs)] = ids
+        del ids  # neither it nor doc_of is held while the sort's output is made
         # a stable sort keeps each term's positions ascending; padding sorts last
         order = np.argsort(self.terms, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(self.terms, minlength=pad_id + 1))))
+        # int32 needles: int64 ones would make searchsorted copy terms to int64
+        bounds = np.searchsorted(self.terms[order], np.arange(pad_id + 2, dtype=np.int32))
         self.postings: dict[str, np.ndarray] = {
             term: order[bounds[i]:bounds[i + 1]] for term, i in self.term_ids.items()}
+        self.doc_of = np.repeat(np.arange(len(documents), dtype=np.int32), lengths + self.pad)
         self._doc_counts: dict[Term, int] = {}
         self.near_hits: dict[frozenset[Term], set[str]] = {}
 
@@ -116,7 +136,7 @@ class NearIndex:
         return first[self.terms[first + 1] == second]
 
     def _doc_set(self, positions: np.ndarray) -> set[str]:
-        return {self.doc_ids[i] for i in np.unique(self.doc_of[positions]).tolist()}
+        return {self.doc_ids[i] for i in self.doc_of[positions].tolist()}
 
     def docs_with(self, term: Term) -> set[str]:
         return self._doc_set(self._positions(term))
@@ -125,7 +145,7 @@ class NearIndex:
         """Documents containing the term (document-level counting); once per term."""
         count = self._doc_counts.get(term)
         if count is None:
-            count = self._doc_counts[term] = len(np.unique(self.doc_of[self._positions(term)]))
+            count = self._doc_counts[term] = len(self.docs_with(term))
         return count
 
     def occurrence_count(self, term: Term) -> int:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sentaxis import axis as axis_mod
 from sentaxis.axis import (
     AxisProjection,
     DistanceMatrix,
@@ -23,6 +24,7 @@ from sentaxis.corpus import PolarityLexicon
 from sentaxis.errors import (
     AmbiguousOrientationError,
     ConfigError,
+    DegenerateVectorError,
     InsufficientDataError,
     OovError,
     PartitionError,
@@ -296,6 +298,28 @@ class TestScoreVocabulary:
     def test_fingerprint_recorded(self, oriented_axis, clustered_table):
         lexicon = score_vocabulary(oriented_axis, clustered_table)
         assert lexicon.fingerprint == clustered_table.fingerprint()
+
+    def test_norms_in_blocks_score_like_whole_matrix_norms(self, monkeypatch):
+        monkeypatch.setattr(axis_mod, "NORM_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((10, 5)) * 10.0 ** rng.integers(-3, 4, size=(10, 1))
+        table = EmbeddingTable([f"w{i}" for i in range(10)], matrix)
+        axis = SentimentAxis(("w0",), ("w1",), matrix[0], matrix[1])
+        norms = np.linalg.norm(matrix, axis=1)
+        sims = [np.clip(matrix @ ref / (norms * np.linalg.norm(ref)), -1.0, 1.0)
+                for ref in (matrix[0], matrix[1])]
+        scores = score_vocabulary(axis, table).scores
+        assert list(scores) == list(table.words)
+        assert list(scores.values()) == (sims[0] - sims[1]).tolist()
+
+    def test_zero_vector_in_a_later_norm_block_is_named(self, monkeypatch):
+        monkeypatch.setattr(axis_mod, "NORM_BLOCK_ROWS", 3)
+        matrix = np.arange(1.0, 41.0).reshape(8, 5)
+        matrix[7] = 0.0
+        table = EmbeddingTable([f"w{i}" for i in range(8)], matrix)
+        axis = SentimentAxis(("w0",), ("w1",), matrix[0], matrix[1])
+        with pytest.raises(DegenerateVectorError, match="'w7' has a zero vector"):
+            score_vocabulary(axis, table)
 
 
 class TestScaleInvariance:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sentaxis import corpus as corpus_mod
 from sentaxis.corpus import (
     FORMAT_INLINE,
     FORMAT_ONE_TOKEN_PER_LINE,
@@ -144,6 +145,73 @@ class TestRepeatedLines:
         with pytest.raises(ParseError) as err:
             load_labeled_reviews(write(tmp_path, "r.tsv", text))
         assert err.value.line == 3
+
+
+def parse_whole_text(text):
+    """Format-A documents from ``text.splitlines()`` in one go, cache-free."""
+    documents, tokens = [], []
+    for line in text.splitlines() + [""]:
+        if line.strip():
+            word, tag = line.split("\t")
+            tokens.append(TaggedToken(text=word.strip().lower(), tag=tag.strip()))
+        elif tokens:
+            documents.append(tuple(tokens))
+            tokens = []
+    return documents
+
+
+# Format-A texts whose cuts, over every piece size, land inside "\r\n", next
+# to each one-character line break, on the blank line that ends a document
+# and before an end without a final line break.
+PIECE_TEXTS = {
+    "crlf": "Good\tJJ\r\nfilm\tNN\r\n\r\nbad\tJJ\r\nplot\tNN\r\n",
+    "one-char-breaks": "good\tJJ\rfilm\tNN\x0bbad\tJJ\n\x1cplot\tNN\u2028"
+                       "dull\tJJ\r\n\u2028\nend\tNN\n",
+    "blank-line-ends-document": "good\tJJ\nfilm\tNN\n\n \n\nbad\tJJ\n\nplot\tNN\n\n",
+    "no-final-break": "good\tJJ\nfilm\tNN\n\nbad\tJJ\nplot\tNN",
+}
+
+
+class TestPieces:
+    """Format A is split into lines a piece at a time; the lines must not change."""
+
+    @pytest.mark.parametrize("name", PIECE_TEXTS)
+    def test_every_piece_size_parses_like_the_whole_text(self, tmp_path, monkeypatch, name):
+        text = PIECE_TEXTS[name]
+        path = tmp_path / "c.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = parse_whole_text(text)
+        for piece_chars in range(1, len(text) + 2):
+            monkeypatch.setattr(corpus_mod, "PIECE_CHARS", piece_chars)
+            assert list(corpus_mod._lines(text)) == text.splitlines()
+            assert [doc.tokens for doc in load_tagged_corpus(path)] == expected
+
+    @given(text=st.lists(st.sampled_from(["a", "\t", " ", "\n", "\r", "\r\n", "\x0b",
+                                          "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                          "\u2028", "\u2029"]),
+                         max_size=40).map("".join),
+           piece_chars=st.integers(1, 12))
+    def test_pieces_split_into_the_whole_texts_lines(self, text, piece_chars):
+        pieces = list(corpus_mod._pieces(text, piece_chars))
+        assert "".join(pieces) == text
+        assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+
+    def test_bad_line_after_a_cut_names_its_global_line(self, tmp_path, monkeypatch):
+        text = "good\tJJ\r\nfilm\tNN\n\n" * 50 + "bad\tJJ\nplot\n"
+        path = write(tmp_path, "c.tsv", text)
+        monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 16)
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(path)
+        assert err.value.line == 152
+        assert str(err.value).startswith(f"{path}:152: expected 'token<TAB>TAG'")
+
+    def test_inline_lines_are_split_in_pieces_too(self, tmp_path, monkeypatch):
+        text = "good_JJ film_NN\r\n\x0bbad_JJ plot_NN\rdull_JJ\n"
+        path = write(tmp_path, "c.txt", text)
+        whole = load_tagged_corpus(path, FORMAT_INLINE)
+        monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 3)
+        assert load_tagged_corpus(path, FORMAT_INLINE) == whole
+        assert len(whole) == 3
 
 
 class TestRoundTrip:

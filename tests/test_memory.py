@@ -1,0 +1,66 @@
+"""Bounds on the transient memory of the three stages that handle a whole
+corpus or vocabulary at once, read as tracemalloc peaks (numpy reports its
+array buffers to tracemalloc)."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sentaxis import corpus as corpus_mod
+from sentaxis.axis import MODE_UNSUPERVISED, SentimentAxis, score_vocabulary
+from sentaxis.corpus import load_tagged_corpus
+from sentaxis.pmi import NearIndex
+from sentaxis.vectors import EmbeddingTable
+
+from corpus_helpers import save_tagged_corpus
+from synthgen import make_reviews
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    """A format-A file of about 0.5 MB: 1,200 generated reviews."""
+    path = tmp_path_factory.mktemp("memory") / "c.tsv"
+    save_tagged_corpus(make_reviews(400, seed=2), path)
+    path.write_bytes(path.read_bytes() * 3)
+    return path
+
+
+def test_format_a_load_holds_a_few_times_the_file(corpus_file, monkeypatch):
+    # the file spans several pieces: its bytes and its decoded text (2x),
+    # the documents' token tuples (1.4x) and one piece's lines; splitting
+    # the whole text at once holds about 10x
+    monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 1 << 16)
+    _, peak = traced_peak(load_tagged_corpus, corpus_file)
+    assert peak < 5 * corpus_file.stat().st_size
+
+
+def test_near_index_holds_its_arrays_and_little_more(corpus_file):
+    documents = load_tagged_corpus(corpus_file).documents
+    n_tokens = sum(len(doc.tokens) for doc in documents)
+    _, peak = traced_peak(NearIndex, documents, 10)
+    # terms and doc_of (4 bytes a slot) and the sorted positions (8 bytes a
+    # slot) are kept: 16 bytes a slot, 19 a token here; per-token Python
+    # lists or int64 temporaries would add 20 more
+    assert peak < 24 * n_tokens
+
+
+def test_score_vocabulary_never_squares_the_whole_table():
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((20_000, 100))
+    table = EmbeddingTable([f"w{i}" for i in range(len(matrix))], matrix)
+    axis = SentimentAxis(pos_words=("w0",), neg_words=("w1",), vec_pos=matrix[0],
+                         vec_neg=matrix[1], seed="w0", mode=MODE_UNSUPERVISED)
+    lexicon, peak = traced_peak(score_vocabulary, axis, table)
+    assert len(lexicon.scores) == len(matrix)
+    assert peak < matrix.nbytes / 4

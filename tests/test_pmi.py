@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -346,3 +347,35 @@ class TestIndexSizesReadByTheBenchmark:
         queried = {occ.phrase for occ in extract_phrases(reviews)}
         assert queried
         assert len(index.near_hits) == 2 * len(queried)
+
+
+def naive_layout(docs, window):
+    """terms, doc_of, term_ids and postings built one document at a time."""
+    term_ids = {}
+    for tokens in docs:
+        for token in tokens:
+            term_ids.setdefault(token, len(term_ids))
+    pad = min(window, max(len(tokens) for tokens in docs))
+    terms, doc_of = [], []
+    for i, tokens in enumerate(docs):
+        terms += [term_ids[t] for t in tokens] + [len(term_ids)] * pad
+        doc_of += [i] * (len(tokens) + pad)
+    postings = {term: [p for p, t in enumerate(terms) if t == term_id]
+                for term, term_id in term_ids.items()}
+    return terms, doc_of, term_ids, postings
+
+
+class TestIndexLayout:
+    @given(raw_docs=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=12),
+                             min_size=1, max_size=8),
+           window=st.one_of(st.integers(1, 15), st.just(10**6)))
+    def test_arrays_match_a_per_document_construction(self, raw_docs, window):
+        docs = [["abcdefg"[i] for i in raw] for raw in raw_docs]
+        index = NearIndex(make_corpus([words_doc(*d) for d in docs]).documents, window)
+        terms, doc_of, term_ids, postings = naive_layout(docs, window)
+        assert index.terms.dtype == index.doc_of.dtype == np.int32
+        assert index.terms.tolist() == terms
+        assert index.doc_of.tolist() == doc_of
+        assert index.term_ids == term_ids
+        assert list(index.term_ids) == list(term_ids)
+        assert {t: p.tolist() for t, p in index.postings.items()} == postings

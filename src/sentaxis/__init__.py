@@ -7,7 +7,6 @@ from .axis import (
     SentimentAxis,
     build_distance_matrix,
     build_reference_vectors,
-    correlate_with_gold,
     orient_by_seed,
     partition_by_lexicon,
     partition_by_origin,

@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
     PartitionError,
     SeedMissingError,
-    UndefinedCorrelationError,
 )
 from .patterns import PointWordSet
 from .vectors import EmbeddingTable, cosine_distance
@@ -247,19 +246,6 @@ def _similarities(matrix: np.ndarray, norms: np.ndarray, reference: np.ndarray) 
     if ref_norm == 0.0:
         raise DegenerateVectorError("reference vector is zero")
     return np.clip((matrix @ reference) / (norms * ref_norm), -1.0, 1.0)
-
-
-def correlate_with_gold(proj: AxisProjection, gold: PolarityLexicon) -> float:
-    """Absolute Pearson correlation between pc1 and gold scores on shared words."""
-    pairs = [(v, gold.score(w)) for w, v in zip(proj.words, proj.pc1) if w in gold]
-    if len(pairs) < 2:
-        raise InsufficientDataError(
-            f"only {len(pairs)} words shared between projection and gold lexicon")
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise UndefinedCorrelationError("zero variance on one side of the correlation")
-    return abs(float(np.corrcoef(x, y)[0, 1]))
 
 
 # ---------------------------------------------------------------------------

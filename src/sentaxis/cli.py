@@ -76,21 +76,30 @@ def _sgns_config_from(args) -> SgnsConfig:
 
 
 def _add_training_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=100)
-    parser.add_argument("--window", type=int, default=5)
-    parser.add_argument("--negatives", type=int, default=5)
-    parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--lr", type=float, default=0.025,
+    defaults = SgnsConfig()
+    parser.add_argument("--dim", type=int, default=defaults.dim)
+    parser.add_argument("--window", type=int, default=defaults.window)
+    parser.add_argument("--negatives", type=int, default=defaults.negatives)
+    parser.add_argument("--epochs", type=int, default=defaults.epochs)
+    parser.add_argument("--lr", type=float, default=defaults.initial_learning_rate,
                         help="initial learning rate")
-    parser.add_argument("--min-count", type=int, default=5)
-    parser.add_argument("--subsample", type=float, default=1e-3,
+    parser.add_argument("--min-count", type=int, default=defaults.min_count)
+    parser.add_argument("--subsample", type=float, default=defaults.subsample_threshold,
                         help="frequent-word subsampling threshold (0 disables)")
-    parser.add_argument("--seed", type=int, default=1, help="training RNG seed")
+    parser.add_argument("--seed", type=int, default=defaults.rng_seed,
+                        help="training RNG seed")
+
+
+def _add_axis_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", required=True, choices=list(eval_mod._MODE_NAMES))
+    parser.add_argument("--lexicon", default=None, help="polarity lexicon TSV (semi mode)")
+    parser.add_argument("--seed-word", default=axis_mod.DEFAULT_SEED_WORD)
 
 
 def cmd_train_embeddings(args) -> int:
+    config = _sgns_config_from(args)
     corpus = load_tagged_corpus(args.corpus, args.format)
-    table = train_sgns(corpus, _sgns_config_from(args))
+    table = train_sgns(corpus, config)
     save_embeddings(table, args.out)
     print(f"trained {len(table)} x {table.dim} vectors -> {args.out}")
     return 0
@@ -106,6 +115,8 @@ def cmd_extract_phrases(args) -> int:
 
 
 def cmd_select_points(args) -> int:
+    if args.cutoff < 1:
+        raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
     corpus = load_tagged_corpus(args.corpus, args.format)
     phrases = patterns.load_phrases(args.phrases)
     points = patterns.select_point_words(phrases, corpus, args.cutoff)
@@ -155,12 +166,12 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_review_args(args, args.csv)
+    cutoffs = _parse_cutoffs(args.cutoffs)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)
     table = load_embeddings(args.embeddings)
     lexicon = load_polarity_lexicon(args.lexicon) if args.lexicon else None
-    rows = eval_mod.sweep_cutoffs(corpus, reviews, args.mode,
-                                  _parse_cutoffs(args.cutoffs), table,
+    rows = eval_mod.sweep_cutoffs(corpus, reviews, args.mode, cutoffs, table,
                                   lexicon=lexicon, seed_word=args.seed_word)
     eval_mod.write_sweep_csv(rows, args.csv)
     done = sum(1 for r in rows if r.accuracy is not None)
@@ -242,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-axis", help="discover and orient the sentiment axis")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--points", required=True, help="point-word TSV from select-points")
-    p.add_argument("--mode", required=True, choices=[eval_mod.MODE_UNSUP, eval_mod.MODE_SEMI])
-    p.add_argument("--lexicon", default=None, help="polarity lexicon TSV (semi mode)")
-    p.add_argument("--seed-word", default=axis_mod.DEFAULT_SEED_WORD)
+    _add_axis_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_build_axis)
 
@@ -266,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reviews", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--cutoffs", required=True, help="range 'A..B' or list 'a,b,c'")
-    p.add_argument("--mode", required=True, choices=[eval_mod.MODE_UNSUP, eval_mod.MODE_SEMI])
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--seed-word", default=axis_mod.DEFAULT_SEED_WORD)
+    _add_axis_args(p)
     p.add_argument("--csv", required=True, help="output CSV")
     _add_review_filter_args(p)
     p.set_defaults(func=cmd_sweep)
@@ -296,12 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full pipeline into an output directory")
     _add_corpus_args(p)
     p.add_argument("--reviews", required=True)
-    p.add_argument("--mode", required=True, choices=[eval_mod.MODE_UNSUP, eval_mod.MODE_SEMI])
+    _add_axis_args(p)
     p.add_argument("--cutoff", type=int, default=2)
     p.add_argument("--embeddings", default=None,
                    help="load vectors instead of training")
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--seed-word", default=axis_mod.DEFAULT_SEED_WORD)
     _add_training_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)

@@ -31,6 +31,12 @@ from .errors import EmptyInputError, ParseError
 POS = "POS"
 NEG = "NEG"
 
+
+def label_for(mean: float) -> str:
+    """The label of a review whose evidence has this mean score: NEG below zero, else POS."""
+    return NEG if mean < 0.0 else POS
+
+
 FORMAT_ONE_TOKEN_PER_LINE = "one-token-per-line"
 FORMAT_INLINE = "inline"
 

@@ -66,10 +66,6 @@ class AmbiguousOrientationError(SentaxisError):
     """Both reference vectors are equidistant from the seed."""
 
 
-class UndefinedCorrelationError(SentaxisError):
-    """Correlation requested on a constant series."""
-
-
 class PipelineError(SentaxisError):
     """A pipeline stage failed; wraps the original error."""
 

@@ -1,9 +1,10 @@
 """Review classification, accuracy evaluation, cutoff sweeps and the pipeline.
 
-A review is labeled by the mean orientation of its in-lexicon tokens (token
-occurrences count with multiplicity): negative when the mean is below zero,
-positive otherwise. Reviews with no in-lexicon token keep the zero-mean
-convention (labeled POS) and are reported separately as undecided.
+A review is labeled by ``corpus.label_for`` of the mean orientation of its
+in-lexicon tokens (token occurrences count with multiplicity). The PMI
+baseline labels by the same rule from the mean orientation of its phrases.
+A review with no evidence has mean zero, so it is POS, and is counted
+undecided.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import axis as axis_mod
 from . import patterns, pmi
@@ -21,6 +22,7 @@ from .corpus import (
     FORMAT_ONE_TOKEN_PER_LINE,
     TaggedCorpus,
     TaggedDocument,
+    label_for,
     load_labeled_reviews,
     load_polarity_lexicon,
     load_tagged_corpus,
@@ -71,9 +73,8 @@ def review_mean(review: TaggedDocument, lexicon: axis_mod.OrientationLexicon) ->
 
 
 def classify_review(review: TaggedDocument, lexicon: axis_mod.OrientationLexicon) -> str:
-    """NEG when the mean orientation is below zero, else POS."""
-    mean, _ = review_mean(review, lexicon)
-    return NEG if mean < 0.0 else POS
+    """The review's label: ``label_for`` of its mean orientation."""
+    return label_for(review_mean(review, lexicon)[0])
 
 
 def _gold_documents(reviews: TaggedCorpus | Iterable[TaggedDocument]) -> list[TaggedDocument]:
@@ -86,13 +87,15 @@ def _gold_documents(reviews: TaggedCorpus | Iterable[TaggedDocument]) -> list[Ta
     return docs
 
 
-def _tally(outcomes: Iterable[tuple[str, str, bool]], config_snapshot: dict) -> EvalReport:
-    """Aggregate (gold, predicted, undecided) triples into a report."""
+def _tally(docs: list[TaggedDocument], score: Callable[[TaggedDocument], tuple[float, int]],
+           config_snapshot: dict | None) -> EvalReport:
+    """Label each review by its ``score`` (mean, n); n == 0 counts it undecided."""
     confusion = {(POS, POS): 0, (POS, NEG): 0, (NEG, POS): 0, (NEG, NEG): 0}
     undecided = 0
-    for gold, predicted, is_undecided in outcomes:
-        confusion[(gold, predicted)] += 1
-        undecided += is_undecided
+    for doc in docs:
+        mean, n = score(doc)
+        confusion[(doc.label, label_for(mean))] += 1
+        undecided += n == 0
     n_total = sum(confusion.values())
     n_correct = confusion[(POS, POS)] + confusion[(NEG, NEG)]
     return EvalReport(
@@ -104,7 +107,7 @@ def _tally(outcomes: Iterable[tuple[str, str, bool]], config_snapshot: dict) -> 
         n_undecided=undecided,
         confusion=((confusion[(POS, POS)], confusion[(POS, NEG)]),
                    (confusion[(NEG, POS)], confusion[(NEG, NEG)])),
-        config_snapshot=dict(config_snapshot),
+        config_snapshot=dict(config_snapshot or {}),
     )
 
 
@@ -112,14 +115,8 @@ def evaluate(reviews: TaggedCorpus | Iterable[TaggedDocument],
              lexicon: axis_mod.OrientationLexicon,
              config_snapshot: dict | None = None) -> EvalReport:
     """Accuracy and confusion of lexicon classification against gold labels."""
-    docs = _gold_documents(reviews)
-
-    def outcomes():
-        for doc in docs:
-            mean, n = review_mean(doc, lexicon)
-            yield doc.label, (NEG if mean < 0.0 else POS), n == 0
-
-    return _tally(outcomes(), config_snapshot or {})
+    return _tally(_gold_documents(reviews), lambda doc: review_mean(doc, lexicon),
+                  config_snapshot)
 
 
 def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus | Iterable[TaggedDocument],
@@ -137,14 +134,12 @@ def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus | Iterable[TaggedDo
     rules = patterns.builtin_rules()
     cache: dict = {}
 
-    def outcomes():
-        for doc in docs:
-            result = pmi.classify_review_pmi(index, doc, rules, pos_seed=pos_seed,
-                                             neg_seed=neg_seed, so_cache=cache,
-                                             unit=unit)
-            yield doc.label, result.label, result.no_phrase
+    def score(doc: TaggedDocument) -> tuple[float, int]:
+        result = pmi.classify_review_pmi(index, doc, rules, pos_seed=pos_seed,
+                                         neg_seed=neg_seed, so_cache=cache, unit=unit)
+        return result.mean_so, result.n_phrases
 
-    return _tally(outcomes(), config_snapshot or {})
+    return _tally(docs, score, config_snapshot)
 
 
 def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,
@@ -258,6 +253,8 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
     """
     if config.mode == MODE_SEMI and config.lexicon_path is None:
         raise ConfigError("semi-supervised mode requires --lexicon")
+    if config.cutoff < 1:
+        raise ConfigError(f"--cutoff must be >= 1, got {config.cutoff}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

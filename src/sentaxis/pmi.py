@@ -10,7 +10,9 @@ The orientation of a phrase is
 log2[(hits(phrase NEAR pos_seed) * hits(neg_seed)) /
      (hits(phrase NEAR neg_seed) * hits(pos_seed))]
 with 0.01 substituted for zero NEAR counts. Zero seed marginals are an error:
-the corpus cannot support the baseline.
+the corpus cannot support the baseline. A review is labeled by
+``corpus.label_for`` of its phrases' mean orientation, the rule the axis
+lexicon's reviews are labeled by.
 
 The index is a few numpy arrays. ``terms`` holds one int32 term id per token,
 the documents laid end to end, each followed by ``pad = min(window, longest
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import NEG, POS, TaggedCorpus, TaggedDocument
+from .corpus import TaggedCorpus, TaggedDocument, label_for
 from .errors import EmptyInputError, SeedMissingError
 from .patterns import PatternRule, extract_phrases
 
@@ -65,10 +67,16 @@ class PhraseSO:
 
 @dataclass(frozen=True, slots=True)
 class PmiReviewResult:
-    label: str
     mean_so: float
     n_phrases: int
-    no_phrase: bool
+
+    @property
+    def label(self) -> str:
+        return label_for(self.mean_so)
+
+    @property
+    def no_phrase(self) -> bool:
+        return self.n_phrases == 0
 
 
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
@@ -242,26 +250,19 @@ def classify_review_pmi(index: NearIndex, review: TaggedDocument,
                         neg_seed: str = DEFAULT_NEG_SEED,
                         so_cache: dict | None = None,
                         unit: str = HIT_UNIT_DOCS) -> PmiReviewResult:
-    """Label a review by the mean orientation of its extracted phrases.
+    """Mean orientation of a review's extracted phrases; its label is ``label_for`` of it.
 
-    No extracted phrase means a zero mean, which labels POS; the result is
-    flagged so downstream reporting can count it. ``so_cache`` memoizes phrase
-    orientations across reviews.
+    No extracted phrase means a zero mean, which labels POS; ``no_phrase``
+    flags it so downstream reporting can count it. ``so_cache`` memoizes
+    phrase orientations across reviews.
     """
     single = TaggedCorpus(documents=(review,), source="review")
-    occurrences = extract_phrases(single, rules)
-    if not occurrences:
-        return PmiReviewResult(label=POS, mean_so=0.0, n_phrases=0, no_phrase=True)
+    cache = {} if so_cache is None else so_cache
     values = []
-    for occ in occurrences:
-        if so_cache is not None and occ.phrase in so_cache:
-            values.append(so_cache[occ.phrase])
-            continue
-        value = so_phrase(index, occ.phrase, pos_seed=pos_seed, neg_seed=neg_seed,
-                          unit=unit).so
-        if so_cache is not None:
-            so_cache[occ.phrase] = value
-        values.append(value)
-    mean = sum(values) / len(values)
-    label = NEG if mean < 0.0 else POS
-    return PmiReviewResult(label=label, mean_so=mean, n_phrases=len(values), no_phrase=False)
+    for occ in extract_phrases(single, rules):
+        if occ.phrase not in cache:
+            cache[occ.phrase] = so_phrase(index, occ.phrase, pos_seed=pos_seed,
+                                          neg_seed=neg_seed, unit=unit).so
+        values.append(cache[occ.phrase])
+    mean = sum(values) / len(values) if values else 0.0
+    return PmiReviewResult(mean_so=mean, n_phrases=len(values))

@@ -8,7 +8,6 @@ from sentaxis.axis import (
     SentimentAxis,
     build_distance_matrix,
     build_reference_vectors,
-    correlate_with_gold,
     load_axis,
     load_orientation_lexicon,
     orient_by_seed,
@@ -29,7 +28,6 @@ from sentaxis.errors import (
     OovError,
     PartitionError,
     SeedMissingError,
-    UndefinedCorrelationError,
 )
 from sentaxis.patterns import PointWordSet
 from sentaxis.vectors import EmbeddingTable, cosine_distance, cosine_similarity
@@ -346,48 +344,6 @@ class TestScaleInvariance:
         after = score_vocabulary(oriented_scaled, scaled).scores
         for word in base:
             assert after[word] == pytest.approx(base[word], abs=1e-9)
-
-
-class TestCorrelation:
-    def proj(self, words, pc1):
-        return AxisProjection(words=tuple(words), pc1=np.array(pc1, dtype=float),
-                              pc2=np.zeros(len(words)), explained_variance=(1.0, 0.0))
-
-    def test_identical_series_is_one(self):
-        values = [0.5, -0.2, 1.4, -1.1]
-        proj = self.proj(["a", "b", "c", "d"], values)
-        gold = PolarityLexicon(entries=dict(zip(["a", "b", "c", "d"], values)))
-        assert correlate_with_gold(proj, gold) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negated_series_is_also_one(self):
-        values = [0.5, -0.2, 1.4, -1.1]
-        proj = self.proj(["a", "b", "c", "d"], values)
-        gold = PolarityLexicon(entries={w: -v for w, v in zip("abcd", values)})
-        assert correlate_with_gold(proj, gold) == pytest.approx(1.0, abs=1e-12)
-
-    def test_twenty_pair_fixture_matches_spreadsheet(self):
-        # frozen from the n*sxy sums formula
-        x = [0.31, -0.74, 1.25, -1.9, 0.44, 2.01, -0.15, 0.88, -1.32, 0.07,
-             1.61, -0.52, 0.93, -2.2, 0.18, 1.07, -0.81, 0.62, -0.29, 1.44]
-        y = [0.9, -1.1, 2.4, -2.8, 1.3, 3.6, 0.2, 1.1, -1.7, -0.3,
-             2.9, -0.9, 2.2, -3.9, 0.8, 1.6, -1.8, 0.5, -1.0, 2.5]
-        words = [f"w{i}" for i in range(20)]
-        proj = self.proj(words, x)
-        gold = PolarityLexicon(entries=dict(zip(words, y)))
-        assert correlate_with_gold(proj, gold) == \
-            pytest.approx(0.9803440074251275, abs=1e-9)
-
-    def test_constant_series_raises(self):
-        proj = self.proj(["a", "b"], [1.0, 1.0])
-        gold = PolarityLexicon(entries={"a": 0.5, "b": -0.5})
-        with pytest.raises(UndefinedCorrelationError):
-            correlate_with_gold(proj, gold)
-
-    def test_too_few_shared_words_raises(self):
-        proj = self.proj(["a", "b"], [1.0, -1.0])
-        gold = PolarityLexicon(entries={"a": 0.5, "zzz": -0.5})
-        with pytest.raises(InsufficientDataError):
-            correlate_with_gold(proj, gold)
 
 
 class TestPersistence:

@@ -1,9 +1,10 @@
 import pytest
 
-from sentaxis.cli import main
+from sentaxis.cli import _sgns_config_from, build_parser, main
 from sentaxis.corpus import save_polarity_lexicon
 from sentaxis.evaluation import read_report
 from sentaxis.patterns import extract_phrases, load_point_words, select_point_words
+from sentaxis.sgns import SgnsConfig
 from sentaxis.vectors import load_embeddings
 
 from corpus_helpers import save_tagged_corpus
@@ -421,3 +422,52 @@ def test_pmi_seeds_are_lowercased_like_the_corpus(world, tmp_path):
                      "--reviews", str(world["reviews"]), "--seeds", seeds,
                      "--report", str(reports[-1])]) == 0
     assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+@pytest.mark.parametrize("command,argv,error", [
+    pytest.param("select-points", ["--phrases", "nope-phrases.tsv", "--cutoff", "0"],
+                 "--cutoff must be >= 1", id="select-points"),
+    pytest.param("train-embeddings", ["--dim", "0"], "dim must be", id="train-embeddings"),
+    pytest.param("pipeline",
+                 ["--reviews", "nope-reviews.tsv", "--mode", "unsup", "--cutoff", "0"],
+                 "--cutoff must be >= 1", id="pipeline"),
+    pytest.param("sweep", ["--reviews", "nope-reviews.tsv", "--embeddings", "nope-v.txt",
+                           "--mode", "unsup", "--cutoffs", "0..2"],
+                 "invalid cutoff range", id="sweep"),
+])
+def test_bad_cutoff_or_training_flag_rejected_before_any_file(tmp_path, capsys,
+                                                              command, argv, error):
+    # the input files do not exist: the flag must be checked first
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a.startswith("nope") else a for a in argv]
+    out_flag = "--csv" if command == "sweep" else "--out"
+    code = main([command, "--corpus", str(tmp_path / "nope.tsv"), *argv, out_flag, str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and "nope" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-embeddings", "--corpus", "c.tsv", "--out", "v.txt"],
+    ["pipeline", "--corpus", "c.tsv", "--reviews", "r.tsv", "--mode", "unsup",
+     "--out", "run"],
+])
+def test_training_flags_default_to_sgns_config(argv):
+    assert _sgns_config_from(build_parser().parse_args(argv)) == SgnsConfig()
+
+
+@pytest.mark.parametrize("command,required", [
+    ("build-axis", ["--embeddings", "v.txt", "--points", "p.tsv", "--out", "axis"]),
+    ("sweep", ["--corpus", "c.tsv", "--reviews", "r.tsv", "--embeddings", "v.txt",
+               "--cutoffs", "2", "--csv", "s.csv"]),
+    ("pipeline", ["--corpus", "c.tsv", "--reviews", "r.tsv", "--out", "run"]),
+])
+def test_axis_flags_are_the_same_on_every_command(command, required):
+    parser = build_parser()
+    args = parser.parse_args([command, *required, "--mode", "semi"])
+    assert (args.mode, args.lexicon, args.seed_word) == ("semi", None, "excellent")
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, *required, "--mode", "pmi"])
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, *required])

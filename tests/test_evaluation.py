@@ -6,6 +6,7 @@ from sentaxis.axis import OrientationLexicon
 from sentaxis.corpus import (
     NEG,
     POS,
+    label_for,
     save_polarity_lexicon,
 )
 from sentaxis.errors import ConfigError, EmptyInputError, PipelineError
@@ -69,6 +70,10 @@ class TestClassifyReview:
         assert classify_review(review_of(*[words[i] for i in order]), lex) == base
 
 
+def test_label_for_is_neg_only_below_zero():
+    assert [label_for(m) for m in (-1e-300, -0.0, 0.0, 1e-300)] == [NEG, POS, POS, POS]
+
+
 class TestEvaluate:
     def reviews(self):
         return [
@@ -116,6 +121,18 @@ class TestEvaluate:
                            review_of("the", label=NEG)], lex)
         assert report.n_undecided == 2
         assert report.confusion == ((1, 0), (1, 0))
+
+    @pytest.mark.parametrize("words,scores", [
+        pytest.param(("good", "bad"), {"good": 0.5, "bad": -0.5}, id="cancelling"),
+        pytest.param(("flat",), {"flat": -0.0}, id="negative-zero"),
+    ])
+    def test_zero_mean_is_positive_and_decided(self, words, scores):
+        lex = lexicon_of(**scores)
+        review = review_of(*words, label=NEG)
+        assert review_mean(review, lex) == (0.0, len(words))
+        report = evaluate([review], lex)
+        assert report.confusion == ((0, 0), (1, 0))
+        assert report.n_undecided == 0
 
     def test_empty_reviews_raise(self):
         with pytest.raises(EmptyInputError):

@@ -255,6 +255,21 @@ class TestClassifyReview:
             result = classify_review_pmi(index, self.review(*pairs))
             assert result.label == expected
 
+    def test_cancelling_phrases_label_pos_and_are_decided(self):
+        # "very good" is NEAR excellent and "truly bad" NEAR poor equally often
+        index = build_near_index(make_corpus(
+            [words_doc("very", "good", "excellent")] * 2
+            + [words_doc("truly", "bad", "poor")] * 2), window=10)
+        assert so_phrase(index, ("very", "good")).so == -so_phrase(index, ("truly", "bad")).so
+        review = self.review(("very", "RB"), ("good", "JJ"), (".", "."),
+                             ("truly", "RB"), ("bad", "JJ"), (".", "."), label=NEG)
+        result = classify_review_pmi(index, review)
+        assert (result.mean_so, result.n_phrases) == (0.0, 2)
+        assert result.label == POS and not result.no_phrase
+        report = evaluate_pmi(index, [review])
+        assert report.confusion == ((0, 0), (1, 0))
+        assert report.n_undecided == 0
+
     def test_so_cache_reused(self):
         index = make_index(2, 1, 3, 3)
         cache = {}

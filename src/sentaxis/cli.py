@@ -66,13 +66,23 @@ def _parse_cutoffs(text: str) -> list[int]:
     return values
 
 
+# SgnsConfig fields set by a flag of another name
+_FIELD_FLAGS = {"initial_learning_rate": "--lr", "min_count": "--min-count",
+                "subsample_threshold": "--subsample"}
+
+
 def _sgns_config_from(args) -> SgnsConfig:
-    return SgnsConfig(
-        dim=args.dim, window=args.window, negatives=args.negatives,
-        epochs=args.epochs, initial_learning_rate=args.lr,
-        min_count=args.min_count, subsample_threshold=args.subsample,
-        rng_seed=args.seed,
-    )
+    """The training flags' SgnsConfig; an error names a renamed field's flag too."""
+    try:
+        return SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
+                          epochs=args.epochs, initial_learning_rate=args.lr,
+                          min_count=args.min_count, subsample_threshold=args.subsample,
+                          rng_seed=args.seed)
+    except ConfigError as exc:
+        field, _, fault = str(exc).partition(" ")
+        if field not in _FIELD_FLAGS:
+            raise
+        raise ConfigError(f"{_FIELD_FLAGS[field]} ({field}) {fault}") from None
 
 
 def _add_training_args(parser: argparse.ArgumentParser) -> None:

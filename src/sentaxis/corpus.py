@@ -10,6 +10,13 @@ Two tagged-corpus file formats are supported:
 Labeled review sets use a third format: ``LABEL<TAB>token_TAG token_TAG ...``
 with one review per line and LABEL in {POS, NEG}.
 
+A corpus is held as columns, not as an object per token (:class:`TaggedCorpus`).
+A loader maps each format-A line, or each ``token_TAG`` piece, to the id of
+its distinct text, parses each distinct text once in first-seen order (so
+words and tags are numbered in that order, and the first bad text is the
+file's first bad line, whose number is looked up only then), and gathers
+the token columns from the ids with numpy.
+
 A tagged corpus is decoded whole but split into lines a piece of about
 ``PIECE_CHARS`` characters at a time, so the lines of a large file never all
 exist at once. Each piece ends right after a ``"\\n"``, so no ``"\\r\\n"`` is
@@ -23,7 +30,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from . import records
 from .errors import EmptyInputError, ParseError
@@ -70,27 +79,62 @@ class TaggedDocument:
             raise ValueError(f"document {self.id!r} has label {self.label!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TaggedCorpus:
-    documents: tuple[TaggedDocument, ...]
+    """Documents as columns: ``words`` and ``tags`` are the distinct strings in
+    first-seen order, ``word_ids`` (int32) and ``tag_ids`` (small unsigned)
+    hold one id per token, and document i is tokens ``offsets[i]:offsets[i +
+    1]`` (int64), named ``ids[i]`` and labeled ``labels[i]`` (or None)."""
+
+    words: tuple[str, ...]
+    tags: tuple[str, ...]
+    word_ids: np.ndarray
+    tag_ids: np.ndarray
+    offsets: np.ndarray
+    ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
     source: str = ""
 
     def __post_init__(self):
-        ids = [d.id for d in self.documents]
-        if len(ids) != len(set(ids)):
-            seen, dup = set(), None
-            for i in ids:
-                if i in seen:
-                    dup = i
-                    break
-                seen.add(i)
-            raise ValueError(f"duplicate document id {dup!r}")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError(f"duplicate document id {Counter(self.ids).most_common(1)[0][0]!r}")
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.ids)
+
+    def __getitem__(self, docs: slice) -> TaggedCorpus:
+        """Documents ``docs`` (a slice without step) as views: O(their tokens)."""
+        start, stop, _ = docs.indices(len(self))
+        stop = max(start, stop)
+        first, last = self.offsets[start], self.offsets[stop]
+        return TaggedCorpus(self.words, self.tags, self.word_ids[first:last],
+                            self.tag_ids[first:last], self.offsets[start:stop + 1] - first,
+                            self.ids[start:stop], self.labels[start:stop], self.source)
+
+    def take(self, docs: list[int]) -> TaggedCorpus:
+        """The documents at the ascending indices ``docs``, copied."""
+        lengths = np.diff(self.offsets)
+        tokens = np.repeat(np.isin(np.arange(len(self)), docs), lengths)
+        return TaggedCorpus(self.words, self.tags, self.word_ids[tokens], self.tag_ids[tokens],
+                            np.append(0, np.cumsum(lengths[docs])),
+                            *(tuple(map(column.__getitem__, docs))
+                              for column in (self.ids, self.labels)), self.source)
+
+    @property
+    def documents(self) -> tuple[TaggedDocument, ...]:
+        """Every document as a value; for tests and inspection, no stage walks them."""
+        tokens = list(map(TaggedToken, map(self.words.__getitem__, self.word_ids.tolist()),
+                          map(self.tags.__getitem__, self.tag_ids.tolist())))
+        bounds = self.offsets.tolist()
+        return tuple(TaggedDocument(doc_id, tuple(tokens[a:b]), label)
+                     for doc_id, a, b, label in zip(self.ids, bounds, bounds[1:], self.labels))
 
     def __iter__(self):
         return iter(self.documents)
+
+    def __eq__(self, other):
+        return isinstance(other, TaggedCorpus) and \
+            (self.source, self.documents) == (other.source, other.documents)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,8 +161,12 @@ class FreqTable:
             raise ValueError("total does not match sum of counts")
 
 
-def _finish_document(doc_index: int, tokens: list[TaggedToken]) -> TaggedDocument:
-    return TaggedDocument(id=f"d{doc_index:06d}", tokens=tuple(tokens))
+class _FirstSeenIds(dict):
+    """text -> id; looking up a new text gives it the next id."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = text_id = len(self)
+        return text_id
 
 
 def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedCorpus:
@@ -126,14 +174,17 @@ def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedC
     path = Path(path)
     text = records.read_text(path)
     if format == FORMAT_ONE_TOKEN_PER_LINE:
-        documents = _parse_one_token_per_line(text, path)
+        columns = _parse_items(_lines(text), _parse_token_line, path, lambda p, n: p + 1)
     elif format == FORMAT_INLINE:
-        documents = _parse_inline(text, path)
+        items = chain.from_iterable((*line.split(), "\n") for line in _lines(text))
+        columns = _parse_items(items, _parse_piece, path, lambda p, n: n + 1)
     else:
         raise ValueError(f"unknown corpus format {format!r}")
-    if not documents:
+    n_docs = len(columns[-1]) - 1
+    if not n_docs:
         raise EmptyInputError(f"{path}: no documents found")
-    return TaggedCorpus(documents=tuple(documents), source=str(path))
+    return TaggedCorpus(*columns, ids=tuple(f"d{i:06d}" for i in range(n_docs)),
+                        labels=(None,) * n_docs, source=str(path))
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -151,85 +202,76 @@ def _pieces(text: str, size: int) -> Iterator[str]:
         start = end
 
 
-def _parse_one_token_per_line(text: str, path) -> list[TaggedDocument]:
-    documents: list[TaggedDocument] = []
-    tokens: list[TaggedToken] = []
-    # a line's token depends only on its text, and a corpus repeats few
-    # distinct lines, so each is parsed (and checked) once, at its first line
-    parsed: dict[str, TaggedToken | None] = {}
-    for lineno, line in enumerate(_lines(text), start=1):
+def _parse_items(items: Iterable[str], parse: Callable, path, line_of: Callable):
+    """Columns of the documents (runs of tokens) in ``items``: format-A lines,
+    or ``token_TAG`` pieces with a ``"\\n"`` after each line's. ``parse`` gives
+    an item's (word, tag), None for a separator, or raises ValueError, which
+    is reported at ``line_of(p, n)``: the item at p, after n separators."""
+    texts = _FirstSeenIds()
+    item_ids = np.fromiter(map(texts.__getitem__, items), dtype=np.int32)
+    words, tags = _FirstSeenIds(), _FirstSeenIds()
+    word_of, tag_of = np.full(len(texts), -1, dtype=np.int32), np.zeros(len(texts), np.int64)
+    for k, text in enumerate(texts):
         try:
-            token = parsed[line]
-        except KeyError:
-            token = parsed[line] = _parse_token_line(line, path, lineno)
+            token = parse(text)
+        except ValueError as exc:
+            # every item before text k's first one is of an earlier, parsed text
+            p = int(np.argmax(item_ids == k))
+            n = int(np.count_nonzero(word_of[item_ids[:p]] < 0))
+            raise ParseError(str(exc), path=path, line=line_of(p, n)) from None
         if token is not None:
-            tokens.append(token)
-        elif tokens:
-            documents.append(_finish_document(len(documents), tokens))
-            tokens = []
-    if tokens:
-        documents.append(_finish_document(len(documents), tokens))
-    return documents
+            word_of[k], tag_of[k] = words[token[0]], tags[token[1]]
+    is_token = (word_of >= 0)[item_ids]
+    # a document starts at each token after a separator (or at the first
+    # item); its first token's index is its item's minus the separators before
+    starts = np.flatnonzero(np.diff(is_token.view(np.int8), prepend=0) == 1)
+    offsets = np.append(starts - np.searchsorted(np.flatnonzero(~is_token), starts),
+                        np.count_nonzero(is_token)).astype(np.int64)
+    token_items = item_ids[is_token]
+    tag_of = tag_of.astype(np.min_scalar_type(len(tags)))
+    return tuple(words), tuple(tags), word_of[token_items], tag_of[token_items], offsets
 
 
-def _parse_token_line(line: str, path, lineno: int) -> TaggedToken | None:
-    """The token of one format-A line, or None for a blank line."""
+def _parse_token_line(line: str) -> tuple[str, str] | None:
+    """The (word, tag) of one format-A line, or None for a blank line."""
     if not line.strip():
         return None
     parts = line.split("\t")
     if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-        raise ParseError("expected 'token<TAB>TAG'", path=path, line=lineno)
+        raise ValueError("expected 'token<TAB>TAG'")
     # the vector file, format B and the review format all separate tokens
     # by whitespace, so a token holding any could not be written back
     token = parts[0].strip().lower()
     if len(token.split()) != 1:
-        raise ParseError(f"token {token!r} contains whitespace", path=path, line=lineno)
-    return TaggedToken(text=token, tag=parts[1].strip())
+        raise ValueError(f"token {token!r} contains whitespace")
+    return token, parts[1].strip()
 
 
-def _parse_inline(text: str, path) -> list[TaggedDocument]:
-    documents: list[TaggedDocument] = []
-    parsed: dict[str, TaggedToken] = {}
-    for lineno, line in enumerate(_lines(text), start=1):
-        if not line.strip():
-            continue
-        tokens = _parse_inline_tokens(line, path, lineno, parsed)
-        documents.append(_finish_document(len(documents), tokens))
-    return documents
-
-
-def _parse_inline_tokens(line: str, path, lineno: int,
-                         parsed: dict[str, TaggedToken]) -> list[TaggedToken]:
-    """Tokens of one ``token_TAG ...`` line; ``parsed`` caches each distinct piece."""
-    tokens = []
-    for piece in line.split():
-        try:
-            token = parsed[piece]
-        except KeyError:
-            word, sep, tag = piece.rpartition("_")
-            if not sep or not word or not tag:
-                raise ParseError(
-                    f"expected 'token_TAG', got {piece!r}", path=path, line=lineno
-                ) from None
-            token = parsed[piece] = TaggedToken(text=word.lower(), tag=tag)
-        tokens.append(token)
-    return tokens
+def _parse_piece(piece: str) -> tuple[str, str] | None:
+    """The (word, tag) of one ``token_TAG`` piece, or None for the end of a line."""
+    if piece == "\n":
+        return None
+    word, sep, tag = piece.rpartition("_")
+    if not sep or not word or not tag:
+        raise ValueError(f"expected 'token_TAG', got {piece!r}")
+    return word.lower(), tag
 
 
 def load_labeled_reviews(path) -> TaggedCorpus:
     """Parse ``LABEL<TAB>token_TAG token_TAG ...`` records (see :mod:`.records`)."""
     _, rows = records.read(path, ("LABEL", "tagged text"))
-    documents: list[TaggedDocument] = []
-    parsed: dict[str, TaggedToken] = {}
-    for line, (label, text) in rows:
-        if label.strip().upper() not in (POS, NEG):
-            raise ParseError(f"label must be POS or NEG, got {label!r}", path=path, line=line)
-        tokens = _parse_inline_tokens(text, path, line, parsed)
-        documents.append(TaggedDocument(id=f"r{len(documents):06d}", tokens=tuple(tokens),
-                                        label=label.strip().upper()))
-    if not documents:
+    labels = tuple(label.strip().upper() for _, (label, _) in rows)
+    bad = next((i for i, label in enumerate(labels) if label not in (POS, NEG)), len(rows))
+    # a bad piece on an earlier line than the first bad label is the first error
+    items = chain.from_iterable((*text.split(), "\n") for _, (_, text) in rows[:bad])
+    columns = _parse_items(items, _parse_piece, path, lambda p, n: rows[n][0])
+    if bad < len(rows):
+        line, (label, _) = rows[bad]
+        raise ParseError(f"label must be POS or NEG, got {label!r}", path=path, line=line)
+    if not rows:
         raise EmptyInputError(f"{path}: no labeled reviews found")
-    return TaggedCorpus(documents=tuple(documents), source=str(path))
+    return TaggedCorpus(*columns, ids=tuple(f"r{i:06d}" for i in range(len(rows))),
+                        labels=labels, source=str(path))
 
 
 def load_polarity_lexicon(path) -> PolarityLexicon:
@@ -250,9 +292,8 @@ def save_polarity_lexicon(lexicon: PolarityLexicon, path) -> None:
     records.write(path, sorted(lexicon.entries.items()))
 
 
-def count_frequencies(corpus: TaggedCorpus | Iterable[TaggedDocument]) -> FreqTable:
-    """Token-occurrence counts over the whole corpus, keyed by word string."""
-    counts: Counter[str] = Counter()
-    for doc in corpus:
-        counts.update(t.text for t in doc.tokens)
-    return FreqTable(counts=dict(counts), total=sum(counts.values()))
+def count_frequencies(corpus: TaggedCorpus) -> FreqTable:
+    """Token-occurrence counts of the words that occur, keyed by word string."""
+    counts = np.bincount(corpus.word_ids, minlength=len(corpus.words)).tolist()
+    return FreqTable(counts={word: n for word, n in zip(corpus.words, counts) if n},
+                     total=len(corpus.word_ids))

@@ -21,7 +21,6 @@ from .corpus import (
     POS,
     FORMAT_ONE_TOKEN_PER_LINE,
     TaggedCorpus,
-    TaggedDocument,
     label_for,
     load_labeled_reviews,
     load_polarity_lexicon,
@@ -61,40 +60,38 @@ class SweepRow:
     reason: str = ""
 
 
-def review_mean(review: TaggedDocument, lexicon: axis_mod.OrientationLexicon) -> tuple[float, int]:
-    """Mean orientation over in-lexicon tokens and how many tokens scored."""
+def review_mean(review: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> tuple[float, int]:
+    """Mean orientation over in-lexicon tokens (summed in order) and how many scored."""
     total = 0.0
     n = 0
-    for token in review.tokens:
-        if token.text in lexicon:
-            total += lexicon.score(token.text)
+    for score in map(lexicon.scores.get, map(review.words.__getitem__, review.word_ids.tolist())):
+        if score is not None:
+            total += score
             n += 1
     return (total / n if n else 0.0), n
 
 
-def classify_review(review: TaggedDocument, lexicon: axis_mod.OrientationLexicon) -> str:
+def classify_review(review: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> str:
     """The review's label: ``label_for`` of its mean orientation."""
     return label_for(review_mean(review, lexicon)[0])
 
 
-def _gold_documents(reviews: TaggedCorpus | Iterable[TaggedDocument]) -> list[TaggedDocument]:
-    docs = list(reviews)
-    if not docs:
+def _check_gold(reviews: TaggedCorpus) -> None:
+    if not len(reviews):
         raise EmptyInputError("no reviews to evaluate")
-    unlabeled = [d.id for d in docs if d.label not in (POS, NEG)]
+    unlabeled = [i for i, gold in zip(reviews.ids, reviews.labels) if gold not in (POS, NEG)]
     if unlabeled:
         raise ConfigError(f"reviews without gold labels: {unlabeled[:5]}")
-    return docs
 
 
-def _tally(docs: list[TaggedDocument], score: Callable[[TaggedDocument], tuple[float, int]],
+def _tally(reviews: TaggedCorpus, score: Callable[[TaggedCorpus], tuple[float, int]],
            config_snapshot: dict | None) -> EvalReport:
-    """Label each review by its ``score`` (mean, n); n == 0 counts it undecided."""
+    """Label each review by the ``score`` (mean, n) of its slice; n == 0 is undecided."""
     confusion = {(POS, POS): 0, (POS, NEG): 0, (NEG, POS): 0, (NEG, NEG): 0}
     undecided = 0
-    for doc in docs:
-        mean, n = score(doc)
-        confusion[(doc.label, label_for(mean))] += 1
+    for i, gold in enumerate(reviews.labels):
+        mean, n = score(reviews[i:i + 1])
+        confusion[(gold, label_for(mean))] += 1
         undecided += n == 0
     n_total = sum(confusion.values())
     n_correct = confusion[(POS, POS)] + confusion[(NEG, NEG)]
@@ -111,15 +108,14 @@ def _tally(docs: list[TaggedDocument], score: Callable[[TaggedDocument], tuple[f
     )
 
 
-def evaluate(reviews: TaggedCorpus | Iterable[TaggedDocument],
-             lexicon: axis_mod.OrientationLexicon,
+def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon,
              config_snapshot: dict | None = None) -> EvalReport:
     """Accuracy and confusion of lexicon classification against gold labels."""
-    return _tally(_gold_documents(reviews), lambda doc: review_mean(doc, lexicon),
-                  config_snapshot)
+    _check_gold(reviews)
+    return _tally(reviews, lambda review: review_mean(review, lexicon), config_snapshot)
 
 
-def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus | Iterable[TaggedDocument],
+def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
                  pos_seed: str = pmi.DEFAULT_POS_SEED,
                  neg_seed: str = pmi.DEFAULT_NEG_SEED,
                  config_snapshot: dict | None = None,
@@ -129,30 +125,28 @@ def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus | Iterable[TaggedDo
     Both seeds are checked before any review is classified, so a missing seed
     is an error even when no review yields a phrase.
     """
-    docs = _gold_documents(reviews)
+    _check_gold(reviews)
     pmi.seed_hits(index, pos_seed, neg_seed, unit)
     rules = patterns.builtin_rules()
     cache: dict = {}
 
-    def score(doc: TaggedDocument) -> tuple[float, int]:
-        result = pmi.classify_review_pmi(index, doc, rules, pos_seed=pos_seed,
+    def score(review: TaggedCorpus) -> tuple[float, int]:
+        result = pmi.classify_review_pmi(index, review, rules, pos_seed=pos_seed,
                                          neg_seed=neg_seed, so_cache=cache, unit=unit)
         return result.mean_so, result.n_phrases
 
-    return _tally(docs, score, config_snapshot)
+    return _tally(reviews, score, config_snapshot)
 
 
 def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,
                    min_tokens: int | None = None) -> TaggedCorpus:
     """Review-filter hook: drop short reviews, then truncate to the first N."""
-    docs = reviews.documents
-    if min_tokens is not None:
-        docs = tuple(d for d in docs if len(d.tokens) >= min_tokens)
-    if limit is not None:
-        docs = docs[:limit]
-    if not docs:
+    bounds = reviews.offsets.tolist()
+    kept = [i for i in range(len(reviews))
+            if bounds[i + 1] - bounds[i] >= (min_tokens or 0)][:limit]
+    if not kept:
         raise EmptyInputError("review filter left no reviews")
-    return TaggedCorpus(documents=docs, source=reviews.source)
+    return reviews.take(kept)
 
 
 def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,

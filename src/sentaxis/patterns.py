@@ -4,14 +4,21 @@ The five built-in rules match a bigram by the tags of its two words plus a
 constraint on the tag of the word after it; at a document's final bigram the
 missing third word satisfies every constraint. When several rules match one
 position, the lowest-numbered rule wins and a single occurrence is emitted.
+
+Extraction is one gather from the tag ids through a table ``rule[tag1, tag2,
+third]`` of the lowest-numbered matching rule (0 for none), ``third`` being
+the class of the next word: NN or NNS, another tag, or none at a document's
+end. The table is cached per rules and ``tags``, so review slices share it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
+from itertools import chain, compress, repeat
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +28,8 @@ from .errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError, Pars
 
 #: Tags whose bearers count as modifiers when collecting point words.
 MODIFIER_TAGS = frozenset({"JJ", "JJR", "JJS", "RB", "RBR", "RBS"})
+#: Tags of a third word that ``ThirdWord.NOT_NN_NOR_NNS`` rejects.
+NOUN_TAGS = frozenset({"NN", "NNS"})
 
 
 class ThirdWord(enum.Enum):
@@ -41,11 +50,10 @@ class PatternRule:
     def third_allows(self, tag: str | None) -> bool:
         if self.third is ThirdWord.ANYTHING or tag is None:
             return True
-        return tag not in ("NN", "NNS")
+        return tag not in NOUN_TAGS
 
 
-@dataclass(frozen=True, slots=True)
-class PhraseOccurrence:
+class PhraseOccurrence(NamedTuple):  # a tuple: extraction makes one per match
     w1: str
     w2: str
     rule_index: int
@@ -89,25 +97,42 @@ def builtin_rules() -> list[PatternRule]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
+    """``rule[tag1, tag2, third]`` and each tag id's third-word class: 0 NN or NNS, 1
+    another tag, 2 tag id ``len(tags)``, a document boundary (no rule's second word)."""
+    table = np.zeros((len(tags), len(tags) + 1, 3), dtype=np.int32)
+    # lower-numbered rules are written last, so they win
+    for rule_index, rule in reversed(list(enumerate(rules, start=1))):
+        table[np.ix_([tag in rule.first for tag in tags],
+                     [tag in rule.second for tag in tags] + [False],
+                     # one tag of each third-word class
+                     [rule.third_allows(tag) for tag in ("NN", "", None)])] = rule_index
+    third_class = np.array([0 if tag in NOUN_TAGS else 1 for tag in tags] + [2], dtype=np.intp)
+    table.flags.writeable = third_class.flags.writeable = False  # the cache shares them
+    return table, third_class
+
+
 def extract_phrases(corpus: TaggedCorpus,
                     rules: Sequence[PatternRule] | None = None) -> list[PhraseOccurrence]:
     """All rule-matching bigram occurrences, in document then position order."""
-    if rules is None:
-        rules = builtin_rules()
-    occurrences: list[PhraseOccurrence] = []
-    for doc in corpus.documents:
-        tokens = doc.tokens
-        for i in range(len(tokens) - 1):
-            tag1 = tokens[i].tag
-            tag2 = tokens[i + 1].tag
-            tag3 = tokens[i + 2].tag if i + 2 < len(tokens) else None
-            for rule_index, rule in enumerate(rules, start=1):
-                if tag1 in rule.first and tag2 in rule.second and rule.third_allows(tag3):
-                    occurrences.append(PhraseOccurrence(
-                        w1=tokens[i].text, w2=tokens[i + 1].text,
-                        rule_index=rule_index, doc_id=doc.id, position=i))
-                    break
-    return occurrences
+    tag_ids, n = corpus.tag_ids, len(corpus.tag_ids)
+    if n < 2:
+        return []
+    table, third_class = _rule_table(tuple(builtin_rules() if rules is None else rules),
+                                     corpus.tags)
+    # bigram i is tokens i and i + 1, then marked[i + 2]; document starts are boundaries
+    marked = np.empty(n + 1, dtype=np.intp)
+    marked[:n] = tag_ids
+    marked[corpus.offsets[1:]] = len(corpus.tags)
+    matched = table[tag_ids[:-1], marked[1:n], third_class[marked[2:]]]
+    at = matched.nonzero()[0]
+    doc = corpus.offsets.searchsorted(at, side="right") - 1
+    return list(map(PhraseOccurrence._make, zip(
+        map(corpus.words.__getitem__, corpus.word_ids[at].tolist()),
+        map(corpus.words.__getitem__, corpus.word_ids[at + 1].tolist()),
+        matched[at].tolist(), map(corpus.ids.__getitem__, doc.tolist()),
+        (at - corpus.offsets[doc]).tolist())))
 
 
 def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus,
@@ -122,29 +147,30 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     phrases = list(phrases)
-    type_counts = Counter(occ.phrase for occ in phrases)
-    qualifying = {ph: c for ph, c in type_counts.items() if c >= cutoff}
-    docs = {doc.id: doc for doc in corpus.documents}
-    words: set[str] = set()
-    word_counts: Counter[str] = Counter()
-    for occ in phrases:
-        tokens = docs[occ.doc_id].tokens if occ.doc_id in docs else ()
-        if not (0 <= occ.position < len(tokens) - 1
-                and tokens[occ.position].text == occ.w1
-                and tokens[occ.position + 1].text == occ.w2):
-            raise ConfigError(
-                f"phrase {occ.w1!r} {occ.w2!r} at document {occ.doc_id!r} position "
-                f"{occ.position} is not in the corpus; were the phrases extracted "
-                f"from another corpus?")
-        if occ.phrase not in qualifying:
-            continue
-        for offset, word in ((0, occ.w1), (1, occ.w2)):
-            if tokens[occ.position + offset].tag in MODIFIER_TAGS:
-                words.add(word)
-                word_counts[word] += 1
-    if not words:
+    w1s, w2s, _, doc_ids, positions = tuple(zip(*phrases)) or ((),) * 5
+    qualifying = {ph: c for ph, c in Counter(zip(w1s, w2s)).items() if c >= cutoff}
+    bounds = corpus.offsets.tolist()
+    spans = map(dict(zip(corpus.ids, zip(bounds, bounds[1:]))).get, doc_ids, repeat((0, 0)))
+    # each occurrence's first token, or -1 where its document has no such bigram
+    at = np.array([start + p if 0 <= p < end - start - 1 else -1
+                   for (start, end), p in zip(spans, positions)], dtype=np.int64)
+    word_index = dict(zip(corpus.words, range(len(corpus.words))))
+    found = at >= 0
+    for k, phrase_words in enumerate((w1s, w2s)):
+        found &= corpus.word_ids[at + k] == [word_index.get(w, -1) for w in phrase_words]
+    if not found.all():
+        occ = phrases[int(np.argmin(found))]
+        raise ConfigError(
+            f"phrase {occ.w1!r} {occ.w2!r} at document {occ.doc_id!r} position "
+            f"{occ.position} is not in the corpus; were the phrases extracted "
+            f"from another corpus?")
+    modifier = np.array([tag in MODIFIER_TAGS for tag in corpus.tags], dtype=bool)
+    counted = np.array([ph in qualifying for ph in zip(w1s, w2s)], dtype=bool)
+    word_counts = Counter(chain(compress(w1s, counted & modifier[corpus.tag_ids[at]]),
+                                compress(w2s, counted & modifier[corpus.tag_ids[at + 1]])))
+    if not word_counts:
         raise NoQualifyingPhrasesError(cutoff)
-    return PointWordSet(words=frozenset(words), cutoff=cutoff,
+    return PointWordSet(words=frozenset(word_counts), cutoff=cutoff,
                         phrase_counts=dict(qualifying), word_counts=dict(word_counts))
 
 
@@ -176,14 +202,13 @@ def tag_polarity_variance(annotated: Sequence[tuple[TaggedToken, float]]) -> Tag
 
 def save_phrases(phrases: Iterable[PhraseOccurrence], path) -> None:
     """Records ``w1<TAB>w2<TAB>rule<TAB>doc_id<TAB>position``."""
-    records.write(path, ((o.w1, o.w2, o.rule_index, o.doc_id, o.position) for o in phrases))
+    records.write(path, phrases)
 
 
 def load_phrases(path) -> list[PhraseOccurrence]:
     _, rows = records.read(path, ("w1", "w2", "rule", "doc_id", "position"))
-    return [PhraseOccurrence(w1=w1, w2=w2, rule_index=records.integer(path, line, rule, "rule"),
-                             doc_id=doc_id,
-                             position=records.integer(path, line, position, "position"))
+    return [PhraseOccurrence(w1, w2, records.integer(path, line, rule, "rule"), doc_id,
+                             records.integer(path, line, position, "position"))
             for line, (w1, w2, rule, doc_id, position) in rows]
 
 

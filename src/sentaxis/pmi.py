@@ -28,24 +28,20 @@ a's positions ± pad into b's positions count b's occurrences in reach of
 each occurrence of a: their sum is the token-level count, and the distinct
 documents of the occurrences with a partner are the NEAR documents.
 
-Building the index holds no per-token Python object and no int64 array
-beside the sorted positions: term ids go straight from the tokens into an
-int32 array (each new term numbered in first-seen order), and a boolean mask
-of token and padding slots places them. Its peak is little more than the
-arrays it keeps, 16 bytes a slot.
+The term ids are the corpus's word ids as they are, and a boolean mask of
+token and padding slots places them: building the index holds no per-token
+Python object, and its peak is little more than its arrays, 16 bytes a slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import TaggedCorpus, TaggedDocument, label_for
+from .corpus import TaggedCorpus, label_for
 from .errors import EmptyInputError, SeedMissingError
 from .patterns import PatternRule, extract_phrases
 
@@ -82,14 +78,6 @@ class PmiReviewResult:
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
 
 
-class _FirstSeenIds(dict):
-    """term -> id; looking up a new term gives it the next id."""
-
-    def __missing__(self, term: str) -> int:
-        self[term] = term_id = len(self)
-        return term_id
-
-
 class NearIndex:
     """NEAR(window) index over a corpus, held as position arrays.
 
@@ -101,33 +89,30 @@ class NearIndex:
     demand, so only queried pairs are materialized.
     """
 
-    def __init__(self, documents: Sequence[TaggedDocument], window: int = DEFAULT_WINDOW):
+    def __init__(self, corpus: TaggedCorpus, window: int = DEFAULT_WINDOW):
         if window < 1:
             raise ValueError("window must be >= 1")
-        if not documents:
+        if not len(corpus):
             raise EmptyInputError("corpus is empty")
         self.window = window
-        self.doc_ids = tuple(doc.id for doc in documents)
-        lengths = np.array([len(doc.tokens) for doc in documents])
+        self.doc_ids = corpus.ids
+        lengths = np.diff(corpus.offsets)
         self.pad = min(window, int(lengths.max()))
-        term_ids = _FirstSeenIds()
-        tokens = chain.from_iterable(map(attrgetter("tokens"), documents))
-        ids = np.fromiter(map(term_ids.__getitem__, map(attrgetter("text"), tokens)),
-                          dtype=np.int32, count=int(lengths.sum()))
-        self.term_ids: dict[str, int] = dict(term_ids)
-        pad_id = len(term_ids)
+        self.term_ids: dict[str, int] = dict(zip(corpus.words, range(len(corpus.words))))
+        pad_id = len(corpus.words)
         # each document's tokens, then its padding: a mask over the slots
         runs = np.column_stack((lengths, np.full_like(lengths, self.pad))).ravel()
-        self.terms = np.full(len(ids) + len(documents) * self.pad, pad_id, dtype=np.int32)
-        self.terms[np.repeat(np.tile([True, False], len(documents)), runs)] = ids
-        del ids  # neither it nor doc_of is held while the sort's output is made
-        # a stable sort keeps each term's positions ascending; padding sorts last
-        order = np.argsort(self.terms, kind="stable")
+        self.terms = np.full(len(corpus.word_ids) + lengths.size * self.pad, pad_id, np.int32)
+        self.terms[np.repeat(np.tile([True, False], len(lengths)), runs)] = corpus.word_ids
+        # a stable sort keeps each term's positions ascending; padding sorts last.
+        # numpy sorts 16-bit keys stably by radix sort, about 7x faster here
+        order = np.argsort(self.terms.astype(np.uint16) if pad_id < 2**16 else self.terms,
+                           kind="stable")
         # int32 needles: int64 ones would make searchsorted copy terms to int64
         bounds = np.searchsorted(self.terms[order], np.arange(pad_id + 2, dtype=np.int32))
         self.postings: dict[str, np.ndarray] = {
             term: order[bounds[i]:bounds[i + 1]] for term, i in self.term_ids.items()}
-        self.doc_of = np.repeat(np.arange(len(documents), dtype=np.int32), lengths + self.pad)
+        self.doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths + self.pad)
         self._doc_counts: dict[Term, int] = {}
         self.near_hits: dict[frozenset[Term], set[str]] = {}
 
@@ -183,7 +168,7 @@ class NearIndex:
 
 
 def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> NearIndex:
-    return NearIndex(corpus.documents, window=window)
+    return NearIndex(corpus, window=window)
 
 
 HIT_UNIT_DOCS = "docs"
@@ -244,22 +229,21 @@ def so_phrase(index: NearIndex, phrase: tuple[str, str],
     )
 
 
-def classify_review_pmi(index: NearIndex, review: TaggedDocument,
+def classify_review_pmi(index: NearIndex, review: TaggedCorpus,
                         rules: Sequence[PatternRule] | None = None,
                         pos_seed: str = DEFAULT_POS_SEED,
                         neg_seed: str = DEFAULT_NEG_SEED,
                         so_cache: dict | None = None,
                         unit: str = HIT_UNIT_DOCS) -> PmiReviewResult:
-    """Mean orientation of a review's extracted phrases; its label is ``label_for`` of it.
+    """Mean orientation of a one-review corpus's phrases; its label is ``label_for`` of it.
 
     No extracted phrase means a zero mean, which labels POS; ``no_phrase``
     flags it so downstream reporting can count it. ``so_cache`` memoizes
     phrase orientations across reviews.
     """
-    single = TaggedCorpus(documents=(review,), source="review")
     cache = {} if so_cache is None else so_cache
     values = []
-    for occ in extract_phrases(single, rules):
+    for occ in extract_phrases(review, rules):
         if occ.phrase not in cache:
             cache[occ.phrase] = so_phrase(index, occ.phrase, pos_seed=pos_seed,
                                           neg_seed=neg_seed, unit=unit).so

@@ -137,11 +137,11 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     keep_p = _keep_probabilities(counts, config.subsample_threshold)
     noise_cdf = _noise_cdf(counts)
 
-    doc_ids = [
-        np.array([word_id[t.text] for t in doc.tokens if t.text in word_id], dtype=np.int64)
-        for doc in corpus.documents
-    ]
-    doc_ids = [ids for ids in doc_ids if ids.size]
+    # each token's vocabulary index, -1 for a word below min_count
+    ids = np.array([word_id.get(w, -1) for w in corpus.words], dtype=np.int64)[corpus.word_ids]
+    kept = ids >= 0
+    bounds = np.concatenate(([0], np.cumsum(kept)))[corpus.offsets]
+    doc_ids = [d for d in np.split(ids[kept], bounds[1:-1]) if d.size]
     total_tokens = int(counts.sum())
     train = _load_kernel() or _train_documents
     train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, config.epochs * total_tokens)

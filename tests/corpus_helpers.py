@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from sentaxis.corpus import (
     FORMAT_INLINE,
@@ -26,7 +28,27 @@ def make_corpus(token_lists: Sequence[Sequence[tuple[str, str]]],
             tokens=tuple(TaggedToken(text=w.lower(), tag=t) for w, t in pairs),
             label=label,
         ))
-    return TaggedCorpus(documents=tuple(docs), source=source)
+    return corpus_of(docs, source=source)
+
+
+def corpus_of(documents: Sequence[TaggedDocument], source: str = "inline") -> TaggedCorpus:
+    """The columns of these documents, words and tags numbered in first-seen order."""
+    words: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    tokens = [token for doc in documents for token in doc.tokens]
+    word_ids = np.array([words.setdefault(t.text, len(words)) for t in tokens], dtype=np.int32)
+    tag_ids = np.array([tags.setdefault(t.tag, len(tags)) for t in tokens], dtype=np.int16)
+    offsets = np.cumsum([0] + [len(doc.tokens) for doc in documents], dtype=np.int64)
+    return TaggedCorpus(tuple(words), tuple(tags), word_ids, tag_ids, offsets,
+                        ids=tuple(doc.id for doc in documents),
+                        labels=tuple(doc.label for doc in documents), source=source)
+
+
+def join(corpora: Iterable[TaggedCorpus]) -> TaggedCorpus:
+    """One corpus of the documents of ``corpora`` in order, renumbered."""
+    docs = [doc for corpus in corpora for doc in corpus]
+    return make_corpus([[(t.text, t.tag) for t in doc.tokens] for doc in docs],
+                       labels=[doc.label for doc in docs])
 
 
 def save_tagged_corpus(corpus: TaggedCorpus, path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> None:

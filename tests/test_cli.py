@@ -448,6 +448,20 @@ def test_bad_cutoff_or_training_flag_rejected_before_any_file(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,error", [
+    ("--lr", "2", "--lr (initial_learning_rate) must be in (0, 1)"),
+    ("--min-count", "0", "--min-count (min_count) must be in [1, 2**62)"),
+    ("--subsample", "-1", "--subsample (subsample_threshold) must be a finite number >= 0"),
+], ids=["lr", "min-count", "subsample"])
+def test_training_config_error_names_the_flag(tmp_path, capsys, flag, value, error):
+    out = tmp_path / "v.txt"
+    code = main(["train-embeddings", "--corpus", str(tmp_path / "nope.tsv"), flag, value,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train-embeddings", "--corpus", "c.tsv", "--out", "v.txt"],
     ["pipeline", "--corpus", "c.tsv", "--reviews", "r.tsv", "--mode", "unsup",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,6 @@ from sentaxis.corpus import (
     NEG,
     POS,
     FreqTable,
-    TaggedCorpus,
     TaggedDocument,
     TaggedToken,
     count_frequencies,
@@ -18,7 +18,7 @@ from sentaxis.corpus import (
 )
 from sentaxis.errors import EmptyInputError, ParseError
 
-from corpus_helpers import make_corpus, save_tagged_corpus
+from corpus_helpers import corpus_of, make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -147,6 +147,70 @@ class TestRepeatedLines:
         assert err.value.line == 3
 
 
+
+class TestDistinctTextErrors:
+    """Each distinct line or piece is checked once, in first-seen order; an
+    error must still name the line where the bad text first occurs (a bad
+    text that repeats: TestRepeatedLines)."""
+
+    def test_format_a_bad_line_after_many_pieces_names_its_line(self, tmp_path, monkeypatch):
+        text = "good\tJJ\r\nfilm\tNN\n\n" * 3000 + "good\tJJ\nplot\nfilm\tNN\nplot\n"
+        monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 4096)
+        assert len(list(corpus_mod._pieces(text, 4096))) > 10
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(write(tmp_path, "c.tsv", text))
+        assert err.value.line == 9002
+
+    def test_format_b_bad_piece_after_many_pieces_names_its_line(self, tmp_path, monkeypatch):
+        text = "good_JJ film_NN\r\n\n" * 3000 + "good_JJ plot\nfilm_NN plot\n"
+        monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 4096)
+        with pytest.raises(ParseError) as err:
+            load_tagged_corpus(write(tmp_path, "c.txt", text), FORMAT_INLINE)
+        assert err.value.line == 6001
+
+    def test_review_bad_piece_after_many_lines_names_its_line(self, tmp_path):
+        text = "POS\tgood_JJ film_NN\nNEG\tbad_JJ film_NN\n" * 3000 + "NEG\tfilm plot\n"
+        with pytest.raises(ParseError) as err:
+            load_labeled_reviews(write(tmp_path, "r.tsv", text))
+        assert err.value.line == 6001
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("POS\tgood_JJ\nNEU\tgood_JJ\nPOS\tplot\n", 2, "label must be POS or NEG"),
+        ("POS\tgood_JJ\nPOS\tplot\nNEU\tgood_JJ\n", 2, "expected 'token_TAG'"),
+        ("POS\tgood_JJ\nNEU\tplot\n", 2, "label must be POS or NEG"),
+    ], ids=["label-first", "piece-first", "same-line"])
+    def test_review_first_bad_label_or_piece_is_reported(self, tmp_path, text, line, message):
+        with pytest.raises(ParseError) as err:
+            load_labeled_reviews(write(tmp_path, "r.tsv", text))
+        assert err.value.line == line
+        assert message in str(err.value)
+
+
+class TestColumns:
+    def test_loaded_columns(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "Good\tJJ\nfilm\tNN\n\n\nfilm\tNN\ngood\tJJ\n\nbad\tJJ\n")
+        corpus = load_tagged_corpus(path)
+        assert (corpus.words, corpus.tags) == (("good", "film", "bad"), ("JJ", "NN"))
+        assert corpus.word_ids.dtype == np.int32 and corpus.offsets.dtype == np.int64
+        assert corpus.word_ids.tolist() == [0, 1, 1, 0, 2]
+        assert corpus.tag_ids.tolist() == [0, 1, 1, 0, 0]
+        assert corpus.offsets.tolist() == [0, 2, 4, 5]
+        assert (corpus.ids, corpus.labels) == (("d000000", "d000001", "d000002"), (None,) * 3)
+
+    def test_slice_views_its_documents(self):
+        reviews = make_reviews(10, seed=3)
+        part = reviews[3:5]
+        assert part.documents == reviews.documents[3:5]
+        assert np.shares_memory(part.word_ids, reviews.word_ids)
+        assert part.offsets[0] == 0 and len(part.word_ids) == part.offsets[-1]
+        assert len(reviews[7:2]) == 0
+
+    def test_take_copies_its_documents(self):
+        reviews = make_reviews(10, seed=3)
+        picked = reviews.take(np.array([1, 4, 9]))
+        assert picked.documents == tuple(reviews.documents[i] for i in (1, 4, 9))
+
+
 def parse_whole_text(text):
     """Format-A documents from ``text.splitlines()`` in one go, cache-free."""
     documents, tokens = [], []
@@ -242,7 +306,7 @@ class TestTypes:
     def test_duplicate_document_ids_rejected(self):
         doc = TaggedDocument(id="d1", tokens=(TaggedToken("a", "DT"),))
         with pytest.raises(ValueError, match="duplicate"):
-            TaggedCorpus(documents=(doc, doc))
+            corpus_of((doc, doc))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
@@ -322,7 +386,7 @@ class TestCountFrequencies:
         assert table.total == 3
 
     def test_empty_corpus(self):
-        table = count_frequencies(TaggedCorpus(documents=()))
+        table = count_frequencies(make_corpus([]))
         assert table.counts == {}
         assert table.total == 0
 

@@ -27,7 +27,7 @@ from sentaxis.evaluation import (
 )
 from sentaxis.sgns import SgnsConfig, train_sgns
 
-from corpus_helpers import make_corpus, save_tagged_corpus
+from corpus_helpers import join, make_corpus, save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 
@@ -36,9 +36,8 @@ def lexicon_of(**scores) -> OrientationLexicon:
 
 
 def review_of(*words, label=None):
-    corpus = make_corpus([[(w, "NN") for w in words]],
-                         labels=[label] if label else None)
-    return corpus.documents[0]
+    return make_corpus([[(w, "NN") for w in words]],
+                       labels=[label] if label else None)
 
 
 class TestClassifyReview:
@@ -76,12 +75,12 @@ def test_label_for_is_neg_only_below_zero():
 
 class TestEvaluate:
     def reviews(self):
-        return [
+        return join([
             review_of("good", "good", label=POS),
             review_of("good", "bad", label=POS),
             review_of("bad", "bad", label=NEG),
             review_of("bad", label=NEG),
-        ]
+        ])
 
     def test_all_correct(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
@@ -109,7 +108,7 @@ class TestEvaluate:
             reviews.append(review_of("poor", label=NEG))
         for _ in range(3):
             reviews.append(review_of("fine", label=NEG))
-        report = evaluate(reviews, lex)
+        report = evaluate(join(reviews), lex)
         assert report.accuracy == pytest.approx(15 / 20)
         assert report.n_pos_gold == 10
         assert report.n_neg_gold == 10
@@ -117,8 +116,8 @@ class TestEvaluate:
 
     def test_undecided_counted_and_positive(self):
         lex = lexicon_of(good=1.0)
-        report = evaluate([review_of("the", label=POS),
-                           review_of("the", label=NEG)], lex)
+        report = evaluate(join([review_of("the", label=POS),
+                                review_of("the", label=NEG)]), lex)
         assert report.n_undecided == 2
         assert report.confusion == ((1, 0), (1, 0))
 
@@ -130,17 +129,17 @@ class TestEvaluate:
         lex = lexicon_of(**scores)
         review = review_of(*words, label=NEG)
         assert review_mean(review, lex) == (0.0, len(words))
-        report = evaluate([review], lex)
+        report = evaluate(review, lex)
         assert report.confusion == ((0, 0), (1, 0))
         assert report.n_undecided == 0
 
     def test_empty_reviews_raise(self):
         with pytest.raises(EmptyInputError):
-            evaluate([], lexicon_of(a=1.0))
+            evaluate(join([]), lexicon_of(a=1.0))
 
     def test_unlabeled_review_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate([review_of("good")], lexicon_of(good=1.0))
+            evaluate(review_of("good"), lexicon_of(good=1.0))
 
     def test_confusion_sums_to_total(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
@@ -150,9 +149,9 @@ class TestEvaluate:
     def test_flipped_gold_complements_accuracy(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
         reviews = self.reviews()[:3]
-        flipped = [review_of(*[t.text for t in r.tokens],
-                             label=POS if r.label == NEG else NEG)
-                   for r in reviews]
+        flipped = join([review_of(*[t.text for t in r.tokens],
+                                  label=POS if r.label == NEG else NEG)
+                        for r in reviews])
         assert evaluate(reviews, lex).accuracy == \
             pytest.approx(1.0 - evaluate(flipped, lex).accuracy)
 

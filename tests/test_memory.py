@@ -38,17 +38,31 @@ def corpus_file(tmp_path_factory):
 
 def test_format_a_load_holds_a_few_times_the_file(corpus_file, monkeypatch):
     # the file spans several pieces: its bytes and its decoded text (2x),
-    # the documents' token tuples (1.4x) and one piece's lines; splitting
-    # the whole text at once holds about 10x
+    # the line and token id arrays and one piece's lines; splitting the
+    # whole text at once holds about 10x
     monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 1 << 16)
     _, peak = traced_peak(load_tagged_corpus, corpus_file)
     assert peak < 5 * corpus_file.stat().st_size
 
 
+def test_loaded_corpus_keeps_no_object_per_token(corpus_file):
+    # int32 word ids, small tag ids, offsets, one id string a document and
+    # the distinct words: about 7 bytes a token; a tuple of token objects per
+    # document took 11
+    tracemalloc.start()
+    try:
+        corpus = load_tagged_corpus(corpus_file)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n_tokens = sum(len(doc.tokens) for doc in corpus.documents)
+    assert kept < 10 * n_tokens
+
+
 def test_near_index_holds_its_arrays_and_little_more(corpus_file):
-    documents = load_tagged_corpus(corpus_file).documents
-    n_tokens = sum(len(doc.tokens) for doc in documents)
-    _, peak = traced_peak(NearIndex, documents, 10)
+    corpus = load_tagged_corpus(corpus_file)
+    n_tokens = sum(len(doc.tokens) for doc in corpus.documents)
+    _, peak = traced_peak(NearIndex, corpus, 10)
     # terms and doc_of (4 bytes a slot) and the sorted positions (8 bytes a
     # slot) are kept: 16 bytes a slot, 19 a token here; per-token Python
     # lists or int64 temporaries would add 20 more

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentaxis.corpus import TaggedToken
-from sentaxis.errors import EmptyInputError, NoQualifyingPhrasesError
+from sentaxis.errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError
 from sentaxis.patterns import (
     MODIFIER_TAGS,
     PatternRule,
+    PhraseOccurrence,
     ThirdWord,
     builtin_rules,
     extract_phrases,
@@ -152,6 +153,56 @@ class TestExtractPhrases:
             assert rule.third_allows(third)
 
 
+
+def priority_loop(corpus, rules):
+    """Every bigram's lowest-numbered matching rule, by a plain loop over the rules."""
+    rows = []
+    for doc in corpus.documents:
+        tags = [t.tag for t in doc.tokens]
+        for i in range(len(tags) - 1):
+            third = tags[i + 2] if i + 2 < len(tags) else None
+            for rule_index, rule in enumerate(rules, start=1):
+                if tags[i] in rule.first and tags[i + 1] in rule.second \
+                        and rule.third_allows(third):
+                    rows.append((doc.tokens[i].text, doc.tokens[i + 1].text, rule_index,
+                                 doc.id, i))
+                    break
+    return rows
+
+
+class TestRuleTable:
+    """Table-driven extraction against a priority-order loop over the rules."""
+
+    TAGS = sorted(set().union(*(r.first | r.second for r in builtin_rules()))) + ["DT"]
+
+    def test_every_tag_triple_matches_the_priority_loop(self):
+        # every (tag1, tag2, tag3) of the tags the rules name plus a foreign
+        # tag, and every (tag1, tag2) at a document's end
+        docs = [[("a", t1), ("b", t2)] + ([("c", t3)] if t3 else [])
+                for t1 in self.TAGS for t2 in self.TAGS for t3 in self.TAGS + [None]]
+        corpus = make_corpus(docs)
+        got = [tuple(occ) for occ in extract_phrases(corpus)]
+        assert got == priority_loop(corpus, builtin_rules())
+        assert {rule for _, _, rule, _, _ in got} == {1, 2, 3, 4, 5}
+
+    @given(st.lists(st.lists(st.sampled_from(TAGS), min_size=1, max_size=6),
+                    min_size=1, max_size=6))
+    def test_documents_of_any_tags_match_the_priority_loop(self, tag_lists):
+        corpus = make_corpus([[(f"w{i}", tag) for i, tag in enumerate(tags)]
+                              for tags in tag_lists])
+        assert [tuple(o) for o in extract_phrases(corpus)] == \
+            priority_loop(corpus, builtin_rules())
+
+    def test_custom_rules_match_the_priority_loop(self):
+        rules = [PatternRule(frozenset({"NN"}), frozenset({"NN"}), ThirdWord.NOT_NN_NOR_NNS),
+                 PatternRule(frozenset({"NN", "DT"}), frozenset({"NN"}), ThirdWord.ANYTHING)]
+        corpus = make_corpus([[("a", "DT"), ("b", "NN"), ("c", "NN"), ("d", "NN")],
+                              [("e", "NN"), ("f", "NN")]])
+        got = [tuple(o) for o in extract_phrases(corpus, rules)]
+        assert got == priority_loop(corpus, rules)
+        assert [rule for _, _, rule, _, _ in got] == [2, 2, 1, 1]
+
+
 class TestSelectPointWords:
     def corpus_and_phrases(self):
         corpus = make_corpus(
@@ -204,6 +255,20 @@ class TestSelectPointWords:
                         expected.add(w)
         got = select_point_words(phrases, corpus, cutoff=1)
         assert got.words == expected
+
+    @pytest.mark.parametrize("w1,w2,doc_id,position", [
+        ("very", "bad", "d000001", 0),
+        (".", "very", "d000000", 2),
+        ("very", "good", "d000001", -1),
+        ("very", "good", "d000001", 10**30),
+        ("very", "good", "d000009", 0),
+    ], ids=["second-word", "across-documents", "negative", "huge", "unknown-document"])
+    def test_occurrence_not_in_the_corpus_is_rejected(self, w1, w2, doc_id, position):
+        corpus, phrases = self.corpus_and_phrases()
+        bad = PhraseOccurrence(w1, w2, 1, doc_id, position)
+        with pytest.raises(ConfigError, match=f"{w1!r} {w2!r} at document {doc_id!r} "
+                                              f"position {position} is not in the corpus"):
+            select_point_words([phrases[0], bad, bad, phrases[2]], corpus, cutoff=1)
 
     def test_no_qualifying_phrase_reports_cutoff(self):
         corpus, phrases = self.corpus_and_phrases()

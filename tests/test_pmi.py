@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sentaxis.corpus import NEG, POS, TaggedCorpus
+from sentaxis.corpus import NEG, POS, load_tagged_corpus
 from sentaxis.errors import EmptyInputError, SeedMissingError
 from sentaxis.pmi import (
     NearIndex,
@@ -15,7 +15,7 @@ from sentaxis.pmi import (
 from sentaxis.evaluation import evaluate_pmi
 from sentaxis.patterns import extract_phrases
 
-from corpus_helpers import make_corpus
+from corpus_helpers import make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -102,7 +102,7 @@ class TestNearIndex:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyInputError):
-            build_near_index(TaggedCorpus(documents=()))
+            build_near_index(make_corpus([]))
 
 
 class TestHits:
@@ -212,8 +212,7 @@ class TestTokenLevelCounting:
 
 class TestClassifyReview:
     def review(self, *pairs, label=None):
-        corpus = make_corpus([list(pairs)], labels=[label] if label else None)
-        return corpus.documents[0]
+        return make_corpus([list(pairs)], labels=[label] if label else None)
 
     def test_negative_phrase_labels_neg(self):
         # phrase near 'poor' only: so < 0
@@ -266,7 +265,7 @@ class TestClassifyReview:
         result = classify_review_pmi(index, review)
         assert (result.mean_so, result.n_phrases) == (0.0, 2)
         assert result.label == POS and not result.no_phrase
-        report = evaluate_pmi(index, [review])
+        report = evaluate_pmi(index, review)
         assert report.confusion == ((0, 0), (1, 0))
         assert report.n_undecided == 0
 
@@ -364,6 +363,7 @@ class TestIndexSizesReadByTheBenchmark:
         assert len(index.near_hits) == 2 * len(queried)
 
 
+
 def naive_layout(docs, window):
     """terms, doc_of, term_ids and postings built one document at a time."""
     term_ids = {}
@@ -386,7 +386,7 @@ class TestIndexLayout:
            window=st.one_of(st.integers(1, 15), st.just(10**6)))
     def test_arrays_match_a_per_document_construction(self, raw_docs, window):
         docs = [["abcdefg"[i] for i in raw] for raw in raw_docs]
-        index = NearIndex(make_corpus([words_doc(*d) for d in docs]).documents, window)
+        index = NearIndex(make_corpus([words_doc(*d) for d in docs]), window)
         terms, doc_of, term_ids, postings = naive_layout(docs, window)
         assert index.terms.dtype == index.doc_of.dtype == np.int32
         assert index.terms.tolist() == terms
@@ -394,3 +394,21 @@ class TestIndexLayout:
         assert index.term_ids == term_ids
         assert list(index.term_ids) == list(term_ids)
         assert {t: p.tolist() for t, p in index.postings.items()} == postings
+
+    def test_term_ids_are_the_corpus_word_ids(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        save_tagged_corpus(make_reviews(30, seed=8), path)
+        corpus = load_tagged_corpus(path)
+        index = build_near_index(corpus, window=4)
+        assert index.term_ids == {word: i for i, word in enumerate(corpus.words)}
+        assert list(index.term_ids) == list(corpus.words)
+        assert index.terms[index.terms < len(corpus.words)].tolist() == corpus.word_ids.tolist()
+
+    def test_vocabulary_beyond_16_bits_keeps_every_posting(self):
+        # 70,000 terms do not fit 16-bit sort keys; each document is
+        # (w<k>, shared) plus two padding slots
+        n = 70_000
+        index = NearIndex(make_corpus([words_doc(f"w{k}", "shared") for k in range(n)]), 10)
+        assert len(index.postings) == n + 1 > 2**16
+        assert index.postings["shared"].tolist() == list(range(1, 4 * n, 4))
+        assert [index.postings[f"w{k}"].tolist() for k in range(n)] == [[4 * k] for k in range(n)]

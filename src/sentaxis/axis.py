@@ -91,12 +91,6 @@ class OrientationLexicon:
     axis: SentimentAxis | None
     fingerprint: str
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.scores
-
-    def score(self, word: str) -> float:
-        return self.scores[word]
-
 
 def build_distance_matrix(points: PointWordSet, table: EmbeddingTable) -> DistanceMatrix:
     """K x K cosine distances over the in-vocabulary point words (sorted).

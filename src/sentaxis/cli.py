@@ -200,11 +200,11 @@ def cmd_pmi_baseline(args) -> int:
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)
     index = pmi.build_near_index(corpus, window=args.window)
+    # hits count documents, the one unit; report.txt keeps its config_hit_unit line
     report = eval_mod.evaluate_pmi(index, reviews, pos_seed=pos_seed, neg_seed=neg_seed,
-                                   unit=args.hit_unit,
                                    config_snapshot={"window": args.window,
                                                     "seeds": args.seeds,
-                                                    "hit_unit": args.hit_unit,
+                                                    "hit_unit": "docs",
                                                     "corpus": args.corpus,
                                                     "reviews": args.reviews})
     eval_mod.write_report(report, args.report)
@@ -297,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=str.lower,
                    default=f"{pmi.DEFAULT_POS_SEED},{pmi.DEFAULT_NEG_SEED}",
                    help="comma-separated positive,negative seed words (lowercased)")
-    p.add_argument("--hit-unit", default=pmi.HIT_UNIT_DOCS,
-                   choices=[pmi.HIT_UNIT_DOCS, pmi.HIT_UNIT_TOKENS],
-                   help="count hits per document or per occurrence")
     p.add_argument("--report", required=True)
     _add_review_filter_args(p)
     p.set_defaults(func=cmd_pmi_baseline)

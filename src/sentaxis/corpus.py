@@ -1,4 +1,4 @@
-"""Tagged-corpus, polarity-lexicon and frequency-table I/O.
+"""Tagged-corpus and polarity-lexicon I/O.
 
 Two tagged-corpus file formats are supported:
 
@@ -27,7 +27,7 @@ the pieces' lines are exactly the whole text's lines, numbered the same.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -149,16 +149,6 @@ class PolarityLexicon:
 
     def score(self, word: str) -> float:
         return self.entries[word]
-
-
-@dataclass(frozen=True, slots=True)
-class FreqTable:
-    counts: dict[str, int]
-    total: int = field(default=0)
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match sum of counts")
 
 
 class _FirstSeenIds(dict):
@@ -286,14 +276,3 @@ def load_polarity_lexicon(path) -> PolarityLexicon:
     if not entries:
         raise EmptyInputError(f"{path}: no lexicon entries found")
     return PolarityLexicon(entries=entries, duplicate_count=len(rows) - len(entries))
-
-
-def save_polarity_lexicon(lexicon: PolarityLexicon, path) -> None:
-    records.write(path, sorted(lexicon.entries.items()))
-
-
-def count_frequencies(corpus: TaggedCorpus) -> FreqTable:
-    """Token-occurrence counts of the words that occur, keyed by word string."""
-    counts = np.bincount(corpus.word_ids, minlength=len(corpus.words)).tolist()
-    return FreqTable(counts={word: n for word, n in zip(corpus.words, counts) if n},
-                     total=len(corpus.word_ids))

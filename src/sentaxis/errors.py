@@ -30,10 +30,6 @@ class ConfigError(SentaxisError):
     """Invalid configuration or parameter combination."""
 
 
-class OovError(SentaxisError):
-    """A queried word is not in the embedding vocabulary."""
-
-
 class DegenerateVectorError(SentaxisError):
     """Cosine geometry requested on a zero vector."""
 

@@ -71,11 +71,6 @@ def review_mean(review: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> t
     return (total / n if n else 0.0), n
 
 
-def classify_review(review: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> str:
-    """The review's label: ``label_for`` of its mean orientation."""
-    return label_for(review_mean(review, lexicon)[0])
-
-
 def _check_gold(reviews: TaggedCorpus) -> None:
     if not len(reviews):
         raise EmptyInputError("no reviews to evaluate")
@@ -118,21 +113,19 @@ def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon,
 def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
                  pos_seed: str = pmi.DEFAULT_POS_SEED,
                  neg_seed: str = pmi.DEFAULT_NEG_SEED,
-                 config_snapshot: dict | None = None,
-                 unit: str = pmi.HIT_UNIT_DOCS) -> EvalReport:
+                 config_snapshot: dict | None = None) -> EvalReport:
     """PMI baseline accuracy; phrase orientations are cached across reviews.
 
     Both seeds are checked before any review is classified, so a missing seed
     is an error even when no review yields a phrase.
     """
     _check_gold(reviews)
-    pmi.seed_hits(index, pos_seed, neg_seed, unit)
-    rules = patterns.builtin_rules()
+    pmi.seed_hits(index, pos_seed, neg_seed)
     cache: dict = {}
 
     def score(review: TaggedCorpus) -> tuple[float, int]:
-        result = pmi.classify_review_pmi(index, review, rules, pos_seed=pos_seed,
-                                         neg_seed=neg_seed, so_cache=cache, unit=unit)
+        result = pmi.classify_review_pmi(index, review, pos_seed=pos_seed,
+                                         neg_seed=neg_seed, so_cache=cache)
         return result.mean_so, result.n_phrases
 
     return _tally(reviews, score, config_snapshot)

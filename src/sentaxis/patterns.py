@@ -69,7 +69,6 @@ class PhraseOccurrence(NamedTuple):  # a tuple: extraction makes one per match
 class PointWordSet:
     words: frozenset[str]
     cutoff: int
-    phrase_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     word_counts: dict[str, int] = field(default_factory=dict)
 
 
@@ -86,15 +85,16 @@ class TagVarianceReport:
                 for tag, (var, count) in self.per_tag.items()}
 
 
-def builtin_rules() -> list[PatternRule]:
+@functools.cache  # built once: the PMI baseline extracts from each review in turn
+def builtin_rules() -> tuple[PatternRule, ...]:
     """The five bigram extraction rules, in priority order."""
-    return [
+    return (
         PatternRule(frozenset({"JJ"}), frozenset({"NN", "NNS"}), ThirdWord.ANYTHING),
         PatternRule(frozenset({"RB", "RBR", "RBS"}), frozenset({"JJ"}), ThirdWord.NOT_NN_NOR_NNS),
         PatternRule(frozenset({"JJ"}), frozenset({"JJ"}), ThirdWord.NOT_NN_NOR_NNS),
         PatternRule(frozenset({"NN", "NNS"}), frozenset({"VB", "VBD"}), ThirdWord.NOT_NN_NOR_NNS),
         PatternRule(frozenset({"RB", "RBR", "RBS"}), frozenset({"VBN", "VBG"}), ThirdWord.ANYTHING),
-    ]
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -148,7 +148,7 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
         raise ValueError("cutoff must be >= 1")
     phrases = list(phrases)
     w1s, w2s, _, doc_ids, positions = tuple(zip(*phrases)) or ((),) * 5
-    qualifying = {ph: c for ph, c in Counter(zip(w1s, w2s)).items() if c >= cutoff}
+    qualifying = {ph for ph, c in Counter(zip(w1s, w2s)).items() if c >= cutoff}
     bounds = corpus.offsets.tolist()
     spans = map(dict(zip(corpus.ids, zip(bounds, bounds[1:]))).get, doc_ids, repeat((0, 0)))
     # each occurrence's first token, or -1 where its document has no such bigram
@@ -171,7 +171,7 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
     if not word_counts:
         raise NoQualifyingPhrasesError(cutoff)
     return PointWordSet(words=frozenset(word_counts), cutoff=cutoff,
-                        phrase_counts=dict(qualifying), word_counts=dict(word_counts))
+                        word_counts=dict(word_counts))
 
 
 def tag_polarity_variance(annotated: Sequence[tuple[TaggedToken, float]]) -> TagVarianceReport:

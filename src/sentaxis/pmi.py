@@ -1,10 +1,11 @@
 """PMI-based semantic orientation over a local proximity index.
 
-A NEAR(window) co-occurrence index over a corpus substitutes for search-engine
-hit counts: hits are counted per document (a document counts once however many
-matches it holds), two terms are NEAR when some pair of their occurrences lies
-within the window regardless of order, and a two-word phrase is a contiguous
-bigram anchored at its first token.
+A NEAR(window) co-occurrence index over a corpus substitutes for Turney's
+search-engine hit counts. As a search engine counts the pages that match a
+query, a hit is a document: a document counts once however many matches it
+holds. Two terms are NEAR when some pair of their occurrences lies within the
+window regardless of order, and a two-word phrase is a contiguous bigram
+anchored at its first token.
 
 The orientation of a phrase is
 log2[(hits(phrase NEAR pos_seed) * hits(neg_seed)) /
@@ -25,8 +26,10 @@ every term's positions in ascending order; ``postings`` holds each term's
 slice of it. A phrase's positions are its first word's positions whose next
 slot holds its second word. For NEAR(a, b), two ``searchsorted`` calls of
 a's positions ± pad into b's positions count b's occurrences in reach of
-each occurrence of a: their sum is the token-level count, and the distinct
-documents of the occurrences with a partner are the NEAR documents.
+each occurrence of a, and the distinct documents of the occurrences with a
+partner are the NEAR documents. A phrase's orientation queries it against
+one seed, then the other; the index keeps the positions of the last term
+it queried against, so the phrase's positions are found once for both.
 
 The term ids are the corpus's word ids as they are, and a boolean mask of
 token and padding slots places them: building the index holds no per-token
@@ -37,13 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import TaggedCorpus, label_for
+from .corpus import TaggedCorpus
 from .errors import EmptyInputError, SeedMissingError
-from .patterns import PatternRule, extract_phrases
+from .patterns import extract_phrases
 
 DEFAULT_WINDOW = 10
 DEFAULT_POS_SEED = "excellent"
@@ -55,20 +57,9 @@ Term = str | tuple[str, str]
 
 
 @dataclass(frozen=True, slots=True)
-class PhraseSO:
-    phrase: tuple[str, str]
-    so: float
-    hit_counts: dict[str, int]
-
-
-@dataclass(frozen=True, slots=True)
 class PmiReviewResult:
     mean_so: float
     n_phrases: int
-
-    @property
-    def label(self) -> str:
-        return label_for(self.mean_so)
 
     @property
     def no_phrase(self) -> bool:
@@ -115,6 +106,7 @@ class NearIndex:
         self.doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths + self.pad)
         self._doc_counts: dict[Term, int] = {}
         self.near_hits: dict[frozenset[Term], set[str]] = {}
+        self._last_positions: tuple[Term | None, np.ndarray] = (None, _NO_POSITIONS)
 
     def _positions(self, term: Term) -> np.ndarray:
         """Ascending occurrence positions; phrases anchor at their first token."""
@@ -141,64 +133,35 @@ class NearIndex:
             count = self._doc_counts[term] = len(self.docs_with(term))
         return count
 
-    def occurrence_count(self, term: Term) -> int:
-        """Total occurrences across the corpus (token-level counting)."""
-        return len(self._positions(term))
-
-    def _in_window(self, a: Term, b: Term) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of a, and how many positions of b lie within the window of each."""
-        pos_a = self._positions(a)
-        pos_b = self._positions(b)
-        low = np.searchsorted(pos_b, pos_a - self.pad, side="left")
-        high = np.searchsorted(pos_b, pos_a + self.pad, side="right")
-        return pos_a, high - low
-
     def near_docs(self, a: Term, b: Term) -> set[str]:
         """Documents where a and b occur within the window, order-free."""
         key = frozenset((a, b))
         docs = self.near_hits.get(key)
         if docs is None:
-            pos_a, partners = self._in_window(a, b)
-            docs = self.near_hits[key] = self._doc_set(pos_a[partners > 0])
+            # a phrase is asked for with one seed, then the other: find it once
+            if self._last_positions[0] != a:
+                self._last_positions = (a, self._positions(a))
+            pos_a = self._last_positions[1]
+            pos_b = self._positions(b)
+            low = np.searchsorted(pos_b, pos_a - self.pad, side="left")
+            high = np.searchsorted(pos_b, pos_a + self.pad, side="right")
+            docs = self.near_hits[key] = self._doc_set(pos_a[high > low])
         return docs
-
-    def near_pair_count(self, a: Term, b: Term) -> int:
-        """Number of in-window occurrence pairs (token-level counting)."""
-        return int(self._in_window(a, b)[1].sum())
 
 
 def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> NearIndex:
     return NearIndex(corpus, window=window)
 
 
-HIT_UNIT_DOCS = "docs"
-HIT_UNIT_TOKENS = "tokens"
+def hits(index: NearIndex, term_or_phrase: Term) -> int:
+    """Hit count for a term or contiguous phrase: the documents holding it,
+    each counted once, as a search engine counts the pages that match."""
+    return index.document_count(term_or_phrase)
 
 
-def hits(index: NearIndex, term_or_phrase: Term, unit: str = HIT_UNIT_DOCS) -> int:
-    """Hit count for a term or contiguous phrase.
-
-    Document-level counting (the default) counts each document once, matching
-    search-engine hit semantics; token-level counting is the alternative flag
-    for sensitivity analysis and counts every occurrence.
-    """
-    if unit == HIT_UNIT_DOCS:
-        return index.document_count(term_or_phrase)
-    if unit == HIT_UNIT_TOKENS:
-        return index.occurrence_count(term_or_phrase)
-    raise ValueError(f"unit must be 'docs' or 'tokens', got {unit!r}")
-
-
-def _near_count(index: NearIndex, a: Term, b: Term, unit: str) -> int:
-    if unit == HIT_UNIT_DOCS:
-        return len(index.near_docs(a, b))
-    return index.near_pair_count(a, b)
-
-
-def seed_hits(index: NearIndex, pos_seed: str, neg_seed: str,
-              unit: str = HIT_UNIT_DOCS) -> tuple[int, int]:
+def seed_hits(index: NearIndex, pos_seed: str, neg_seed: str) -> tuple[int, int]:
     """Hit counts of both seeds; a seed that never occurs is an error."""
-    counts = hits(index, pos_seed, unit), hits(index, neg_seed, unit)
+    counts = hits(index, pos_seed), hits(index, neg_seed)
     for seed, count in zip((pos_seed, neg_seed), counts):
         if count == 0:
             raise SeedMissingError(f"seed {seed!r} never occurs in the indexed corpus")
@@ -207,34 +170,21 @@ def seed_hits(index: NearIndex, pos_seed: str, neg_seed: str,
 
 def so_phrase(index: NearIndex, phrase: tuple[str, str],
               pos_seed: str = DEFAULT_POS_SEED,
-              neg_seed: str = DEFAULT_NEG_SEED,
-              unit: str = HIT_UNIT_DOCS) -> PhraseSO:
+              neg_seed: str = DEFAULT_NEG_SEED) -> float:
     """Log-ratio orientation of a phrase from hit counts."""
-    seed_pos_hits, seed_neg_hits = seed_hits(index, pos_seed, neg_seed, unit)
-    near_pos = _near_count(index, phrase, pos_seed, unit)
-    near_neg = _near_count(index, phrase, neg_seed, unit)
+    seed_pos_hits, seed_neg_hits = seed_hits(index, pos_seed, neg_seed)
+    near_pos = len(index.near_docs(phrase, pos_seed))
+    near_neg = len(index.near_docs(phrase, neg_seed))
     smoothed_pos = near_pos if near_pos else ZERO_HIT_SMOOTHING
     smoothed_neg = near_neg if near_neg else ZERO_HIT_SMOOTHING
     # difference of logs keeps seed-swap antisymmetry exact in floats
-    so = math.log2(smoothed_pos * seed_neg_hits) - math.log2(smoothed_neg * seed_pos_hits)
-    return PhraseSO(
-        phrase=tuple(phrase),
-        so=so,
-        hit_counts={
-            "near_pos_seed": near_pos,
-            "near_neg_seed": near_neg,
-            "pos_seed": seed_pos_hits,
-            "neg_seed": seed_neg_hits,
-        },
-    )
+    return math.log2(smoothed_pos * seed_neg_hits) - math.log2(smoothed_neg * seed_pos_hits)
 
 
 def classify_review_pmi(index: NearIndex, review: TaggedCorpus,
-                        rules: Sequence[PatternRule] | None = None,
                         pos_seed: str = DEFAULT_POS_SEED,
                         neg_seed: str = DEFAULT_NEG_SEED,
-                        so_cache: dict | None = None,
-                        unit: str = HIT_UNIT_DOCS) -> PmiReviewResult:
+                        so_cache: dict | None = None) -> PmiReviewResult:
     """Mean orientation of a one-review corpus's phrases; its label is ``label_for`` of it.
 
     No extracted phrase means a zero mean, which labels POS; ``no_phrase``
@@ -243,10 +193,10 @@ def classify_review_pmi(index: NearIndex, review: TaggedCorpus,
     """
     cache = {} if so_cache is None else so_cache
     values = []
-    for occ in extract_phrases(review, rules):
+    for occ in extract_phrases(review):
         if occ.phrase not in cache:
             cache[occ.phrase] = so_phrase(index, occ.phrase, pos_seed=pos_seed,
-                                          neg_seed=neg_seed, unit=unit).so
+                                          neg_seed=neg_seed)
         values.append(cache[occ.phrase])
     mean = sum(values) / len(values) if values else 0.0
     return PmiReviewResult(mean_so=mean, n_phrases=len(values))

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import TaggedCorpus, count_frequencies
+from .corpus import TaggedCorpus
 from .errors import ConfigError
 from .vectors import EmbeddingTable
 
@@ -96,16 +96,17 @@ def negative_sampling_grads(center: np.ndarray, outputs: np.ndarray,
 
 
 def _build_vocab(corpus: TaggedCorpus, min_count: int):
-    freq = count_frequencies(corpus)
-    kept = [(w, c) for w, c in freq.counts.items() if c >= min_count]
+    """The words seen at least ``min_count`` times, most frequent first (ties
+    by word), their counts, and the corpus's token count."""
+    counts = np.bincount(corpus.word_ids, minlength=len(corpus.words))
+    kept = [(w, c) for w, c in zip(corpus.words, counts.tolist()) if c >= min_count]
     if not kept:
         raise ConfigError(
             f"min_count {min_count} leaves an empty vocabulary "
-            f"(most frequent word occurs {max(freq.counts.values(), default=0)} times)")
+            f"(most frequent word occurs {counts.max(initial=0)} times)")
     kept.sort(key=lambda wc: (-wc[1], wc[0]))
     words = [w for w, _ in kept]
-    counts = np.array([c for _, c in kept], dtype=np.float64)
-    return words, counts, freq.total
+    return words, np.array([c for _, c in kept], dtype=np.float64), len(corpus.word_ids)
 
 
 def _keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:

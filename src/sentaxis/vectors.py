@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import records
-from .errors import DegenerateVectorError, OovError, ParseError
+from .errors import DegenerateVectorError, ParseError
 
 
 class EmbeddingTable(Mapping[str, np.ndarray]):
@@ -74,10 +74,9 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         return word in self._index
 
     def __getitem__(self, word: str) -> np.ndarray:
-        try:
-            return self._matrix[self._index[word]]
-        except KeyError:
-            raise OovError(f"word {word!r} not in vocabulary") from None
+        """The word's vector; a word not in the table raises ``KeyError``, so
+        ``get`` gives None for it."""
+        return self._matrix[self._index[word]]
 
     def fingerprint(self) -> str:
         """Stable short hash over vocabulary and vector bytes."""

@@ -25,7 +25,6 @@ from sentaxis.errors import (
     ConfigError,
     DegenerateVectorError,
     InsufficientDataError,
-    OovError,
     PartitionError,
     SeedMissingError,
 )
@@ -255,7 +254,7 @@ class TestSentimentOrientation:
                 -sentiment_orientation(word, oriented_axis, clustered_table)
 
     def test_oov_raises(self, oriented_axis, clustered_table):
-        with pytest.raises(OovError):
+        with pytest.raises(KeyError):
             sentiment_orientation("ghost", oriented_axis, clustered_table)
 
 

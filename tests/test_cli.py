@@ -1,7 +1,7 @@
 import pytest
 
 from sentaxis.cli import _sgns_config_from, build_parser, main
-from sentaxis.corpus import save_polarity_lexicon
+from sentaxis import records
 from sentaxis.evaluation import read_report
 from sentaxis.patterns import extract_phrases, load_point_words, select_point_words
 from sentaxis.sgns import SgnsConfig
@@ -24,7 +24,7 @@ def world(tmp_path_factory):
         f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
         for doc in test) + "\n", encoding="utf-8")
     lexicon = root / "gold.tsv"
-    save_polarity_lexicon(gold_lexicon(), lexicon)
+    records.write(lexicon, sorted(gold_lexicon().entries.items()))
 
     embeddings = root / "vectors.txt"
     code = main(["train-embeddings", "--corpus", str(corpus),

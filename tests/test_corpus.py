@@ -8,15 +8,14 @@ from sentaxis.corpus import (
     FORMAT_ONE_TOKEN_PER_LINE,
     NEG,
     POS,
-    FreqTable,
     TaggedDocument,
     TaggedToken,
-    count_frequencies,
     load_labeled_reviews,
     load_polarity_lexicon,
     load_tagged_corpus,
 )
-from sentaxis.errors import EmptyInputError, ParseError
+from sentaxis.errors import ConfigError, EmptyInputError, ParseError
+from sentaxis.sgns import _build_vocab
 
 from corpus_helpers import corpus_of, make_corpus, save_tagged_corpus
 from synthgen import make_reviews
@@ -316,10 +315,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             TaggedDocument(id="d1", tokens=(TaggedToken("a", "DT"),), label="MAYBE")
 
-    def test_freq_table_total_checked(self):
-        with pytest.raises(ValueError):
-            FreqTable(counts={"a": 2}, total=3)
-
 
 class TestPolarityLexicon:
     def test_basic_parse(self, tmp_path):
@@ -379,21 +374,24 @@ class TestTagInventory:
 
 
 class TestCountFrequencies:
+    """A corpus's word counts, as SGNS takes its vocabulary from them."""
+
     def test_simple_counts(self):
-        corpus = make_corpus([[("a", "DT"), ("a", "DT"), ("b", "NN")]])
-        table = count_frequencies(corpus)
-        assert table.counts == {"a": 2, "b": 1}
-        assert table.total == 3
+        corpus = make_corpus([[("c", "DT"), ("a", "DT"), ("a", "DT"), ("b", "NN")]])
+        words, counts, total = _build_vocab(corpus, min_count=1)
+        # most frequent first, ties by word
+        assert (words, counts.tolist()) == (["a", "b", "c"], [2, 1, 1])
+        assert total == 4
 
     def test_empty_corpus(self):
-        table = count_frequencies(make_corpus([]))
-        assert table.counts == {}
-        assert table.total == 0
+        with pytest.raises(ConfigError, match="occurs 0 times"):
+            _build_vocab(make_corpus([]), min_count=1)
 
     def test_hundred_reviews_total_matches_oracle(self):
         reviews = make_reviews(100, seed=6)
         expected = sum(len(d.tokens) for d in reviews)
-        assert count_frequencies(reviews).total == expected
+        _, counts, total = _build_vocab(reviews, min_count=1)
+        assert total == counts.sum() == expected
 
     @given(st.permutations(range(4)))
     def test_permutation_invariant(self, order):
@@ -403,10 +401,10 @@ class TestCountFrequencies:
             [("c", "JJ"), ("a", "DT"), ("a", "DT")],
             [("d", "RB")],
         ]
-        base = count_frequencies(make_corpus(docs))
-        shuffled = count_frequencies(make_corpus([docs[i] for i in order]))
-        assert shuffled.counts == base.counts
-        assert shuffled.total == base.total
+        words, counts, total = _build_vocab(make_corpus(docs), min_count=1)
+        shuffled = _build_vocab(make_corpus([docs[i] for i in order]), min_count=1)
+        assert (shuffled[0], shuffled[1].tolist(), shuffled[2]) == \
+            (words, counts.tolist(), total)
 
 
 @given(token_lists=st.lists(

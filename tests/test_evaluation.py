@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sentaxis import records
 from sentaxis.axis import OrientationLexicon
-from sentaxis.corpus import (
-    NEG,
-    POS,
-    label_for,
-    save_polarity_lexicon,
-)
+from sentaxis.corpus import NEG, POS, label_for
 from sentaxis.errors import ConfigError, EmptyInputError, PipelineError
 from sentaxis.evaluation import (
     MODE_SEMI,
     MODE_UNSUP,
     PipelineConfig,
     SweepRow,
-    classify_review,
     evaluate,
     filter_reviews,
     read_report,
@@ -40,33 +35,37 @@ def review_of(*words, label=None):
                        labels=[label] if label else None)
 
 
+def label_of(review, lexicon) -> str:
+    return label_for(review_mean(review, lexicon)[0])
+
+
 class TestClassifyReview:
     def test_positive_mean(self):
         lex = lexicon_of(nice=0.2, dull=-0.1)
-        assert classify_review(review_of("nice", "dull"), lex) == POS
+        assert label_of(review_of("nice", "dull"), lex) == POS
 
     def test_negative_mean(self):
         lex = lexicon_of(nice=-0.2, dull=-0.1)
-        assert classify_review(review_of("nice", "dull"), lex) == NEG
+        assert label_of(review_of("nice", "dull"), lex) == NEG
 
     def test_all_tokens_unknown_defaults_positive(self):
         lex = lexicon_of(nice=1.0)
         review = review_of("the", "film")
-        assert classify_review(review, lex) == POS
+        assert label_of(review, lex) == POS
         mean, n = review_mean(review, lex)
         assert mean == 0.0 and n == 0
 
     def test_tokens_counted_with_multiplicity(self):
         lex = lexicon_of(good=1.0, bad=-0.6)
         # one 'good' vs three 'bad': multiplicity drags the mean negative
-        assert classify_review(review_of("good", "bad", "bad", "bad"), lex) == NEG
+        assert label_of(review_of("good", "bad", "bad", "bad"), lex) == NEG
 
     @given(order=st.permutations(range(5)))
     def test_invariant_under_token_reordering(self, order):
         lex = lexicon_of(a=0.3, b=-0.2, c=0.1, d=-0.4, e=0.25)
         words = ["a", "b", "c", "d", "e"]
-        base = classify_review(review_of(*words), lex)
-        assert classify_review(review_of(*[words[i] for i in order]), lex) == base
+        base = label_of(review_of(*words), lex)
+        assert label_of(review_of(*[words[i] for i in order]), lex) == base
 
 
 def test_label_for_is_neg_only_below_zero():
@@ -159,15 +158,15 @@ class TestEvaluate:
         scores = {"a": 0.4, "b": -0.3, "c": 0.05, "d": -0.9}
         reviews = [review_of("a", "b", label=POS), review_of("c", label=POS),
                    review_of("d", label=NEG), review_of("b", "c", label=NEG)]
-        base_labels = [classify_review(r, lexicon_of(**scores)) for r in reviews]
+        base_labels = [label_of(r, lexicon_of(**scores)) for r in reviews]
         # c == 0 is the identity case
-        same = [classify_review(r, lexicon_of(**scores)) for r in reviews]
+        same = [label_of(r, lexicon_of(**scores)) for r in reviews]
         assert same == base_labels
         shift = 0.2
         shifted = lexicon_of(**{w: s + shift for w, s in scores.items()})
         for review, before in zip(reviews, base_labels):
             mean, _ = review_mean(review, lexicon_of(**scores))
-            after = classify_review(review, shifted)
+            after = label_of(review, shifted)
             if (mean < 0.0) == (mean + shift < 0.0):
                 assert after == before
             else:
@@ -208,7 +207,7 @@ def small_world(tmp_path_factory):
     ]
     reviews_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     lexicon_path = root / "gold.tsv"
-    save_polarity_lexicon(gold_lexicon(), lexicon_path)
+    records.write(lexicon_path, sorted(gold_lexicon().entries.items()))
     return {"train": train, "test": test, "table": table, "root": root,
             "corpus_path": corpus_path, "reviews_path": reviews_path,
             "lexicon_path": lexicon_path}

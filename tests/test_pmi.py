@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sentaxis.corpus import NEG, POS, load_tagged_corpus
+from sentaxis.corpus import NEG, POS, label_for, load_tagged_corpus
 from sentaxis.errors import EmptyInputError, SeedMissingError
 from sentaxis.pmi import (
     NearIndex,
@@ -138,20 +138,17 @@ class TestHits:
 class TestSoPhrase:
     def test_balanced_counts_give_zero(self):
         index = make_index(1, 1, 3, 3)
-        assert so_phrase(index, ("very", "good")).so == 0.0
+        assert so_phrase(index, ("very", "good")) == 0.0
 
     def test_four_to_one_ratio_is_two(self):
         index = make_index(4, 1, 5, 5)
-        assert so_phrase(index, ("very", "good")).so == pytest.approx(2.0, abs=1e-12)
+        assert so_phrase(index, ("very", "good")) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_hit_smoothing_hand_value(self):
         # NEAR(pos)=2, NEAR(neg)=0, H(excellent)=10, H(poor)=5:
         # log2((2*5)/(0.01*10)) = log2(100)
         index = make_index(2, 0, 10, 5)
-        result = so_phrase(index, ("very", "good"))
-        assert result.so == pytest.approx(6.643856189774724, abs=1e-9)
-        assert result.hit_counts == {
-            "near_pos_seed": 2, "near_neg_seed": 0, "pos_seed": 10, "neg_seed": 5}
+        assert so_phrase(index, ("very", "good")) == pytest.approx(6.643856189774724, abs=1e-9)
 
     def test_missing_seed_raises(self):
         index = build_near_index(make_corpus([words_doc("excellent", "fine")]))
@@ -161,12 +158,25 @@ class TestSoPhrase:
     def test_seed_swap_negates_exactly(self):
         for counts in [(2, 0, 10, 5), (4, 1, 5, 5), (3, 2, 7, 9), (0, 0, 2, 3)]:
             index = make_index(*counts)
-            forward = so_phrase(index, ("very", "good"), "excellent", "poor").so
-            backward = so_phrase(index, ("very", "good"), "poor", "excellent").so
+            forward = so_phrase(index, ("very", "good"), "excellent", "poor")
+            backward = so_phrase(index, ("very", "good"), "poor", "excellent")
             assert backward == -forward
 
+    def test_phrase_positions_are_found_once_for_both_seeds(self, monkeypatch):
+        index = build_near_index(make_reviews(60, seed=3), window=10)
+        reviews = make_reviews(20, seed=4)
+        lookups = []
+        positions = NearIndex._positions
+        monkeypatch.setattr(NearIndex, "_positions",
+                            lambda self, term: lookups.append(term) or positions(self, term))
+        evaluate_pmi(index, reviews)
+        queried = {occ.phrase for occ in extract_phrases(reviews)}
+        assert sorted(term for term in lookups if isinstance(term, tuple)) == sorted(queried)
+        # one NEAR pair per phrase and seed, as the benchmark counts them
+        assert len(index.near_hits) == 2 * len(queried)
+
     def test_monotone_in_positive_near_hits(self):
-        values = [so_phrase(make_index(k, 1, 6, 6), ("very", "good")).so
+        values = [so_phrase(make_index(k, 1, 6, 6), ("very", "good"))
                   for k in range(0, 6)]
         assert values == sorted(values)
 
@@ -185,31 +195,6 @@ class TestPhraseAnchoring:
         assert index.near_docs(("very", "good"), "excellent") == {"d000000"}
 
 
-class TestTokenLevelCounting:
-    def test_occurrence_hits(self):
-        corpus = make_corpus([words_doc("a", "x", "a"), words_doc("a")])
-        index = build_near_index(corpus)
-        assert hits(index, "a") == 2
-        assert hits(index, "a", unit="tokens") == 3
-
-    def test_near_pair_count(self):
-        index = build_near_index(make_corpus([words_doc("a", "b", "a")]), window=1)
-        assert index.near_pair_count("a", "b") == 2
-        assert len(index.near_docs("a", "b")) == 1
-
-    def test_so_phrase_token_unit_antisymmetric(self):
-        index = make_index(3, 1, 6, 6)
-        forward = so_phrase(index, ("very", "good"), unit="tokens").so
-        backward = so_phrase(index, ("very", "good"), "poor", "excellent",
-                             unit="tokens").so
-        assert backward == -forward
-
-    def test_unknown_unit_rejected(self):
-        index = make_index(1, 1, 2, 2)
-        with pytest.raises(ValueError):
-            hits(index, "excellent", unit="pages")
-
-
 class TestClassifyReview:
     def review(self, *pairs, label=None):
         return make_corpus([list(pairs)], labels=[label] if label else None)
@@ -219,7 +204,7 @@ class TestClassifyReview:
         index = make_index(0, 3, 4, 4)
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."))
         result = classify_review_pmi(index, review)
-        assert result.label == NEG
+        assert label_for(result.mean_so) == NEG
         assert result.n_phrases == 1
         assert not result.no_phrase
 
@@ -227,7 +212,7 @@ class TestClassifyReview:
         index = make_index(1, 1, 2, 2)
         review = self.review(("the", "DT"), ("film", "NN"), (".", "."))
         result = classify_review_pmi(index, review)
-        assert result.label == POS
+        assert label_for(result.mean_so) == POS
         assert result.no_phrase
         assert result.mean_so == 0.0
 
@@ -239,8 +224,8 @@ class TestClassifyReview:
             + [words_doc("truly", "bad", "poor")] * 4
             + [words_doc("truly", "bad", "excellent")]
         ), window=10)
-        so_good = so_phrase(index, ("very", "good")).so      # log2(4/1): +2
-        so_bad = so_phrase(index, ("truly", "bad")).so       # log2(1/4): -2
+        so_good = so_phrase(index, ("very", "good"))      # log2(4/1): +2
+        so_bad = so_phrase(index, ("truly", "bad"))       # log2(1/4): -2
         assert so_good == pytest.approx(2.0)
         assert so_bad == pytest.approx(-2.0)
 
@@ -252,19 +237,19 @@ class TestClassifyReview:
             cases.append((pairs, NEG if mean < 0 else POS))
         for pairs, expected in cases:
             result = classify_review_pmi(index, self.review(*pairs))
-            assert result.label == expected
+            assert label_for(result.mean_so) == expected
 
     def test_cancelling_phrases_label_pos_and_are_decided(self):
         # "very good" is NEAR excellent and "truly bad" NEAR poor equally often
         index = build_near_index(make_corpus(
             [words_doc("very", "good", "excellent")] * 2
             + [words_doc("truly", "bad", "poor")] * 2), window=10)
-        assert so_phrase(index, ("very", "good")).so == -so_phrase(index, ("truly", "bad")).so
+        assert so_phrase(index, ("very", "good")) == -so_phrase(index, ("truly", "bad"))
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."),
                              ("truly", "RB"), ("bad", "JJ"), (".", "."), label=NEG)
         result = classify_review_pmi(index, review)
         assert (result.mean_so, result.n_phrases) == (0.0, 2)
-        assert result.label == POS and not result.no_phrase
+        assert label_for(result.mean_so) == POS and not result.no_phrase
         report = evaluate_pmi(index, review)
         assert report.confusion == ((0, 0), (1, 0))
         assert report.n_undecided == 0
@@ -318,11 +303,9 @@ class TestArrayIndexAgainstScan:
         with_a = {doc_id for doc_id, pos_a, _, _ in rows if pos_a}
         assert index.near_docs(a, b) == near
         assert index.near_docs(b, a) == near
-        assert index.near_pair_count(a, b) == sum(pairs for *_, pairs in rows)
         assert index.docs_with(a) == with_a
-        assert index.occurrence_count(a) == sum(len(pos_a) for _, pos_a, _, _ in rows)
+        assert len(index._positions(a)) == sum(len(pos_a) for _, pos_a, _, _ in rows)
         assert hits(index, a) == len(with_a)
-        assert hits(index, a, unit="tokens") == index.occurrence_count(a)
 
     def test_phrase_does_not_run_across_documents(self):
         # 'b' ends the first document and starts the second
@@ -336,9 +319,9 @@ class TestArrayIndexAgainstScan:
         index = build_near_index(make_corpus([words_doc("a", "b", "a")]), window=2)
         assert index.docs_with("zz") == set()
         assert hits(index, ("a", "zz")) == 0
-        assert hits(index, ("zz", "a"), unit="tokens") == 0
+        assert hits(index, ("zz", "a")) == 0
         assert index.near_docs(("a", "zz"), "b") == set()
-        assert index.near_pair_count("zz", "a") == 0
+        assert index.near_docs("zz", "a") == set()
 
     def test_huge_window_pads_by_the_longest_document(self):
         docs = [words_doc("a", "b", "c"), words_doc("c",), words_doc("b", "x", "x", "a", "x")]
@@ -346,7 +329,7 @@ class TestArrayIndexAgainstScan:
         assert index.pad == 5
         assert len(index.terms) == 9 + 3 * 5
         assert index.near_docs("a", "c") == {"d000000"}
-        assert index.near_pair_count("a", "b") == 2
+        assert index.near_docs("a", "b") == {"d000000", "d000002"}
 
 
 class TestIndexSizesReadByTheBenchmark:

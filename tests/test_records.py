@@ -13,7 +13,7 @@ from sentaxis.axis import (
     save_axis,
     save_orientation_lexicon,
 )
-from sentaxis.corpus import PolarityLexicon, load_polarity_lexicon, save_polarity_lexicon
+from sentaxis.corpus import load_polarity_lexicon
 from sentaxis.errors import ParseError
 from sentaxis.patterns import (
     PhraseOccurrence,
@@ -124,7 +124,7 @@ class TestRoundTrip:
     @given(st.dictionaries(words.map(str.lower), finite, min_size=1, max_size=8))
     def test_polarity_lexicon(self, tmp_path_factory, entries):
         path = tmp_path_factory.mktemp("polarity") / "gold.tsv"
-        save_polarity_lexicon(PolarityLexicon(entries), path)
+        records.write(path, sorted(entries.items()))
         again = load_polarity_lexicon(path)
         assert again.entries == entries
         assert again.duplicate_count == 0

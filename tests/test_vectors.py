@@ -227,6 +227,14 @@ class TestTableIO:
         with pytest.raises(ValueError):
             EmbeddingTable([""], np.ones((1, 2)))
 
+    def test_get_of_an_absent_word_is_none(self, toy_table):
+        # Mapping.get catches KeyError only
+        assert toy_table.get("absent") is None
+        assert toy_table.get("absent", "default") == "default"
+        assert np.array_equal(toy_table.get("east"), [1.0, 0.2, 0.0])
+        with pytest.raises(KeyError):
+            toy_table["absent"]
+
 
 def rows(start, stop):
     return "".join(f"w{i} {i} -1.5\n" for i in range(start, stop))

@@ -71,13 +71,18 @@ _FIELD_FLAGS = {"initial_learning_rate": "--lr", "min_count": "--min-count",
                 "subsample_threshold": "--subsample"}
 
 
+def _sgns_flags(args) -> dict:
+    """The training flags as SgnsConfig fields, unchecked."""
+    return dict(dim=args.dim, window=args.window, negatives=args.negatives,
+                epochs=args.epochs, initial_learning_rate=args.lr,
+                min_count=args.min_count, subsample_threshold=args.subsample,
+                rng_seed=args.seed)
+
+
 def _sgns_config_from(args) -> SgnsConfig:
     """The training flags' SgnsConfig; an error names a renamed field's flag too."""
     try:
-        return SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
-                          epochs=args.epochs, initial_learning_rate=args.lr,
-                          min_count=args.min_count, subsample_threshold=args.subsample,
-                          rng_seed=args.seed)
+        return SgnsConfig(**_sgns_flags(args))
     except ConfigError as exc:
         field, _, fault = str(exc).partition(" ")
         if field not in _FIELD_FLAGS:
@@ -224,11 +229,13 @@ def cmd_tag_variance(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # with --embeddings nothing trains: the training flags are recorded, not checked
     config = eval_mod.PipelineConfig(
         corpus_path=args.corpus, reviews_path=args.reviews, out_dir=args.out,
         mode=args.mode, cutoff=args.cutoff, seed_word=args.seed_word,
         corpus_format=args.format, embeddings_path=args.embeddings,
-        lexicon_path=args.lexicon, sgns=_sgns_config_from(args),
+        lexicon_path=args.lexicon,
+        sgns=_sgns_flags(args) if args.embeddings is not None else _sgns_config_from(args),
     )
     report = eval_mod.run_pipeline(config)
     print(f"accuracy={report.accuracy:.4f} over {report.n_total} reviews -> {args.out}")

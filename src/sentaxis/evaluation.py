@@ -215,7 +215,9 @@ class PipelineConfig:
     corpus_format: str = FORMAT_ONE_TOKEN_PER_LINE
     embeddings_path: str | None = None
     lexicon_path: str | None = None
-    sgns: SgnsConfig = field(default_factory=SgnsConfig)
+    # with embeddings_path, nothing trains: the flag values, as SgnsConfig
+    # fields, may come unchecked as a dict, and only the snapshot reads them
+    sgns: SgnsConfig | dict = field(default_factory=SgnsConfig)
 
     def snapshot(self) -> dict:
         flat = asdict(self)

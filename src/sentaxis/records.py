@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -87,25 +88,35 @@ def write(path, rows: Iterable[Sequence], headers: dict | None = None) -> None:
     (numpy 2's ``repr`` of a float64 is ``np.float64(...)``). A field holding
     a tab or a line break raises ``ValueError`` and leaves no file behind."""
     path = Path(path)
+    rows = chain(([f"# {key}={_text(value)}"] for key, value in (headers or {}).items()), rows)
     try:
         with path.open("w", encoding="utf-8") as fh:
-            fh.writelines(_line(path, [f"# {key}={_text(value)}"])
-                          for key, value in (headers or {}).items())
-            fh.writelines(_line(path, row) for row in rows)
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                fh.write(_lines(path, block))
     except ValueError:
         path.unlink(missing_ok=True)  # a partial file would not read back
         raise
 
 
-# every character str.splitlines ends a line at
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+# rows joined and checked at a time
+_BLOCK_ROWS = 1024
+
+# every character but "\n" that str.splitlines ends a line at
+_OTHER_BREAK = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
-def _line(path, fields: Sequence) -> str:
-    line = "\t".join(map(_text, fields))
-    if line.count("\t") != len(fields) - 1 or _LINE_BREAK.search(line):
-        raise ValueError(f"{path}: a field of {line!r} holds a tab or a line break")
-    return line + "\n"
+def _lines(path, rows: list[Sequence]) -> str:
+    """The rows' lines. Their separators are exactly ``len(fields) - 1`` tabs a
+    row and one ``"\\n"`` a line, so the block is counted once; only a
+    miscount checks row by row, to name the row at fault."""
+    text = "\n".join(["\t".join(map(_text, fields)) for fields in rows]) + "\n"
+    if text.count("\t") != sum(map(len, rows)) - len(rows) or \
+            text.count("\n") != len(rows) or _OTHER_BREAK.search(text):
+        for fields in rows:
+            line = "\t".join(map(_text, fields))
+            if line.count("\t") != len(fields) - 1 or "\n" in line or _OTHER_BREAK.search(line):
+                raise ValueError(f"{path}: a field of {line!r} holds a tab or a line break")
+    return text
 
 
 def _text(value) -> str:

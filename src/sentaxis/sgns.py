@@ -11,11 +11,17 @@ epoch and document loop is one call of ``sgns_kernel.c``, compiled with
 ``ctypes``. It links numpy's ``libnpyrandom.a`` and draws from the
 generator's own ``bitgen_t``, through the functions ``Generator.random`` and
 ``Generator.integers`` call, so it takes the same numbers in the same order
-as the numpy loop. Without a compiler, numpy's random header or that
-library, or if the build fails, :func:`_train_documents` runs instead: it
-draws each document's numbers in Python and applies them with
-:func:`_numpy_step`, the per-center numpy loop the kernel reproduces (to
-about 1e-13: only the order of the dot-product sums differs).
+as the numpy loop. On x86-64 with glibc the update body is compiled twice,
+for AVX2 and for the baseline ISA (``target_clones``), and the dynamic
+loader picks one for the CPU it runs on, so the cached library needs no
+``-march`` flag and stays shareable between machines; both bodies give the
+same bits. Noise words are found through a guide table of one bucket per
+word, built once per call, which returns exactly ``np.searchsorted``'s
+index. Without a compiler, numpy's random header or that library, or if
+the build fails, :func:`_train_documents` runs instead: it draws each
+document's numbers in Python and applies them with :func:`_numpy_step`, the
+per-center numpy loop the kernel reproduces (to about 1e-13: only the order
+of the dot-product sums differs).
 ``table.metadata["sgns_kernel"]`` records which loop ran: ``"c"`` or
 ``"numpy"``."""
 

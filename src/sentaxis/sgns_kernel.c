@@ -3,13 +3,32 @@
  * rounds as it does in numpy. Every random number comes from numpy's own
  * generator through the functions Generator.random and Generator.integers
  * call, in the order the numpy loop draws them, so both paths consume the
- * same stream. Linked against numpy's libnpyrandom.a. */
+ * same stream. Linked against numpy's libnpyrandom.a.
+ *
+ * On x86-64 with glibc, the update body (document, dot, sigmoid) is built
+ * twice, for AVX2 and for the baseline ISA, and the loader picks one per CPU
+ * through an ifunc: the same .so runs anywhere. All three carry the clone,
+ * so the AVX2 body calls the AVX2 helpers. Both bodies give the same bits:
+ * element-wise IEEE arithmetic rounds alike in any vector width,
+ * -ffp-contract=off forbids FMA in either, and dot's source fixes its
+ * summation order. Noise words are found through a guide table (see
+ * noise_word), which gives exactly np.searchsorted's index. */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 
 #include "numpy/random/bitgen.h"
+
+/* stdlib.h has defined __GLIBC__ by here; target_clones needs its ifunc */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
 
 /* declared in numpy/random/distributions.h, which also pulls in Python.h */
 extern void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
@@ -19,6 +38,7 @@ extern void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uin
 #define LOGE2 0.693147180559945309417232121458176568
 
 /* exp(-logaddexp(0, -x)) with the branches of numpy's npy_logaddexp */
+CLONED
 static double sigmoid(double x)
 {
     double l = x == 0.0 ? LOGE2 : x > 0.0 ? log1p(exp(-x)) : -x + log1p(exp(x));
@@ -27,6 +47,7 @@ static double sigmoid(double x)
 
 /* u.v in four independent partial sums: the additions do not wait on each
  * other, and the order, hence the result, does not depend on the flags */
+CLONED
 static double dot(const double *u, const double *v, int64_t dim)
 {
     double acc[4] = {0.0, 0.0, 0.0, 0.0};
@@ -43,6 +64,7 @@ static double dot(const double *u, const double *v, int64_t dim)
 /* One document of updates, the compiled form of sgns._numpy_step. negs holds
  * `negatives` noise ids per (center, context) pair, in center order; rows and
  * coeff hold at least the rows of one center, grad holds dim entries. */
+CLONED
 static void document(const int64_t *kept, const int64_t *shrink, const int64_t *negs,
                      int64_t n, int64_t negatives, int64_t dim, double lr,
                      double *w_in, double *w_out, int64_t *rows, double *coeff, double *grad)
@@ -82,19 +104,32 @@ static void document(const int64_t *kept, const int64_t *shrink, const int64_t *
     }
 }
 
-/* np.searchsorted(cdf, u) (side "left"), clamped to the last word: the cdf
- * tail can round below 1.0 */
-static int64_t noise_word(const double *cdf, int64_t vocab, double u)
+/* guide[b] = np.searchsorted(cdf, b / vocab) (side "left") for each of the
+ * vocab buckets of [0, 1); cdf never decreases, and neither does b / vocab */
+static void guide_table(const double *cdf, int64_t vocab, int64_t *guide)
 {
-    int64_t lo = 0, hi = vocab;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (cdf[mid] < u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    int64_t i = 0;
+    for (int64_t b = 0; b < vocab; b++) {
+        double edge = (double)b / (double)vocab;
+        while (i < vocab && cdf[i] < edge)
+            i++;
+        guide[b] = i;
     }
-    return lo < vocab ? lo : vocab - 1;
+}
+
+/* np.searchsorted(cdf, u) (side "left"), clamped to the last word: the cdf
+ * tail can round below 1.0. The walk starts at u's bucket and steps back
+ * while the entry before is >= u, then forward while the entry is < u, so it
+ * ends at the first entry >= u however the bucket edges rounded. */
+static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t vocab, double u)
+{
+    int64_t b = (int64_t)(u * (double)vocab);
+    int64_t i = guide[b < vocab ? b : vocab - 1];
+    while (i > 0 && cdf[i - 1] >= u)
+        i--;
+    while (i < vocab && cdf[i] < u)
+        i++;
+    return i < vocab ? i : vocab - 1;
 }
 
 /* Every epoch over every document: ids[offsets[d]:offsets[d + 1]] are the
@@ -114,8 +149,10 @@ int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
     int64_t *rows = malloc(cap * sizeof *rows), *negs = NULL;
     double *uniform = malloc(longest * sizeof *uniform), *coeff = malloc(cap * sizeof *coeff);
     double *grad = malloc(dim * sizeof *grad), *draws = NULL;
-    int64_t draws_cap = 0, tokens = 0;
-    int ok = kept && shrink && rows && uniform && coeff && grad;
+    int64_t *guide = malloc(vocab * sizeof *guide), draws_cap = 0, tokens = 0;
+    int ok = kept && shrink && rows && uniform && coeff && grad && guide;
+    if (ok)
+        guide_table(noise_cdf, vocab, guide);
 
     for (int64_t e = 0; ok && e < epochs; e++) {
         for (int64_t d = 0; ok && d < n_docs; d++) {
@@ -149,7 +186,7 @@ int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
             }
             random_standard_uniform_fill(bitgen, count, draws);
             for (int64_t j = 0; j < count; j++)
-                negs[j] = noise_word(noise_cdf, vocab, draws[j]);
+                negs[j] = noise_word(noise_cdf, guide, vocab, draws[j]);
             document(kept, shrink, negs, n, negatives, dim, lr, w_in, w_out, rows, coeff, grad);
         }
     }
@@ -161,5 +198,6 @@ int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
     free(coeff);
     free(grad);
     free(draws);
+    free(guide);
     return ok ? 0 : -1;
 }

@@ -237,6 +237,30 @@ def test_pipeline_reuses_trained_embeddings(world, tmp_path):
     assert not (out_dir / "embeddings.txt").exists()
 
 
+def test_pipeline_with_embeddings_records_unchecked_training_flags(world, tmp_path):
+    # nothing trains, so a bad training flag is recorded, not refused
+    out_dir = tmp_path / "pipe3"
+    assert main(["pipeline", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]),
+                 "--mode", "unsup", "--cutoff", "2",
+                 "--embeddings", str(world["embeddings"]),
+                 "--subsample", "-1", "--dim", "0",
+                 "--out", str(out_dir)]) == 0
+    report = read_report(out_dir / "report.txt")
+    assert report["config_sgns_subsample_threshold"] == "-1.0"
+    assert report["config_sgns_dim"] == "0"
+    assert report["config_sgns_epochs"] == str(SgnsConfig().epochs)
+
+
+def test_pipeline_that_trains_checks_the_training_flags(world, tmp_path, capsys):
+    out_dir = tmp_path / "pipe4"
+    assert main(["pipeline", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]), "--mode", "unsup",
+                 "--subsample", "-1", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: --subsample (subsample_threshold)")
+    assert not out_dir.exists()
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -204,6 +204,21 @@ class TestColumns:
         assert part.offsets[0] == 0 and len(part.word_ids) == part.offsets[-1]
         assert len(reviews[7:2]) == 0
 
+    def test_slice_skips_the_duplicate_id_check_that_take_keeps(self, monkeypatch):
+        reviews = make_reviews(10, seed=3)
+
+        def refuse(corpus):
+            raise AssertionError("duplicate-id check ran")
+        monkeypatch.setattr(corpus_mod.TaggedCorpus, "__post_init__", refuse)
+        part = reviews[2:6]
+        assert (part.words, part.tags, part.source) == \
+            (reviews.words, reviews.tags, reviews.source)
+        assert (part.ids, part.labels) == (reviews.ids[2:6], reviews.labels[2:6])
+        assert part.word_ids.tolist() == \
+            reviews.word_ids[reviews.offsets[2]:reviews.offsets[6]].tolist()
+        with pytest.raises(AssertionError, match="duplicate-id check"):
+            reviews.take([2, 3, 4, 5])
+
     def test_take_copies_its_documents(self):
         reviews = make_reviews(10, seed=3)
         picked = reviews.take(np.array([1, 4, 9]))

@@ -94,6 +94,27 @@ class TestRead:
             records.write(path, [("a", 1)], {"mode": "semi\nb\t2"})
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", ["w\tx", "w\r", "w\r\n", "w\x85"])
+    def test_write_names_a_bad_row_far_into_the_file(self, tmp_path, bad):
+        # the rows are written a block at a time: an earlier block is on disk
+        path = tmp_path / "f.tsv"
+        rows = [(f"w{i}", float(i)) for i in range(3000)]
+        rows[2500] = (bad, 1.5)
+        with pytest.raises(ValueError) as err:
+            records.write(path, iter(rows), {"mode": "semi"})
+        line = bad + "\t1.5"
+        assert str(err.value) == f"{path}: a field of {line!r} holds a tab or a line break"
+        assert not path.exists()
+
+    def test_write_matches_one_line_per_row(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        rows = [(f"w{i}", i / 7, i, "#x") for i in range(2500)] + [("z",), ("y", "#")]
+        records.write(path, iter(rows), {"total": 2500, "mode": "semi"})
+        expected = "# total=2500\n# mode=semi\n" + "".join(
+            "\t".join(repr(f) if isinstance(f, float) else str(f) for f in row) + "\n"
+            for row in rows)
+        assert path.read_text(encoding="utf-8") == expected
+
 
 class TestRoundTrip:
     @given(st.dictionaries(words, finite, min_size=1, max_size=8),

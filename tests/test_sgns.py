@@ -217,6 +217,38 @@ def draws_hitting_context(kept, shrink, negs, negatives):
                for p, word in enumerate(pairs) for q in range(negatives))
 
 
+# noise mass mostly on words 2 and 3, so draws often hit their context
+FIVE_WORDS = np.cumsum([0.02, 0.03, 0.5, 0.4, 0.05])
+
+
+class NoiseDrawRecorder:
+    """A Generator stand-in for sgns._train_documents that keeps its noise
+    draws: the ``random`` call after each ``integers`` call (the radii)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.noise = []
+        self.after_radii = False
+
+    def integers(self, *args, **kwargs):
+        self.after_radii = True
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        draws = self.rng.random(size)
+        if self.after_radii:
+            self.noise.extend(draws.tolist())
+        self.after_radii = False
+        return draws
+
+
+def entry_on_a_draw(draws):
+    """Five words whose cdf holds one of ``draws`` as an entry, and the bucket
+    edge 3/5 (the kernel's guide table has one bucket a word) as another."""
+    drawn = next(u for u in draws if 0.05 < u < 0.55)
+    return np.array([drawn / 2, drawn, (drawn + 0.6) / 2, 3 / 5, 1.0])
+
+
 class TestKernel:
     def test_numpy_step_keeps_the_random_stream(self, monkeypatch):
         # the fingerprint the per-center loop gave before the draws were
@@ -236,25 +268,53 @@ class TestKernel:
         assert table.fingerprint() == "3722fa76e6675b48"
 
     @needs_cc
-    @pytest.mark.parametrize("docs, keep, window, hits", [
-        ([[0, 1]], 1.0, 2, False),
-        ([[2, 3, 2, 4], [3, 2]], 1.0, 3, True),
-        ([[1, 1, 1, 1, 1]], 1.0, 2, False),
+    @pytest.mark.parametrize("dim, fingerprint", [(100, "ecbfbedd4f5bd1d0"),
+                                                  (37, "6ff338f5d78b9229")])
+    def test_kernel_keeps_its_vectors_at_whole_and_odd_dims(self, dim, fingerprint):
+        # recorded before the AVX2 clone and the guide table: dim 100 is whole
+        # vectors of four doubles, 37 also runs every remainder loop
+        table = train_sgns(make_reviews(60, seed=3),
+                           SgnsConfig(dim=dim, epochs=2, min_count=2, rng_seed=7))
+        assert table.metadata["sgns_kernel"] == "c"
+        assert table.fingerprint() == fingerprint
+
+    @needs_cc
+    @pytest.mark.parametrize("docs, keep, window, hits, noise_cdf", [
+        ([[0, 1]], 1.0, 2, False, FIVE_WORDS),
+        ([[2, 3, 2, 4], [3, 2]], 1.0, 3, True, FIVE_WORDS),
+        ([[1, 1, 1, 1, 1]], 1.0, 2, False, FIVE_WORDS),
         # radii from an empty range: the generator draws none
-        ([[0, 3, 1, 4, 2]], 1.0, 1, False),
+        ([[0, 3, 1, 4, 2]], 1.0, 1, False, FIVE_WORDS),
         # one-token documents and ones that keep fewer than two draw only their mask
-        ([[4], [0, 1, 2], [3, 3, 1], [2, 0], [1]], 0.4, 2, False),
-        ([[0, 1, 2], [4, 3]], 1.0, 10**6, False),
+        ([[4], [0, 1, 2], [3, 3, 1], [2, 0], [1]], 0.4, 2, False, FIVE_WORDS),
+        ([[0, 1, 2], [4, 3]], 1.0, 10**6, False, FIVE_WORDS),
+        # words without mass: equal neighbours, and a first entry of 0
+        ([[0, 1, 2, 3, 4, 0, 3], [4, 4, 1]], 1.0, 2, True, np.cumsum([0, 0.3, 0, 0.2, 0.5])),
+        # a tail below 1.0, as rounding can leave it, but far enough below that
+        # draws land past it and take the last word
+        ([[0, 3, 1, 4, 2, 4]], 1.0, 3, True, np.array([0.1, 0.3, 0.5, 0.6, 0.7])),
+        # the noise draws do not depend on the cdf, so one can be made an entry
+        ([[0, 1, 2, 3, 4], [2, 1, 0]], 1.0, 2, False, entry_on_a_draw),
+        # every draw is the one word, so every draw hits its context
+        ([[0, 0, 0, 0, 0]], 1.0, 2, True, np.array([1.0])),
     ], ids=["two-tokens", "draws-hit-context", "repeated-rows", "window-one",
-            "short-kept-documents", "window-wider-than-documents"])
-    def test_kernel_matches_numpy_step(self, monkeypatch, docs, keep, window, hits):
-        # noise mass mostly on words 2 and 3, so draws often hit their context
-        noise_cdf = np.cumsum([0.02, 0.03, 0.5, 0.4, 0.05])
-        keep_p = np.full(5, keep)
+            "short-kept-documents", "window-wider-than-documents", "tied-cdf-entries",
+            "cdf-tail-below-one", "draw-on-a-cdf-entry", "one-word-vocabulary"])
+    def test_kernel_matches_numpy_step(self, monkeypatch, docs, keep, window, hits,
+                                       noise_cdf):
         doc_ids = [np.array(d, dtype=np.int64) for d in docs]
         config = SgnsConfig(window=window, negatives=3, epochs=3, initial_learning_rate=0.05)
+        if callable(noise_cdf):
+            recorder = NoiseDrawRecorder(11)
+            sgns._train_documents(doc_ids, np.zeros((5, 7)), np.zeros((5, 7)), np.ones(5),
+                                  FIVE_WORDS, config, recorder, 40)
+            noise_cdf = noise_cdf(recorder.noise)
+            assert set(noise_cdf.tolist()) & set(recorder.noise)
+        vocab = noise_cdf.size
+        keep_p = np.full(vocab, keep)
         start = np.random.default_rng(0)
-        weights = start.normal(scale=0.5, size=(5, 7)), start.normal(scale=0.5, size=(5, 7))
+        weights = (start.normal(scale=0.5, size=(vocab, 7)),
+                   start.normal(scale=0.5, size=(vocab, 7)))
         kernel = sgns._load_kernel()
         assert kernel is not None
         stepped = recorded_documents(monkeypatch)

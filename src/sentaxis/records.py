@@ -106,14 +106,16 @@ _OTHER_BREAK = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _lines(path, rows: list[Sequence]) -> str:
-    """The rows' lines. Their separators are exactly ``len(fields) - 1`` tabs a
-    row and one ``"\\n"`` a line, so the block is counted once; only a
+    """The rows' lines, built in one pass: a str field as it is, any other
+    through :func:`_text`. Their separators are exactly ``len(fields) - 1``
+    tabs a row and one ``"\\n"`` a line, so the block is counted once; only a
     miscount checks row by row, to name the row at fault."""
-    text = "\n".join(["\t".join(map(_text, fields)) for fields in rows]) + "\n"
+    lines = ["\t".join([f if f.__class__ is str else _text(f) for f in fields])
+             for fields in rows]
+    text = "\n".join(lines) + "\n"
     if text.count("\t") != sum(map(len, rows)) - len(rows) or \
             text.count("\n") != len(rows) or _OTHER_BREAK.search(text):
-        for fields in rows:
-            line = "\t".join(map(_text, fields))
+        for fields, line in zip(rows, lines):
             if line.count("\t") != len(fields) - 1 or "\n" in line or _OTHER_BREAK.search(line):
                 raise ValueError(f"{path}: a field of {line!r} holds a tab or a line break")
     return text

@@ -27,12 +27,8 @@ of the dot-product sums differs).
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -216,7 +212,6 @@ def _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
 
 _KERNEL_SOURCE = Path(__file__).with_name("sgns_kernel.c")
 _KERNEL_CACHE = _KERNEL_SOURCE.parent / "__pycache__"
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _numpy_random_library() -> Path:
@@ -226,37 +221,25 @@ def _numpy_random_library() -> Path:
 
 def _kernel_build_argv(output: Path) -> tuple[str, ...]:
     """The compiler command that builds ``sgns_kernel.c`` into ``output``."""
-    return ("cc", *_KERNEL_FLAGS, "-I", np.get_include(), "-o", str(output),
-            str(_KERNEL_SOURCE), str(_numpy_random_library()), "-lm")
+    from . import compiled
+
+    return compiled.build_argv(_KERNEL_SOURCE, output, (_numpy_random_library(),))
 
 
 @functools.cache
 def _load_kernel():
-    """The training loop of ``sgns_kernel.c``, or None if it cannot be built or loaded.
-
-    The first call in a checkout compiles it with ``cc`` into
-    ``__pycache__/sgns_kernel-<key>.so``, linked against numpy's
-    ``libnpyrandom.a``. The key is the sha256 of the source, the flags,
-    numpy's version and the library's bytes; later processes load that file.
-    """
-    import subprocess  # here, not at the top: importing sentaxis stays as fast
+    """The training loop of ``sgns_kernel.c``, linked against numpy's
+    ``libnpyrandom.a`` (see :mod:`sentaxis.compiled`), or None if it cannot be
+    built or loaded."""
+    import ctypes
     from numpy.ctypeslib import ndpointer
 
-    try:
-        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode()
-                             + np.__version__.encode() + _numpy_random_library().read_bytes())
-        library = _KERNEL_CACHE / f"sgns_kernel-{key.hexdigest()[:16]}.so"
-        if not library.exists():
-            _KERNEL_CACHE.mkdir(exist_ok=True)
-            # build under a private name, then move into place in one step, so
-            # a concurrent process never loads a half-written library
-            with tempfile.TemporaryDirectory(dir=_KERNEL_CACHE) as tmp:
-                built = Path(tmp) / library.name
-                subprocess.run(_kernel_build_argv(built),
-                               check=True, capture_output=True, timeout=120)
-                os.replace(built, library)
-        kernel = ctypes.CDLL(str(library)).sgns_train
-    except (OSError, subprocess.SubprocessError, AttributeError):
+    from . import compiled  # here, not at the top: importing sentaxis stays as fast
+
+    library = compiled.load_library(_KERNEL_SOURCE, _KERNEL_CACHE, _kernel_build_argv,
+                                    (_numpy_random_library(),))
+    kernel = getattr(library, "sgns_train", None)
+    if kernel is None:
         return None
     ids = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     table = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")

@@ -7,15 +7,32 @@ format imports externally trained vectors. Words contain no whitespace;
 trailing whitespace and blank lines are ignored; every value must be a finite
 number, spelled as Python's ``float`` reads ASCII text without underscores
 (``-1``, ``0.25``, ``2.5E-3``); ``1_000`` and non-ASCII digits are non-numeric.
-Loading reads the file once, in blocks of lines that numpy's C reader
-(``np.loadtxt``) parses. A block that fails is checked again line by line, so
-every malformed row is named ``path:line``. A byte that is not UTF-8 is named
-``path:line`` by reading a regular file again; from a pipe, only ``path``.
+Loading reads the file once, as bytes, in chunks of ``CHUNK_BYTES`` into one
+reused buffer; a chunk's unfinished last line moves to the front of the next.
+The compiled parser of ``vectors_kernel.c`` fills the matrix from each
+chunk's whole lines; Python checks the words for repeats, and sends a chunk
+holding one to the text path, which names it. The parser declines the
+first line that is not plain: a byte outside printable ASCII, space, tab and
+``"\\n"`` (so ``"\\r"`` and any non-ASCII word), ``inf`` or ``nan``, a value
+whose digits it cannot turn into the double ``float`` reads with one exact
+multiply or divide (more than 19 digits, a mantissa over 2^53 or a decimal
+exponent past +-22, so 17-digit ``repr`` output), a wrong field count or a row
+past the header's count; also a line longer than a chunk, a last line with no
+``"\\n"``, and a header holding ``"\\r"``. From that line on, the text path reads
+the rest of the input: blocks of lines that numpy's C reader (``np.loadtxt``)
+parses. A block that fails is checked again line by line, so every malformed
+row is named ``path:line``. Without a C compiler, or if the build fails, the
+text path reads every row; ``table.metadata["vector_parser"]`` is ``"c"`` if
+the compiled parser read every row, else ``"numpy"``. Both give the same
+bits and the same errors. A byte that is not UTF-8 is named ``path:line`` by
+reading a regular file again; from a pipe, only ``path``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import os
 from itertools import islice
 from pathlib import Path
@@ -42,12 +59,12 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
             raise ValueError("vector dimension must be positive")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("vectors must be finite")
-        if any(not w for w in words):
+        if not all(words):
             raise ValueError("words must be non-empty")
-        if len(set(words)) != len(words):
-            raise ValueError("words must be unique")
         self._words = tuple(words)
-        self._index = {w: i for i, w in enumerate(self._words)}
+        self._index = dict(zip(self._words, range(len(self._words))))
+        if len(self._index) != len(self._words):
+            raise ValueError("words must be unique")
         self._matrix = matrix
         self._matrix.flags.writeable = False
         self.metadata = dict(metadata or {})
@@ -107,29 +124,119 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 # +2 MB at 1,024.
 BLOCK_LINES = 256
 
+# Bytes read at a time for the compiled parser, into one reused buffer. A
+# line longer than this goes to the text path.
+CHUNK_BYTES = 1 << 18
+
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a vector file (the format is in the module docstring)."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        st = os.fstat(fh.fileno())
+    with path.open("rb", buffering=0) as raw:
+        st = os.fstat(raw.fileno())
         size = st.st_size if S_ISREG(st.st_mode) else None  # a pipe has none
         try:
-            matrix = _read_header(fh, path, size)
-            words = _read_rows(fh, path, matrix)
+            matrix, words, parser = _read(raw, path, size)
         except UnicodeDecodeError:
             if size is None:
                 # the bytes before the bad one are consumed, so its line is unknown
                 raise ParseError("not UTF-8", path=path) from None
             with path.open("r", encoding="utf-8", errors="surrogateescape") as again:
                 raise records.not_utf8(path, again) from None
-    return EmbeddingTable(words, matrix, metadata={"source": str(path)})
+    if len(words) != len(matrix):
+        raise ParseError(f"header promised {len(matrix)} rows, found {len(words)}", path=path)
+    return EmbeddingTable(words, matrix, metadata={"source": str(path), "vector_parser": parser})
 
 
-def _read_header(fh, path, size: int | None) -> np.ndarray:
+def _read(raw, path, size: int | None) -> tuple[np.ndarray, list[str], str]:
+    """The matrix, the words in file order and the parser that read every
+    row (``"c"``, else ``"numpy"``) of the file open as ``raw``. The rows go
+    to the compiled parser a chunk of whole lines at a time. From the first
+    line it declines, the text path reads the rest."""
+    buf = bytearray(CHUNK_BYTES)
+    view = memoryview(buf)
+    filled = _fill(raw, view, 0)
+    pos = buf.find(b"\n", 0, filled) + 1  # of the first row
+    parse = _load_parser()
+    if not pos or parse is None or buf.find(b"\r", 0, pos) >= 0:
+        # a lone "\r" ends a line where a text stream reads the header
+        return _read_text(buf[:filled], raw, path, size, None, [], 2)
+    matrix = _read_header(str(view[:pos], "utf-8"), path, size)
+    dim = matrix.shape[1]
+    data = np.frombuffer(buf, dtype=np.uint8)
+    # a row takes at least 2 * dim + 2 bytes
+    spans = np.empty(2 * (CHUNK_BYTES // (2 * dim + 2)), dtype=np.int64)
+    stop = np.empty(2, dtype=np.int64)
+    words: list[str] = []
+    seen: set[str] = set()
+    lineno = 2
+    while True:
+        end = buf.rfind(b"\n", pos, filled) + 1  # of the chunk's whole lines
+        if end:
+            rows = parse(data[pos:], end - pos, dim, len(matrix) - len(words),
+                         matrix[len(words):], spans, stop)
+            parsed, lines = stop.tolist()
+            chunk = str(view[pos:pos + parsed], "ascii")
+            bounds = iter(spans[:2 * rows].tolist())
+            new = [chunk[i:j] for i, j in zip(bounds, bounds)]
+            seen.update(new)
+            if len(seen) == len(words) + rows:  # else the chunk repeats a word
+                words += new
+                lineno += lines
+                pos += parsed
+            if pos < end:  # the text path names a repeat, reads a declined line
+                return _read_text(buf[pos:filled], raw, path, size, matrix, words, lineno)
+        # keep the unfinished last line and read on after it
+        tail = filled - pos
+        view[:tail] = buf[pos:filled]
+        filled = _fill(raw, view, tail)
+        pos = 0
+        if filled == tail:
+            if tail:  # a line longer than the buffer, or a last line with no "\n"
+                return _read_text(buf[:tail], raw, path, size, matrix, words, lineno)
+            return matrix, words, "c"
+
+
+def _fill(raw, view: memoryview, start: int) -> int:
+    """Read from ``raw`` into ``view[start:]`` until it is full or the input
+    ends (a pipe hands over less at a time); returns the bytes in ``view``."""
+    while start < len(view) and (read := raw.readinto(view[start:])):
+        start += read
+    return start
+
+
+def _read_text(head: bytes, raw, path, size, matrix, words, lineno):
+    """:func:`_read` on the text path, from ``head`` and the rest of ``raw``
+    on: with no ``matrix``, from the header; else from row ``len(words)``,
+    at line ``lineno``."""
+    fh = io.TextIOWrapper(io.BufferedReader(_Chained(head, raw)), encoding="utf-8")
+    if matrix is None:
+        matrix = _read_header(fh.readline(), path, size)
+    return matrix, _read_rows(fh, path, matrix, words, lineno), "numpy"
+
+
+class _Chained(io.RawIOBase):
+    """A raw stream of ``head``, then of what ``raw`` has left."""
+
+    def __init__(self, head: bytes, raw):
+        self._head = memoryview(head)
+        self._raw = raw
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        if not self._head:
+            return self._raw.readinto(b)
+        n = min(len(b), len(self._head))
+        b[:n] = self._head[:n]
+        self._head = self._head[n:]
+        return n
+
+
+def _read_header(header: str, path, size: int | None) -> np.ndarray:
     """The uninitialised ``vocab_count x dim`` matrix the header line promises;
     ``size`` is the file's size in bytes, None for a pipe."""
-    header = fh.readline()
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("header must be 'vocab_count dim'", path=path, line=1)
@@ -155,15 +262,14 @@ def _read_header(fh, path, size: int | None) -> np.ndarray:
             "more than memory can hold", path=path, line=1) from None
 
 
-def _read_rows(fh, path, matrix: np.ndarray) -> list[str]:
-    """Fill ``matrix`` from the rows after the header, a block of lines at a
-    time; returns the words in file order. A block that fails to parse is
-    checked again line by line to name its first bad line, so the file is
-    read only once and a pipe works too."""
+def _read_rows(fh, path, matrix: np.ndarray, words: list[str], lineno: int) -> list[str]:
+    """Fill ``matrix`` from row ``len(words)`` on with the rows of the text
+    stream ``fh``, whose first line is line ``lineno``, a block of lines at a
+    time; returns ``words`` with the new rows' words appended. A block that
+    fails to parse is checked again line by line to name its first bad line,
+    so the file is read only once and a pipe works too."""
     vocab_count, dim = matrix.shape
-    words: list[str] = []
-    seen: set[str] = set()
-    lineno = 2  # of the block's first line
+    seen = set(words)
     nonfinite = None  # (first line, lines, values) of the first block holding one
     while block := list(islice(fh, BLOCK_LINES)):
         start = len(words)
@@ -187,9 +293,40 @@ def _read_rows(fh, path, matrix: np.ndarray) -> list[str]:
         i = [i for i, text in enumerate(block) if not text.isspace()][row]
         raise ParseError(f"non-finite vector component for {block[i].split()[0]!r}",
                          path=path, line=lineno + i)
-    if len(words) != vocab_count:
-        raise ParseError(f"header promised {vocab_count} rows, found {len(words)}", path=path)
     return words
+
+
+_PARSER_SOURCE = Path(__file__).with_name("vectors_kernel.c")
+_PARSER_CACHE = _PARSER_SOURCE.parent / "__pycache__"
+
+
+def _parser_build_argv(output: Path) -> tuple[str, ...]:
+    """The compiler command that builds ``vectors_kernel.c`` into ``output``."""
+    from . import compiled
+
+    return compiled.build_argv(_PARSER_SOURCE, output)
+
+
+@functools.cache
+def _load_parser():
+    """``vectors_parse`` of ``vectors_kernel.c`` (see :mod:`sentaxis.compiled`),
+    or None if it cannot be built or loaded."""
+    import ctypes
+    from numpy.ctypeslib import ndpointer
+
+    from . import compiled  # here, not at the top: importing sentaxis stays as fast
+
+    library = compiled.load_library(_PARSER_SOURCE, _PARSER_CACHE, _parser_build_argv)
+    parse = getattr(library, "vectors_parse", None)
+    if parse is None:
+        return None
+    count = ctypes.c_int64
+    parse.argtypes = [ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count, count, count,
+                      ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE")),
+                      ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE")),
+                      ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+    parse.restype = count
+    return parse
 
 
 def _parse_block(lines: list[str], words: list[str], dim: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
 import os
+import shutil
+import subprocess
 import time
 import tracemalloc
 from unittest import mock
@@ -442,3 +444,174 @@ def _vector_text(draw, valid: bool):
         lines.extend([""] * draw(st.sampled_from([0, 0, 1, 2])))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.fixture(scope="class")
+def text_path():
+    """The compiled parser forced off: every row goes to the text path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectors, "_load_parser", lambda: None)
+        yield
+
+
+# A property test runs here through a given() of its own, under the
+# strategies of its original: hypothesis refuses one given() run from two
+# classes.
+@pytest.mark.usefixtures("text_path")
+class TestTableIOTextPath(TestTableIO):
+    """Every TestTableIO case with the compiled parser off."""
+
+    test_round_trip_is_bit_identical = given(drawn=vector_files)(
+        TestTableIO.test_round_trip_is_bit_identical.hypothesis.inner_test)
+
+
+@pytest.mark.usefixtures("text_path")
+class TestBlockLoaderTextPath(TestBlockLoader):
+    """Every TestBlockLoader case with the compiled parser off."""
+
+    test_matches_per_line_parse = given(drawn=st.data(), valid=st.booleans())(
+        TestBlockLoader.test_matches_per_line_parse.hypothesis.inner_test)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def outcome(path, compiled=True):
+    """``path`` as loaded: ``(words, matrix bytes, parser)``, or the error's text."""
+    with mock.patch.object(vectors, "_load_parser",
+                           vectors._load_parser if compiled else lambda: None):
+        try:
+            table = load_embeddings(path)
+        except ParseError as err:
+            return str(err)
+    return table.words, table.matrix.tobytes(), table.metadata["vector_parser"]
+
+
+def expected_parser(fast):
+    """``vector_parser`` of a file the compiled parser takes whole if ``fast``."""
+    return "c" if fast and vectors._load_parser() is not None else "numpy"
+
+
+@pytest.fixture
+def fresh_parser():
+    """Forget the loaded parser before and after the test, as a new process would."""
+    vectors._load_parser.cache_clear()
+    yield
+    vectors._load_parser.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def pinned_file(tmp_path_factory):
+    """A fixed 20,000 x 100 file of "%.6f" values, as perfbench writes them."""
+    n, dim = 20_000, 100
+    path = tmp_path_factory.mktemp("pinned") / "v.txt"
+    values = np.random.default_rng(0).uniform(-1, 1, size=(n, dim))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"{n} {dim}\n")
+        np.savetxt(fh, np.column_stack([np.arange(n), values]), fmt="w%d" + " %.6f" * dim)
+    return path
+
+
+class TestCompiledParser:
+    """The compiled parser gives the text path's bits and errors, or declines."""
+
+    @given(drawn=st.data(), valid=st.booleans(), compiled=st.booleans())
+    def test_matches_per_line_parse_in_any_chunk(self, tmp_path_factory, drawn, valid,
+                                                 compiled):
+        # chunks of a few bytes, so rows straddle them and some outgrow them
+        path = tmp_path_factory.mktemp("pl") / "v.txt"
+        path.write_text(drawn.draw(_vector_text(valid)), encoding="utf-8", newline="")
+        expected = per_line_load(path)
+        with mock.patch.object(vectors, "BLOCK_LINES", drawn.draw(st.integers(1, 4))), \
+                mock.patch.object(vectors, "CHUNK_BYTES", drawn.draw(st.integers(1, 64))):
+            loaded = outcome(path, compiled)
+        if isinstance(expected, str):
+            assert loaded == f"{path}:{expected}"
+        else:
+            assert list(loaded[0]) == expected[0]
+            assert loaded[1] == expected[1].tobytes()
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "text"])
+    def test_last_line_without_line_break(self, tmp_path, compiled):
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1 2\nb 3 4\nc 5 -6.5", encoding="utf-8")
+        words, values, parser = outcome(path, compiled)
+        assert words == ("a", "b", "c")
+        assert values == np.array([[1, 2], [3, 4], [5, -6.5]], dtype=float).tobytes()
+        # the compiled parser takes whole lines only
+        assert parser == "numpy"
+
+    @pytest.mark.parametrize("row", ["café 1 2", "x 0.30000000000000004 1", "x 1 2\r",
+                                     "x inf 1"],
+                             ids=["non-ascii-word", "repr-value", "carriage-return", "inf"])
+    def test_decline_after_many_rows_names_a_later_line(self, tmp_path, row):
+        # lines 2-1001 are good rows, 1002 the declined one, 1004 repeats a word
+        path = tmp_path / "v.txt"
+        path.write_bytes(f"1003 2\n{rows(0, 1000)}{row}\ny 1 2\nw5 1 2\n".encode())
+        assert outcome(path) == outcome(path, compiled=False) == \
+            f"{path}:1004: duplicate word 'w5'"
+        path.write_bytes(f"1002 2\n{rows(0, 1000)}{row}\ny 1 2\n".encode())
+        assert outcome(path) == outcome(path, compiled=False)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_declines_mid_stream(self):
+        # under the 64 KiB a pipe holds, so one thread can write it all first
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, f"1003 2\n{rows(0, 1000)}café 1 2\ny 1\nz 1 2\n".encode())
+            os.close(write_end)
+            with pytest.raises(ParseError) as err:
+                load_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(err.value) == f"/dev/fd/{read_end}:1003: expected 2 values for word 'y', got 1"
+
+    @pytest.mark.parametrize("value, fast", [
+        ("-0.0", True), ("0.", True), (".5", True), ("+.5e+1", True), ("-7E-0", True),
+        ("1e22", True), ("1e23", False), ("1e-22", True), ("1e-23", False),
+        ("9007199254740992", True), ("9007199254740993", False),
+        # 19 digits against 20 of the same value
+        ("0.000000000000000001", True), ("0.0000000000000000001", False),
+        ("1e0000000000000000000000001", True), ("0.1e-99999999999999999999", False),
+    ])
+    def test_fast_path_edges_read_as_float_does(self, tmp_path, value, fast):
+        path = tmp_path / "v.txt"
+        path.write_text(f"1 1\na {value}\n", encoding="utf-8")
+        _, values, parser = outcome(path)
+        assert values == np.array([float(value)]).tobytes()
+        assert parser == expected_parser(fast)
+
+    @needs_cc
+    def test_pinned_file_keeps_its_fingerprint(self, pinned_file, monkeypatch, tmp_path,
+                                                fresh_parser):
+        # recorded with the loader that had no compiled parser
+        table = load_embeddings(pinned_file)
+        assert table.metadata["vector_parser"] == "c"
+        assert table.fingerprint() == "19d7509bef605378"
+        broken = tmp_path / "vectors_kernel.c"
+        broken.write_text("long vectors_parse(void) { return }\n")
+        monkeypatch.setattr(vectors, "_PARSER_SOURCE", broken)
+        monkeypatch.setattr(vectors, "_PARSER_CACHE", tmp_path / "cache")
+        vectors._load_parser.cache_clear()
+        again = load_embeddings(pinned_file)
+        assert again.metadata["vector_parser"] == "numpy"
+        assert again.fingerprint() == "19d7509bef605378"
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_hidden_compiler_falls_back_to_the_text_path(self, monkeypatch, tmp_path,
+                                                         fresh_parser):
+        path = tmp_path / "v.txt"
+        path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setattr(vectors, "_PARSER_CACHE", tmp_path / "cache")
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        table = load_embeddings(path)
+        assert table.metadata["vector_parser"] == "numpy"
+        assert np.array_equal(table.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc, *args = vectors._parser_build_argv(tmp_path / "parser.so")
+        built = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", *args],
+                               capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr

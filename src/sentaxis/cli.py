@@ -201,6 +201,9 @@ def cmd_pmi_baseline(args) -> int:
     if len(seeds) != 2 or not all(seeds):
         raise ConfigError(f"--seeds must be 'pos,neg', got {args.seeds!r}")
     pos_seed, neg_seed = seeds
+    if pos_seed == neg_seed:
+        # every phrase's SO would be exactly 0, so every review would be POS
+        raise ConfigError(f"--seeds must be two different words, got {args.seeds!r}")
     _check_review_args(args, args.report)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = _load_reviews(args)

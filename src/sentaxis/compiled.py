@@ -1,8 +1,8 @@
 """Build a C source of this package with ``cc`` once, then load it with ``ctypes``.
 
-Both kernels, ``sgns_kernel.c`` and ``vectors_kernel.c``, go through
-:func:`load_library`; their modules import this one on first use only, so
-importing the CLI starts no build. The first call in a checkout compiles the
+All three kernels, ``sgns_kernel.c``, ``vectors_kernel.c`` and
+``corpus_kernel.c``, go through :func:`load_library`; their modules import
+this one on first use only, so importing the CLI starts no build. The first call in a checkout compiles the
 source into ``<stem>-<key>.so`` in the cache directory (``__pycache__/``
 beside the source); later processes load that file. The key is the sha256 of
 the source, the flags, numpy's version and the bytes of every library linked

@@ -17,20 +17,34 @@ words and tags are numbered in that order, and the first bad text is the
 file's first bad line, whose number is looked up only then), and gathers
 the token columns from the ids with numpy.
 
-A tagged corpus is decoded whole but split into lines a piece of about
-``PIECE_CHARS`` characters at a time, so the lines of a large file never all
-exist at once. Each piece ends right after a ``"\\n"``, so no ``"\\r\\n"`` is
-cut, and every other line break ``str.splitlines`` knows is one character:
-the pieces' lines are exactly the whole text's lines, numbered the same.
+Format A's lines are interned by ``corpus_kernel.c`` (built through
+:mod:`sentaxis.compiled`) from the file's bytes: one int32 first-seen id a
+line, and the byte span of each distinct line, in a table that grows with
+the distinct lines alone. A line ends at ``"\\n"``, so the kernel declines a
+file holding any other line break ``str.splitlines`` knows (``"\\r"``,
+``"\\v"``, ``"\\f"``, ``"\\x1c"``-``"\\x1e"``, U+0085, U+2028, U+2029), and
+the lines keep ``splitlines``' numbers. Only the distinct lines are decoded,
+all before any is parsed; ``"\\n"`` falls inside no UTF-8 sequence, so the
+first that is not UTF-8 holds the file's first bad byte. If the kernel
+declines the file, or cannot be built or loaded, the Python route below
+reads it, as it reads format B.
+
+On the Python route a tagged corpus is decoded whole but split into lines a
+piece of about ``PIECE_CHARS`` characters at a time, so the lines of a large
+file never all exist at once. Each piece ends right after a ``"\\n"``, so no
+``"\\r\\n"`` is cut, and every other line break ``str.splitlines`` knows is
+one character: the pieces' lines are exactly the whole text's lines,
+numbered the same.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,12 +186,13 @@ class _FirstSeenIds(dict):
 def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedCorpus:
     """Parse a tagged corpus file; tokens are lowercased at load time."""
     path = Path(path)
-    text = records.read_text(path)
     if format == FORMAT_ONE_TOKEN_PER_LINE:
-        columns = _parse_items(_lines(text), _parse_token_line, path, lambda p, n: p + 1)
+        columns = _parse_items(*_interned_lines(path), _parse_token_line, path,
+                               lambda p, n: p + 1)
     elif format == FORMAT_INLINE:
-        items = chain.from_iterable((*line.split(), "\n") for line in _lines(text))
-        columns = _parse_items(items, _parse_piece, path, lambda p, n: n + 1)
+        items = chain.from_iterable((*line.split(), "\n")
+                                    for line in _lines(records.read_text(path)))
+        columns = _parse_items(*_intern(items), _parse_piece, path, lambda p, n: n + 1)
     else:
         raise ValueError(f"unknown corpus format {format!r}")
     n_docs = len(columns[-1]) - 1
@@ -185,6 +200,91 @@ def load_tagged_corpus(path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> TaggedC
         raise EmptyInputError(f"{path}: no documents found")
     return TaggedCorpus(*columns, ids=tuple(f"d{i:06d}" for i in range(n_docs)),
                         labels=(None,) * n_docs, source=str(path))
+
+
+def _interned_lines(path: Path) -> tuple[np.ndarray, Sequence[str]]:
+    """The id of each line of the format-A file ``path`` and its distinct
+    lines in first-seen order: from the kernel, or, if it declines the file
+    or cannot be loaded, from ``str.splitlines`` (module docstring)."""
+    data = path.read_bytes()
+    found = _intern_bytes(data)
+    if found is None:
+        text = records.decode(path, data)
+        del data  # not needed again: freed before the lines are split
+        return _intern(_lines(text))
+    ids, spans = found
+    texts = []
+    for k, (start, end) in enumerate(spans.tolist()):
+        try:
+            texts.append(str(data[start:end], "utf-8"))
+        except UnicodeDecodeError:
+            # "\n" falls inside no UTF-8 sequence, so the first distinct line
+            # that fails to decode is the file's first line that does
+            bad = data[start:end].decode("utf-8", "surrogateescape")
+            raise records.not_utf8(path, [bad], first=int(np.argmax(ids == k)) + 1) from None
+    return ids, texts
+
+
+# Distinct lines the kernel first has room for; the room doubles when full.
+FIRST_ROOM = 256
+
+
+def _intern_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The id of each line of ``data`` and the (start, end) byte span of each
+    distinct line, by ``corpus_kernel.c``; None if it declines ``data`` (a
+    line break other than ``"\\n"``) or cannot be loaded."""
+    intern = _load_interner()
+    if intern is None:
+        return None
+    ids = np.empty(data.count(b"\n") + 1, dtype=np.int32)
+    spans = np.empty((FIRST_ROOM, 2), dtype=np.int64)
+    state = np.zeros(3, dtype=np.int64)  # next line's offset, lines, distinct lines
+    while True:
+        slots = 1 << len(spans).bit_length()  # a power of two above the room
+        status = intern(np.frombuffer(data, dtype=np.uint8), len(data), ids, spans, len(spans),
+                        np.zeros(slots, dtype=np.uint64), slots, state)
+        if status != 1:
+            break
+        # the room is full: the kernel resumes with twice the room
+        spans = np.concatenate([spans, np.empty_like(spans)])
+    if status < 0:
+        return None
+    lines, distinct = state[1:].tolist()
+    return ids[:lines], spans[:distinct]
+
+
+_INTERNER_SOURCE = Path(__file__).with_name("corpus_kernel.c")
+_INTERNER_CACHE = _INTERNER_SOURCE.parent / "__pycache__"
+
+
+def _interner_build_argv(output: Path) -> tuple[str, ...]:
+    """The compiler command that builds ``corpus_kernel.c`` into ``output``."""
+    from . import compiled
+
+    return compiled.build_argv(_INTERNER_SOURCE, output)
+
+
+@functools.cache
+def _load_interner():
+    """``corpus_intern`` of ``corpus_kernel.c`` (see :mod:`sentaxis.compiled`),
+    or None if it cannot be built or loaded."""
+    import ctypes
+    from numpy.ctypeslib import ndpointer
+
+    from . import compiled  # here, not at the top: importing sentaxis stays as fast
+
+    library = compiled.load_library(_INTERNER_SOURCE, _INTERNER_CACHE, _interner_build_argv)
+    intern = getattr(library, "corpus_intern", None)
+    if intern is None:
+        return None
+    count, out = ctypes.c_int64, ("C_CONTIGUOUS", "WRITEABLE")
+    intern.argtypes = [ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count,
+                       ndpointer(np.int32, ndim=1, flags=out),
+                       ndpointer(np.int64, ndim=2, flags=out), count,
+                       ndpointer(np.uint64, ndim=1, flags=out), count,
+                       ndpointer(np.int64, ndim=1, flags=out)]
+    intern.restype = ctypes.c_int
+    return intern
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -202,13 +302,19 @@ def _pieces(text: str, size: int) -> Iterator[str]:
         start = end
 
 
-def _parse_items(items: Iterable[str], parse: Callable, path, line_of: Callable):
-    """Columns of the documents (runs of tokens) in ``items``: format-A lines,
-    or ``token_TAG`` pieces with a ``"\\n"`` after each line's. ``parse`` gives
-    an item's (word, tag), None for a separator, or raises ValueError, which
-    is reported at ``line_of(p, n)``: the item at p, after n separators."""
+def _intern(items: Iterable[str]) -> tuple[np.ndarray, Sequence[str]]:
+    """The id of each of ``items`` and the distinct items in first-seen order."""
     texts = _FirstSeenIds()
-    item_ids = np.fromiter(map(texts.__getitem__, items), dtype=np.int32)
+    return np.fromiter(map(texts.__getitem__, items), dtype=np.int32), texts
+
+
+def _parse_items(item_ids: np.ndarray, texts: Sequence[str], parse: Callable, path,
+                 line_of: Callable):
+    """Columns of the documents (runs of tokens) in the items whose ids are
+    ``item_ids``, distinct items ``texts``: format-A lines, or ``token_TAG``
+    pieces with a ``"\\n"`` after each line's. ``parse`` gives an item's
+    (word, tag), None for a separator, or raises ValueError, which is
+    reported at ``line_of(p, n)``: the item at p, after n separators."""
     words, tags = _FirstSeenIds(), _FirstSeenIds()
     word_of, tag_of = np.full(len(texts), -1, dtype=np.int32), np.zeros(len(texts), np.int64)
     for k, text in enumerate(texts):
@@ -224,7 +330,7 @@ def _parse_items(items: Iterable[str], parse: Callable, path, line_of: Callable)
     is_token = (word_of >= 0)[item_ids]
     # a document starts at each token after a separator (or at the first
     # item); its first token's index is its item's minus the separators before
-    starts = np.flatnonzero(np.diff(is_token.view(np.int8), prepend=0) == 1)
+    starts = np.flatnonzero(np.diff(is_token.view(np.int8), prepend=np.int8(0)) == 1)
     offsets = np.append(starts - np.searchsorted(np.flatnonzero(~is_token), starts),
                         np.count_nonzero(is_token)).astype(np.int64)
     token_items = item_ids[is_token]
@@ -264,7 +370,7 @@ def load_labeled_reviews(path) -> TaggedCorpus:
     bad = next((i for i, label in enumerate(labels) if label not in (POS, NEG)), len(rows))
     # a bad piece on an earlier line than the first bad label is the first error
     items = chain.from_iterable((*text.split(), "\n") for _, (_, text) in rows[:bad])
-    columns = _parse_items(items, _parse_piece, path, lambda p, n: rows[n][0])
+    columns = _parse_items(*_intern(items), _parse_piece, path, lambda p, n: rows[n][0])
     if bad < len(rows):
         line, (label, _) = rows[bad]
         raise ParseError(f"label must be POS or NEG, got {label!r}", path=path, line=line)

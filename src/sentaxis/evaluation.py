@@ -258,7 +258,6 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
         table = _stage("load-embeddings", load_embeddings, config.embeddings_path)
     else:
         table = _stage("train-embeddings", train_sgns, corpus, config.sgns)
-        save_embeddings(table, out_dir / "embeddings.txt")
 
     phrases = _stage("extract-phrases", patterns.extract_phrases, corpus)
     points = _stage("select-points", patterns.select_point_words, phrases, corpus,
@@ -268,6 +267,9 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
     lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)
     report = _stage("evaluate", evaluate, reviews, lexicon, config.snapshot())
 
+    # written only once every stage has passed, so a failed run leaves none
+    if config.embeddings_path is None:
+        save_embeddings(table, out_dir / "embeddings.txt")
     axis_mod.save_axis(oriented, out_dir)
     axis_mod.save_orientation_lexicon(lexicon, out_dir / "lexicon.tsv")
     if projection is not None:

@@ -42,20 +42,26 @@ def read(path, layout: Sequence[str]) -> tuple[dict, list]:
 
 
 def read_text(path) -> str:
-    """All of ``path`` as UTF-8 text; bytes that are not UTF-8 raise a
-    :class:`ParseError` naming their line as ``str.splitlines`` counts it."""
-    data = Path(path).read_bytes()
+    """All of ``path`` as UTF-8 text (see :func:`decode`)."""
+    return decode(path, Path(path).read_bytes())
+
+
+def decode(path, data: bytes) -> str:
+    """``data``, read from ``path``, as UTF-8 text; bytes that are not UTF-8
+    raise a :class:`ParseError` naming their line as ``str.splitlines``
+    counts it."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path, data.decode("utf-8", "surrogateescape").splitlines()) from None
 
 
-def not_utf8(path, lines: Iterable[str]) -> ParseError:
-    """The error naming the first of ``lines`` that holds a byte that is not
-    UTF-8; ``lines`` are decoded with ``errors="surrogateescape"``, which
-    turns each such byte into a lone surrogate."""
-    for line, text in enumerate(lines, start=1):
+def not_utf8(path, lines: Iterable[str], first: int = 1) -> ParseError:
+    """The error naming the first of ``lines``, numbered from ``first``, that
+    holds a byte that is not UTF-8; ``lines`` are decoded with
+    ``errors="surrogateescape"``, which turns each such byte into a lone
+    surrogate."""
+    for line, text in enumerate(lines, start=first):
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:

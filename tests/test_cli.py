@@ -191,7 +191,7 @@ def test_pmi_report_in_missing_directory_is_tool_error(world, tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--window", "0"), ("--window", "-3"),
     ("--seeds", "excellent"), ("--seeds", "excellent,"), ("--seeds", ",poor"),
-    ("--seeds", "excellent,poor,bad"),
+    ("--seeds", "excellent,poor,bad"), ("--seeds", "Excellent,excellent"),
 ])
 def test_pmi_bad_argument_rejected_before_reading_files(tmp_path, capsys, flag, value):
     # the input files do not exist: the argument must be checked first
@@ -259,6 +259,16 @@ def test_pipeline_that_trains_checks_the_training_flags(world, tmp_path, capsys)
                  "--subsample", "-1", "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: --subsample (subsample_threshold)")
     assert not out_dir.exists()
+
+
+def test_pipeline_failing_after_training_leaves_no_embeddings(world, tmp_path, capsys):
+    out_dir = tmp_path / "pipe5"
+    assert main(["pipeline", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]), "--mode", "unsup",
+                 "--cutoff", "100000", "--dim", "8", "--epochs", "1", "--min-count", "3",
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'select-points' failed")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_unknown_subcommand_exits_with_usage_error():

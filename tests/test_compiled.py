@@ -1,4 +1,4 @@
-"""The one build path both C kernels share, and what a package must ship for it."""
+"""The one build path every C kernel shares, and what a package must ship for it."""
 
 import hashlib
 import os
@@ -25,7 +25,7 @@ def test_every_c_source_ships_with_the_package():
     with (ROOT / "pyproject.toml").open("rb") as fh:
         shipped = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["sentaxis"]
     sources = sorted(path.name for path in PACKAGE.glob("*.c"))
-    assert sources == ["sgns_kernel.c", "vectors_kernel.c"]
+    assert sources == ["corpus_kernel.c", "sgns_kernel.c", "vectors_kernel.c"]
     assert set(sources) <= set(shipped)
 
 

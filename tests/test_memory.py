@@ -2,6 +2,7 @@
 corpus or vocabulary at once, read as tracemalloc peaks (numpy reports its
 array buffers to tracemalloc)."""
 
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,20 @@ def test_format_a_load_holds_a_few_times_the_file(corpus_file, monkeypatch):
     monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 1 << 16)
     _, peak = traced_peak(load_tagged_corpus, corpus_file)
     assert peak < 5 * corpus_file.stat().st_size
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_format_a_kernel_route_holds_under_three_times_the_file(corpus_file, monkeypatch):
+    # the file's bytes, one int32 id a line (0.5x here) and then the
+    # columns: 2x. A (start, end) span a line would add 2x, and so would a
+    # hash table with a slot a line at most half full
+    assert corpus_mod._load_interner() is not None
+
+    def refuse(text):
+        raise AssertionError("the file was split by str.splitlines")
+    monkeypatch.setattr(corpus_mod, "_lines", refuse)
+    _, peak = traced_peak(load_tagged_corpus, corpus_file)
+    assert peak < 3 * corpus_file.stat().st_size
 
 
 def test_loaded_corpus_keeps_no_object_per_token(corpus_file):

@@ -15,6 +15,7 @@ import pytest
 
 import sentaxis
 from sentaxis import cli, records, sgns
+from sentaxis import corpus as corpus_mod
 from sentaxis import vectors as vectors_mod
 
 from corpus_helpers import save_tagged_corpus
@@ -118,8 +119,8 @@ def reached(tmp_path_factory):
             called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     # cached functions run their body only on a cache miss, and the SGNS
-    # kernel and the vector parser are built only where no built copy is
-    # found: as in a new checkout
+    # kernel, the vector parser and the line interner are built only where
+    # no built copy is found: as in a new checkout
     for name, module in list(sys.modules.items()):
         if name.startswith("sentaxis."):
             for value in vars(module).values():
@@ -128,6 +129,7 @@ def reached(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sgns, "_KERNEL_CACHE", root / "kernel")
         patch.setattr(vectors_mod, "_PARSER_CACHE", root / "kernel")
+        patch.setattr(corpus_mod, "_INTERNER_CACHE", root / "kernel")
         sys.setprofile(profile)
         try:
             codes = [cli.main(argv) for argv in runs]
@@ -135,6 +137,7 @@ def reached(tmp_path_factory):
             sys.setprofile(None)
             sgns._load_kernel.cache_clear()
             vectors_mod._load_parser.cache_clear()
+            corpus_mod._load_interner.cache_clear()
     assert codes == [0] * len(runs)
     return called
 

@@ -116,25 +116,6 @@ class TaggedCorpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, docs: slice) -> TaggedCorpus:
-        """Documents ``docs`` (a slice without step) as views: O(their tokens).
-
-        Built without ``__init__``: a slice of unique ids cannot repeat one,
-        so the view skips the duplicate-id check."""
-        start, stop, _ = docs.indices(len(self))
-        stop = max(start, stop)
-        first, last = self.offsets[start], self.offsets[stop]
-        view, put = object.__new__(TaggedCorpus), object.__setattr__
-        put(view, "words", self.words)
-        put(view, "tags", self.tags)
-        put(view, "word_ids", self.word_ids[first:last])
-        put(view, "tag_ids", self.tag_ids[first:last])
-        put(view, "offsets", self.offsets[start:stop + 1] - first)
-        put(view, "ids", self.ids[start:stop])
-        put(view, "labels", self.labels[start:stop])
-        put(view, "source", self.source)
-        return view
-
     def take(self, docs: list[int]) -> TaggedCorpus:
         """The documents at the ascending indices ``docs``, copied."""
         lengths = np.diff(self.offsets)

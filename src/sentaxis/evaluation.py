@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, asdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import axis as axis_mod
 from . import patterns, pmi
@@ -60,15 +62,22 @@ class SweepRow:
     reason: str = ""
 
 
-def review_mean(review: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> tuple[float, int]:
-    """Mean orientation over in-lexicon tokens (summed in order) and how many scored."""
-    total = 0.0
-    n = 0
-    for score in map(lexicon.scores.get, map(review.words.__getitem__, review.word_ids.tolist())):
-        if score is not None:
-            total += score
-            n += 1
-    return (total / n if n else 0.0), n
+def review_means(reviews: TaggedCorpus,
+                 lexicon: axis_mod.OrientationLexicon) -> list[tuple[float, int]]:
+    """Each review's mean orientation over its in-lexicon tokens (summed in
+    order) and how many scored, in one walk over the word ids."""
+    scores = list(map(lexicon.scores.get, reviews.words))
+    word_ids, bounds = reviews.word_ids.tolist(), reviews.offsets.tolist()
+    means = []
+    for start, end in zip(bounds, bounds[1:]):
+        total = 0.0
+        n = 0
+        for score in map(scores.__getitem__, word_ids[start:end]):
+            if score is not None:
+                total += score
+                n += 1
+        means.append(((total / n if n else 0.0), n))
+    return means
 
 
 def _check_gold(reviews: TaggedCorpus) -> None:
@@ -79,13 +88,12 @@ def _check_gold(reviews: TaggedCorpus) -> None:
         raise ConfigError(f"reviews without gold labels: {unlabeled[:5]}")
 
 
-def _tally(reviews: TaggedCorpus, score: Callable[[TaggedCorpus], tuple[float, int]],
+def _tally(reviews: TaggedCorpus, scores: Iterable[tuple[float, int]],
            config_snapshot: dict | None) -> EvalReport:
-    """Label each review by the ``score`` (mean, n) of its slice; n == 0 is undecided."""
+    """Label each review by its (mean, n) in ``scores``; n == 0 is undecided."""
     confusion = {(POS, POS): 0, (POS, NEG): 0, (NEG, POS): 0, (NEG, NEG): 0}
     undecided = 0
-    for i, gold in enumerate(reviews.labels):
-        mean, n = score(reviews[i:i + 1])
+    for gold, (mean, n) in zip(reviews.labels, scores, strict=True):
         confusion[(gold, label_for(mean))] += 1
         undecided += n == 0
     n_total = sum(confusion.values())
@@ -107,28 +115,32 @@ def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon,
              config_snapshot: dict | None = None) -> EvalReport:
     """Accuracy and confusion of lexicon classification against gold labels."""
     _check_gold(reviews)
-    return _tally(reviews, lambda review: review_mean(review, lexicon), config_snapshot)
+    return _tally(reviews, review_means(reviews, lexicon), config_snapshot)
 
 
 def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
                  pos_seed: str = pmi.DEFAULT_POS_SEED,
                  neg_seed: str = pmi.DEFAULT_NEG_SEED,
                  config_snapshot: dict | None = None) -> EvalReport:
-    """PMI baseline accuracy; phrase orientations are cached across reviews.
+    """PMI baseline accuracy from one phrase extraction over all the reviews.
 
     Both seeds are checked before any review is classified, so a missing seed
-    is an error even when no review yields a phrase.
+    is an error even when no review yields a phrase. Each distinct phrase is
+    scored once, in sorted order, so the phrases of one first word come
+    together and its next-word array is gathered once.
     """
     _check_gold(reviews)
     pmi.seed_hits(index, pos_seed, neg_seed)
-    cache: dict = {}
-
-    def score(review: TaggedCorpus) -> tuple[float, int]:
-        result = pmi.classify_review_pmi(index, review, pos_seed=pos_seed,
-                                         neg_seed=neg_seed, so_cache=cache)
-        return result.mean_so, result.n_phrases
-
-    return _tally(reviews, score, config_snapshot)
+    # occurrences come in review order; a review without one keeps no phrase
+    phrases: dict[str, Sequence[tuple[str, str]]] = dict.fromkeys(reviews.ids, ())
+    for doc_id, occurrences in groupby(pmi.extract_phrases(reviews), attrgetter("doc_id")):
+        phrases[doc_id] = [occ.phrase for occ in occurrences]
+    orientations = {phrase: pmi.so_phrase(index, phrase, pos_seed=pos_seed, neg_seed=neg_seed)
+                    for phrase in sorted(set().union(*phrases.values()))}
+    results = (pmi.classify_review_pmi(index, phrases[doc_id], pos_seed=pos_seed,
+                                       neg_seed=neg_seed, so_cache=orientations)
+               for doc_id in reviews.ids)
+    return _tally(reviews, ((r.mean_so, r.n_phrases) for r in results), config_snapshot)
 
 
 def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,

@@ -8,13 +8,12 @@ position, the lowest-numbered rule wins and a single occurrence is emitted.
 Extraction is one gather from the tag ids through a table ``rule[tag1, tag2,
 third]`` of the lowest-numbered matching rule (0 for none), ``third`` being
 the class of the next word: NN or NNS, another tag, or none at a document's
-end. The table is cached per rules and ``tags``, so review slices share it.
+end.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from collections import Counter
 from itertools import chain, compress, repeat
 from dataclasses import dataclass, field
@@ -85,7 +84,6 @@ class TagVarianceReport:
                 for tag, (var, count) in self.per_tag.items()}
 
 
-@functools.cache  # built once: the PMI baseline extracts from each review in turn
 def builtin_rules() -> tuple[PatternRule, ...]:
     """The five bigram extraction rules, in priority order."""
     return (
@@ -97,7 +95,6 @@ def builtin_rules() -> tuple[PatternRule, ...]:
     )
 
 
-@functools.lru_cache(maxsize=16)
 def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
     """``rule[tag1, tag2, third]`` and each tag id's third-word class: 0 NN or NNS, 1
     another tag, 2 tag id ``len(tags)``, a document boundary (no rule's second word)."""
@@ -109,7 +106,6 @@ def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
                      # one tag of each third-word class
                      [rule.third_allows(tag) for tag in ("NN", "", None)])] = rule_index
     third_class = np.array([0 if tag in NOUN_TAGS else 1 for tag in tags] + [2], dtype=np.intp)
-    table.flags.writeable = third_class.flags.writeable = False  # the cache shares them
     return table, third_class
 
 

@@ -17,19 +17,25 @@ lexicon's reviews are labeled by.
 
 The index is a few numpy arrays. ``terms`` holds one int32 term id per token,
 the documents laid end to end, each followed by ``pad = min(window, longest
-document)`` slots of a padding id that no term has. Queries reach ``pad``
-slots either way: two tokens of one document are at most ``longest - 1``
-apart, so clamping the window to the longest document changes no answer,
-and two tokens of different documents are at least ``pad + 1`` apart, so no
-window crosses a document boundary. One stable argsort of ``terms`` lists
-every term's positions in ascending order; ``postings`` holds each term's
-slice of it. A phrase's positions are its first word's positions whose next
-slot holds its second word. For NEAR(a, b), two ``searchsorted`` calls of
-a's positions ± pad into b's positions count b's occurrences in reach of
-each occurrence of a, and the distinct documents of the occurrences with a
-partner are the NEAR documents. A phrase's orientation queries it against
-one seed, then the other; the index keeps the positions of the last term
-it queried against, so the phrase's positions are found once for both.
+document)`` slots of a padding id that no term has, and ``doc_of`` the
+document of each slot. Queries reach ``pad`` slots either way: two tokens of
+one document are at most ``longest - 1`` apart, so clamping the window to the
+longest document changes no answer, and two tokens of different documents
+are at least ``pad + 1`` apart, so no window crosses a document boundary.
+One stable argsort of ``terms`` lists every term's positions in ascending
+order; ``postings`` holds each term's slice of it.
+
+A phrase's positions are its first word's positions whose next slot holds
+its second word. The next-word array of a first word (``terms`` at each of
+its positions plus one) is gathered once and kept until a phrase with
+another first word is asked for, so scoring the phrases grouped by first
+word gathers each first word's array once and holds one at a time. NEAR(a,
+seed) reads a boolean reach mask of the seed, one flag a slot, True where
+the seed occurs within ``pad`` slots; it is built once per seed from a
+cumulative count of the seed's occurrences, one pass over the slots however
+large ``pad`` is. The occurrences of a with the seed in reach are then
+``positions[mask[positions]]``. A hit count is the number of distinct
+documents of ascending positions: the runs in their ``doc_of`` values.
 
 The term ids are the corpus's word ids as they are, and a boolean mask of
 token and padding slots places them: building the index holds no per-token
@@ -40,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import TaggedCorpus
 from .errors import EmptyInputError, SeedMissingError
-from .patterns import extract_phrases
+from .patterns import extract_phrases  # evaluation.evaluate_pmi calls it through this module
 
 DEFAULT_WINDOW = 10
 DEFAULT_POS_SEED = "excellent"
@@ -76,8 +83,8 @@ class NearIndex:
     document index of each of its slots and ``pad`` the reach of every query
     (``window`` clamped to the longest document). ``postings`` maps each term
     to its ascending positions in ``terms``. ``near_hits`` maps unordered term
-    pairs to the documents where they co-occur within the window; it fills on
-    demand, so only queried pairs are materialized.
+    pairs to the number of documents where they co-occur within the window;
+    it fills on demand, so only queried pairs are counted.
     """
 
     def __init__(self, corpus: TaggedCorpus, window: int = DEFAULT_WINDOW):
@@ -105,10 +112,11 @@ class NearIndex:
             term: order[bounds[i]:bounds[i + 1]] for term, i in self.term_ids.items()}
         self.doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths + self.pad)
         self._doc_counts: dict[Term, int] = {}
-        self.near_hits: dict[frozenset[Term], set[str]] = {}
-        self._last_positions: tuple[Term | None, np.ndarray] = (None, _NO_POSITIONS)
+        self.near_hits: dict[frozenset[Term], int] = {}
+        self._reach: dict[Term, np.ndarray] = {}
+        self._next_words: tuple[str | None, np.ndarray] = (None, _NO_POSITIONS)
 
-    def _positions(self, term: Term) -> np.ndarray:
+    def positions(self, term: Term) -> np.ndarray:
         """Ascending occurrence positions; phrases anchor at their first token."""
         if isinstance(term, str):
             return self.postings.get(term, _NO_POSITIONS)
@@ -117,36 +125,47 @@ class NearIndex:
         second = self.term_ids.get(w2)
         if first is None or second is None:
             return _NO_POSITIONS
-        # a document's last token is followed by padding, never by a term
-        return first[self.terms[first + 1] == second]
+        # the slot after each occurrence of w1, kept for w1's next phrase only; a
+        # document's last token is followed by padding, never by a term
+        if self._next_words[0] != w1:
+            self._next_words = (w1, self.terms[1:][first])
+        return first[self._next_words[1] == second]
 
-    def _doc_set(self, positions: np.ndarray) -> set[str]:
-        return {self.doc_ids[i] for i in self.doc_of[positions].tolist()}
+    def reach(self, term: Term) -> np.ndarray:
+        """Slot mask: True where ``term`` occurs at most ``pad`` slots away."""
+        mask = self._reach.get(term)
+        if mask is None:
+            # count[k] is the number of occurrences before slot k - pad, modulo
+            # the smallest unsigned type that holds 2 pad + 1: slot s has
+            # count[s + 2 pad + 1] - count[s] occurrences within pad of it, at
+            # most 2 pad + 1, so the two differ exactly when one is in reach
+            count = np.zeros(len(self.terms) + 2 * self.pad + 1,
+                             np.min_scalar_type(2 * self.pad + 1))
+            count[self.positions(term) + self.pad + 1] = 1
+            np.cumsum(count, dtype=count.dtype, out=count)
+            mask = self._reach[term] = count[2 * self.pad + 1:] != count[:len(self.terms)]
+        return mask
 
-    def docs_with(self, term: Term) -> set[str]:
-        return self._doc_set(self._positions(term))
+    def _documents(self, positions: np.ndarray) -> int:
+        """Distinct documents of ascending positions: the runs of their document ids."""
+        docs = self.doc_of[positions]
+        return int(docs.size and 1 + np.count_nonzero(docs[1:] != docs[:-1]))
 
     def document_count(self, term: Term) -> int:
         """Documents containing the term (document-level counting); once per term."""
         count = self._doc_counts.get(term)
         if count is None:
-            count = self._doc_counts[term] = len(self.docs_with(term))
+            count = self._doc_counts[term] = self._documents(self.positions(term))
         return count
 
-    def near_docs(self, a: Term, b: Term) -> set[str]:
+    def near_count(self, a: Term, b: Term) -> int:
         """Documents where a and b occur within the window, order-free."""
         key = frozenset((a, b))
-        docs = self.near_hits.get(key)
-        if docs is None:
-            # a phrase is asked for with one seed, then the other: find it once
-            if self._last_positions[0] != a:
-                self._last_positions = (a, self._positions(a))
-            pos_a = self._last_positions[1]
-            pos_b = self._positions(b)
-            low = np.searchsorted(pos_b, pos_a - self.pad, side="left")
-            high = np.searchsorted(pos_b, pos_a + self.pad, side="right")
-            docs = self.near_hits[key] = self._doc_set(pos_a[high > low])
-        return docs
+        count = self.near_hits.get(key)
+        if count is None:
+            at = self.positions(a)
+            count = self.near_hits[key] = self._documents(at[self.reach(b)[at]])
+        return count
 
 
 def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> NearIndex:
@@ -173,30 +192,29 @@ def so_phrase(index: NearIndex, phrase: tuple[str, str],
               neg_seed: str = DEFAULT_NEG_SEED) -> float:
     """Log-ratio orientation of a phrase from hit counts."""
     seed_pos_hits, seed_neg_hits = seed_hits(index, pos_seed, neg_seed)
-    near_pos = len(index.near_docs(phrase, pos_seed))
-    near_neg = len(index.near_docs(phrase, neg_seed))
+    near_pos = index.near_count(phrase, pos_seed)
+    near_neg = index.near_count(phrase, neg_seed)
     smoothed_pos = near_pos if near_pos else ZERO_HIT_SMOOTHING
     smoothed_neg = near_neg if near_neg else ZERO_HIT_SMOOTHING
     # difference of logs keeps seed-swap antisymmetry exact in floats
     return math.log2(smoothed_pos * seed_neg_hits) - math.log2(smoothed_neg * seed_pos_hits)
 
 
-def classify_review_pmi(index: NearIndex, review: TaggedCorpus,
+def classify_review_pmi(index: NearIndex, phrases: Iterable[tuple[str, str]],
                         pos_seed: str = DEFAULT_POS_SEED,
                         neg_seed: str = DEFAULT_NEG_SEED,
                         so_cache: dict | None = None) -> PmiReviewResult:
-    """Mean orientation of a one-review corpus's phrases; its label is ``label_for`` of it.
+    """Mean orientation of one review's phrases; its label is ``label_for`` of it.
 
-    No extracted phrase means a zero mean, which labels POS; ``no_phrase``
-    flags it so downstream reporting can count it. ``so_cache`` memoizes
-    phrase orientations across reviews.
+    No phrase means a zero mean, which labels POS; ``no_phrase`` flags it so
+    downstream reporting can count it. ``so_cache`` memoizes phrase
+    orientations across reviews.
     """
     cache = {} if so_cache is None else so_cache
     values = []
-    for occ in extract_phrases(review):
-        if occ.phrase not in cache:
-            cache[occ.phrase] = so_phrase(index, occ.phrase, pos_seed=pos_seed,
-                                          neg_seed=neg_seed)
-        values.append(cache[occ.phrase])
+    for phrase in phrases:
+        if phrase not in cache:
+            cache[phrase] = so_phrase(index, phrase, pos_seed=pos_seed, neg_seed=neg_seed)
+        values.append(cache[phrase])
     mean = sum(values) / len(values) if values else 0.0
     return PmiReviewResult(mean_so=mean, n_phrases=len(values))

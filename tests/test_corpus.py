@@ -196,26 +196,12 @@ class TestColumns:
         assert corpus.offsets.tolist() == [0, 2, 4, 5]
         assert (corpus.ids, corpus.labels) == (("d000000", "d000001", "d000002"), (None,) * 3)
 
-    def test_slice_views_its_documents(self):
-        reviews = make_reviews(10, seed=3)
-        part = reviews[3:5]
-        assert part.documents == reviews.documents[3:5]
-        assert np.shares_memory(part.word_ids, reviews.word_ids)
-        assert part.offsets[0] == 0 and len(part.word_ids) == part.offsets[-1]
-        assert len(reviews[7:2]) == 0
-
-    def test_slice_skips_the_duplicate_id_check_that_take_keeps(self, monkeypatch):
+    def test_take_keeps_the_duplicate_id_check(self, monkeypatch):
         reviews = make_reviews(10, seed=3)
 
         def refuse(corpus):
             raise AssertionError("duplicate-id check ran")
         monkeypatch.setattr(corpus_mod.TaggedCorpus, "__post_init__", refuse)
-        part = reviews[2:6]
-        assert (part.words, part.tags, part.source) == \
-            (reviews.words, reviews.tags, reviews.source)
-        assert (part.ids, part.labels) == (reviews.ids[2:6], reviews.labels[2:6])
-        assert part.word_ids.tolist() == \
-            reviews.word_ids[reviews.offsets[2]:reviews.offsets[6]].tolist()
         with pytest.raises(AssertionError, match="duplicate-id check"):
             reviews.take([2, 3, 4, 5])
 

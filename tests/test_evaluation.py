@@ -14,7 +14,7 @@ from sentaxis.evaluation import (
     evaluate,
     filter_reviews,
     read_report,
-    review_mean,
+    review_means,
     run_pipeline,
     sweep_cutoffs,
     write_report,
@@ -36,7 +36,7 @@ def review_of(*words, label=None):
 
 
 def label_of(review, lexicon) -> str:
-    return label_for(review_mean(review, lexicon)[0])
+    return label_for(review_means(review, lexicon)[0][0])
 
 
 class TestClassifyReview:
@@ -52,7 +52,7 @@ class TestClassifyReview:
         lex = lexicon_of(nice=1.0)
         review = review_of("the", "film")
         assert label_of(review, lex) == POS
-        mean, n = review_mean(review, lex)
+        mean, n = review_means(review, lex)[0]
         assert mean == 0.0 and n == 0
 
     def test_tokens_counted_with_multiplicity(self):
@@ -67,6 +67,19 @@ class TestClassifyReview:
         base = label_of(review_of(*words), lex)
         assert label_of(review_of(*[words[i] for i in order]), lex) == base
 
+
+    def test_means_of_many_reviews_are_each_reviews_own_sum(self):
+        reviews = make_reviews(40, seed=9)
+        rng = np.random.default_rng(9)
+        lex = lexicon_of(**{w: float(rng.normal()) for w in reviews.words[::2]})
+        expected = []
+        for doc in reviews.documents:
+            scored = [lex.scores[t.text] for t in doc.tokens if t.text in lex.scores]
+            total = 0.0
+            for score in scored:
+                total += score
+            expected.append((total / len(scored) if scored else 0.0, len(scored)))
+        assert review_means(reviews, lex) == expected
 
 def test_label_for_is_neg_only_below_zero():
     assert [label_for(m) for m in (-1e-300, -0.0, 0.0, 1e-300)] == [NEG, POS, POS, POS]
@@ -127,7 +140,7 @@ class TestEvaluate:
     def test_zero_mean_is_positive_and_decided(self, words, scores):
         lex = lexicon_of(**scores)
         review = review_of(*words, label=NEG)
-        assert review_mean(review, lex) == (0.0, len(words))
+        assert review_means(review, lex)[0] == (0.0, len(words))
         report = evaluate(review, lex)
         assert report.confusion == ((0, 0), (1, 0))
         assert report.n_undecided == 0
@@ -147,7 +160,7 @@ class TestEvaluate:
 
     def test_flipped_gold_complements_accuracy(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
-        reviews = self.reviews()[:3]
+        reviews = self.reviews().take([0, 1, 2])
         flipped = join([review_of(*[t.text for t in r.tokens],
                                   label=POS if r.label == NEG else NEG)
                         for r in reviews])
@@ -165,7 +178,7 @@ class TestEvaluate:
         shift = 0.2
         shifted = lexicon_of(**{w: s + shift for w, s in scores.items()})
         for review, before in zip(reviews, base_labels):
-            mean, _ = review_mean(review, lexicon_of(**scores))
+            mean, _ = review_means(review, lexicon_of(**scores))[0]
             after = label_of(review, shifted)
             if (mean < 0.0) == (mean + shift < 0.0):
                 assert after == before

@@ -1,5 +1,5 @@
-"""Bounds on the transient memory of the three stages that handle a whole
-corpus or vocabulary at once, read as tracemalloc peaks (numpy reports its
+"""Bounds on the transient memory of the stages that handle a whole corpus
+or vocabulary at once, read as tracemalloc peaks (numpy reports its
 array buffers to tracemalloc)."""
 
 import shutil
@@ -10,11 +10,12 @@ import pytest
 
 from sentaxis import corpus as corpus_mod
 from sentaxis.axis import MODE_UNSUPERVISED, SentimentAxis, score_vocabulary
-from sentaxis.corpus import load_tagged_corpus
+from sentaxis.corpus import POS, TaggedCorpus, load_tagged_corpus
+from sentaxis.evaluation import evaluate_pmi
 from sentaxis.pmi import NearIndex
 from sentaxis.vectors import EmbeddingTable
 
-from corpus_helpers import save_tagged_corpus
+from corpus_helpers import make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -93,3 +94,26 @@ def test_score_vocabulary_never_squares_the_whole_table():
     lexicon, peak = traced_peak(score_vocabulary, axis, table)
     assert len(lexicon.scores) == len(matrix)
     assert peak < matrix.nbytes / 4
+
+
+def adjective_corpus(n_docs, length, rng):
+    """``n_docs`` documents of ``length`` random adjectives, seeds among them."""
+    words = tuple(f"a{k}" for k in range(40)) + ("excellent", "poor")
+    return TaggedCorpus(words, ("JJ",), rng.integers(0, len(words), n_docs * length, np.int32),
+                        np.zeros(n_docs * length, np.uint8),
+                        np.arange(0, n_docs * length + 1, length, dtype=np.int64),
+                        tuple(f"d{i}" for i in range(n_docs)), (None,) * n_docs)
+
+
+def test_pmi_evaluation_holds_two_reach_masks_and_one_first_word():
+    # every token is the first word of some held-out phrase: the two seeds'
+    # reach masks (a byte a slot each) and the count a mask is built from
+    # (another byte) are 3 bytes a slot, under the bound of 4; next-word
+    # arrays for every first word at once would add 4 bytes a token, 3.3 a slot
+    index = NearIndex(adjective_corpus(4000, 40, np.random.default_rng(4)), 10)
+    words = tuple(index.term_ids)
+    reviews = make_corpus([[(w, "JJ"), (words[(k + 1) % len(words)], "JJ"), (".", ".")]
+                           for k, w in enumerate(words)], labels=[POS] * len(words))
+    report, peak = traced_peak(evaluate_pmi, index, reviews)
+    assert report.n_total == len(words) and report.n_undecided == 0
+    assert peak < 4 * len(index.terms)

@@ -1,9 +1,12 @@
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sentaxis.corpus import NEG, POS, label_for, load_tagged_corpus
+from sentaxis.evaluation import EvalReport, evaluate_pmi
 from sentaxis.errors import EmptyInputError, SeedMissingError
 from sentaxis.pmi import (
     NearIndex,
@@ -12,15 +15,36 @@ from sentaxis.pmi import (
     hits,
     so_phrase,
 )
-from sentaxis.evaluation import evaluate_pmi
 from sentaxis.patterns import extract_phrases
 
-from corpus_helpers import make_corpus, save_tagged_corpus
+from corpus_helpers import join, make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
 def words_doc(*words):
     return [(w, "NN") for w in words]
+
+
+def doc_names(index, positions):
+    """The ids of the documents holding these slots."""
+    return {index.doc_ids[d] for d in index.doc_of[positions].tolist()}
+
+
+def docs_with(index, term):
+    return doc_names(index, index.positions(term))
+
+
+def near_docs(index, a, b):
+    """NEAR(a, b) documents by id, from the positions and the reach mask the
+    index counts them from; the count it records must agree."""
+    at = index.positions(a)
+    docs = doc_names(index, at[index.reach(b)[at]])
+    assert index.near_count(a, b) == len(docs)
+    return docs
+
+
+def phrases_of(review):
+    return [occ.phrase for occ in extract_phrases(review)]
 
 
 def make_index(near_pos: int, near_neg: int, h_pos: int, h_neg: int,
@@ -43,25 +67,25 @@ class TestNearIndex:
     def test_gap_within_window_is_hit(self):
         index = build_near_index(make_corpus([words_doc("a", "x", "x", "x", "b")]),
                                  window=10)
-        assert index.near_docs("a", "b") == {"d000000"}
+        assert near_docs(index, "a", "b") == {"d000000"}
 
     def test_gap_beyond_window_is_not(self):
         tokens = ["a"] + ["x"] * 10 + ["b"]  # positions 0 and 11
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert index.near_docs("a", "b") == set()
+        assert near_docs(index, "a", "b") == set()
 
     def test_boundary_exactly_at_window(self):
         tokens = ["a"] + ["x"] * 9 + ["b"]  # positions 0 and 10
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert index.near_docs("a", "b") == {"d000000"}
+        assert near_docs(index, "a", "b") == {"d000000"}
 
     def test_near_is_order_free(self):
         index = build_near_index(make_corpus([
             words_doc("b", "x", "a"),
             words_doc("a", "y", "b"),
         ]), window=5)
-        assert index.near_docs("a", "b") == index.near_docs("b", "a")
-        assert index.near_docs("a", "b") == {"d000000", "d000001"}
+        assert near_docs(index, "a", "b") == near_docs(index, "b", "a")
+        assert near_docs(index, "a", "b") == {"d000000", "d000001"}
 
     def test_six_document_corpus_matches_scan_oracle(self):
         corpus = make_corpus([
@@ -92,13 +116,13 @@ class TestNearIndex:
         vocabulary = sorted({t.text for d in corpus.documents for t in d.tokens})
         for i, t1 in enumerate(vocabulary):
             for t2 in vocabulary[i + 1:]:
-                assert index.near_docs(t1, t2) == oracle(t1, t2), (t1, t2)
+                assert near_docs(index, t1, t2) == oracle(t1, t2), (t1, t2)
 
     def test_invariant_near_docs_subset_of_doc_hits(self):
         index = make_index(2, 1, 4, 3)
-        docs = index.near_docs(("very", "good"), "excellent")
-        assert docs <= index.docs_with(("very", "good"))
-        assert docs <= index.docs_with("excellent")
+        docs = near_docs(index, ("very", "good"), "excellent")
+        assert docs <= docs_with(index, ("very", "good"))
+        assert docs <= docs_with(index, "excellent")
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyInputError):
@@ -162,16 +186,22 @@ class TestSoPhrase:
             backward = so_phrase(index, ("very", "good"), "poor", "excellent")
             assert backward == -forward
 
-    def test_phrase_positions_are_found_once_for_both_seeds(self, monkeypatch):
+    def test_each_first_word_gathers_its_next_words_once(self, monkeypatch):
         index = build_near_index(make_reviews(60, seed=3), window=10)
         reviews = make_reviews(20, seed=4)
-        lookups = []
-        positions = NearIndex._positions
-        monkeypatch.setattr(NearIndex, "_positions",
-                            lambda self, term: lookups.append(term) or positions(self, term))
+        gathered = []  # the first word of each phrase that gathered next words
+        positions = NearIndex.positions
+
+        def spy(self, term):
+            before = self._next_words
+            found = positions(self, term)
+            if self._next_words is not before:
+                gathered.append(term[0])
+            return found
+        monkeypatch.setattr(NearIndex, "positions", spy)
         evaluate_pmi(index, reviews)
         queried = {occ.phrase for occ in extract_phrases(reviews)}
-        assert sorted(term for term in lookups if isinstance(term, tuple)) == sorted(queried)
+        assert sorted(gathered) == sorted({w1 for w1, _ in queried})
         # one NEAR pair per phrase and seed, as the benchmark counts them
         assert len(index.near_hits) == 2 * len(queried)
 
@@ -187,12 +217,12 @@ class TestPhraseAnchoring:
         # only if the anchor (not the phrase's second token) is the reference
         tokens = ["very", "good"] + ["x"] * 9 + ["excellent"]
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert index.near_docs(("very", "good"), "excellent") == set()
+        assert near_docs(index, ("very", "good"), "excellent") == set()
 
     def test_phrase_hit_at_exact_window_from_anchor(self):
         tokens = ["very", "good"] + ["x"] * 8 + ["excellent"]  # anchor 0, seed 10
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert index.near_docs(("very", "good"), "excellent") == {"d000000"}
+        assert near_docs(index, ("very", "good"), "excellent") == {"d000000"}
 
 
 class TestClassifyReview:
@@ -203,7 +233,7 @@ class TestClassifyReview:
         # phrase near 'poor' only: so < 0
         index = make_index(0, 3, 4, 4)
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."))
-        result = classify_review_pmi(index, review)
+        result = classify_review_pmi(index, phrases_of(review))
         assert label_for(result.mean_so) == NEG
         assert result.n_phrases == 1
         assert not result.no_phrase
@@ -211,7 +241,7 @@ class TestClassifyReview:
     def test_no_phrase_labels_pos_with_flag(self):
         index = make_index(1, 1, 2, 2)
         review = self.review(("the", "DT"), ("film", "NN"), (".", "."))
-        result = classify_review_pmi(index, review)
+        result = classify_review_pmi(index, phrases_of(review))
         assert label_for(result.mean_so) == POS
         assert result.no_phrase
         assert result.mean_so == 0.0
@@ -236,7 +266,7 @@ class TestClassifyReview:
             mean = (k * so_good + (10 - k) * so_bad) / 10
             cases.append((pairs, NEG if mean < 0 else POS))
         for pairs, expected in cases:
-            result = classify_review_pmi(index, self.review(*pairs))
+            result = classify_review_pmi(index, phrases_of(self.review(*pairs)))
             assert label_for(result.mean_so) == expected
 
     def test_cancelling_phrases_label_pos_and_are_decided(self):
@@ -247,7 +277,7 @@ class TestClassifyReview:
         assert so_phrase(index, ("very", "good")) == -so_phrase(index, ("truly", "bad"))
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."),
                              ("truly", "RB"), ("bad", "JJ"), (".", "."), label=NEG)
-        result = classify_review_pmi(index, review)
+        result = classify_review_pmi(index, phrases_of(review))
         assert (result.mean_so, result.n_phrases) == (0.0, 2)
         assert label_for(result.mean_so) == POS and not result.no_phrase
         report = evaluate_pmi(index, review)
@@ -258,9 +288,9 @@ class TestClassifyReview:
         index = make_index(2, 1, 3, 3)
         cache = {}
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."))
-        first = classify_review_pmi(index, review, so_cache=cache)
+        first = classify_review_pmi(index, phrases_of(review), so_cache=cache)
         assert ("very", "good") in cache
-        second = classify_review_pmi(index, review, so_cache=cache)
+        second = classify_review_pmi(index, phrases_of(review), so_cache=cache)
         assert first == second
 
 
@@ -301,10 +331,10 @@ class TestArrayIndexAgainstScan:
         rows = scan_oracle(docs, window, a, b)
         near = {doc_id for doc_id, _, _, pairs in rows if pairs}
         with_a = {doc_id for doc_id, pos_a, _, _ in rows if pos_a}
-        assert index.near_docs(a, b) == near
-        assert index.near_docs(b, a) == near
-        assert index.docs_with(a) == with_a
-        assert len(index._positions(a)) == sum(len(pos_a) for _, pos_a, _, _ in rows)
+        assert near_docs(index, a, b) == near
+        assert near_docs(index, b, a) == near
+        assert docs_with(index, a) == with_a
+        assert len(index.positions(a)) == sum(len(pos_a) for _, pos_a, _, _ in rows)
         assert hits(index, a) == len(with_a)
 
     def test_phrase_does_not_run_across_documents(self):
@@ -313,23 +343,23 @@ class TestArrayIndexAgainstScan:
                                  window=15)
         assert hits(index, ("b", "b")) == 0
         assert hits(index, ("a", "b")) == 1
-        assert index.near_docs(("b", "a"), "zz") == set()
+        assert near_docs(index, ("b", "a"), "zz") == set()
 
     def test_unknown_words(self):
         index = build_near_index(make_corpus([words_doc("a", "b", "a")]), window=2)
-        assert index.docs_with("zz") == set()
+        assert docs_with(index, "zz") == set()
         assert hits(index, ("a", "zz")) == 0
         assert hits(index, ("zz", "a")) == 0
-        assert index.near_docs(("a", "zz"), "b") == set()
-        assert index.near_docs("zz", "a") == set()
+        assert near_docs(index, ("a", "zz"), "b") == set()
+        assert near_docs(index, "zz", "a") == set()
 
     def test_huge_window_pads_by_the_longest_document(self):
         docs = [words_doc("a", "b", "c"), words_doc("c",), words_doc("b", "x", "x", "a", "x")]
         index = build_near_index(make_corpus(docs), window=10**9)
         assert index.pad == 5
         assert len(index.terms) == 9 + 3 * 5
-        assert index.near_docs("a", "c") == {"d000000"}
-        assert index.near_docs("a", "b") == {"d000000", "d000002"}
+        assert near_docs(index, "a", "c") == {"d000000"}
+        assert near_docs(index, "a", "b") == {"d000000", "d000002"}
 
 
 class TestIndexSizesReadByTheBenchmark:
@@ -395,3 +425,80 @@ class TestIndexLayout:
         assert len(index.postings) == n + 1 > 2**16
         assert index.postings["shared"].tolist() == list(range(1, 4 * n, 4))
         assert [index.postings[f"w{k}"].tolist() for k in range(n)] == [[4 * k] for k in range(n)]
+
+
+def scan_hits(docs, term):
+    """Documents holding a word or contiguous phrase, by brute force."""
+    return sum(1 for tokens in docs if scan_positions(tokens, term))
+
+
+def scan_near(docs, window, a, b):
+    """Documents with an in-window pair of a and b, by brute force."""
+    return sum(1 for *_, pairs in scan_oracle(docs, window, a, b) if pairs)
+
+
+SO_WORDS = ("a", "b", "p", "n")  # p and n are the seeds; z never occurs
+so_terms = st.sampled_from(SO_WORDS + ("z",))
+
+
+class TestSoPhraseAgainstScan:
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(raw_docs=st.lists(st.lists(st.sampled_from(SO_WORDS), min_size=1, max_size=9),
+                             min_size=1, max_size=6),
+           window=st.one_of(st.integers(1, 11), st.just(10**6)),
+           phrase=st.tuples(so_terms, so_terms), seeds=st.tuples(so_terms, so_terms))
+    # a phrase ending a document right after a seed; a seed right after a
+    # phrase, one slot beyond the window and then in it; a phrase holding a
+    # seed; an absent second word; an absent seed
+    @example(raw_docs=[["b", "n", "a", "b"], ["p", "a"]], window=1, phrase=("a", "b"),
+             seeds=("p", "n"))
+    @example(raw_docs=[["a", "b", "p"], ["n", "a", "b"]], window=1, phrase=("a", "b"),
+             seeds=("p", "n"))
+    @example(raw_docs=[["a", "b", "p"], ["n", "a", "b"]], window=2, phrase=("a", "b"),
+             seeds=("p", "n"))
+    @example(raw_docs=[["n", "p", "a"], ["a", "b", "p"]], window=1, phrase=("p", "a"),
+             seeds=("p", "n"))
+    @example(raw_docs=[["a", "p", "n"]], window=2, phrase=("a", "z"), seeds=("p", "n"))
+    @example(raw_docs=[["a", "b", "p"]], window=2, phrase=("a", "b"), seeds=("p", "z"))
+    def test_near_counts_and_so_phrase_match_scan(self, raw_docs, window, phrase, seeds):
+        docs = [list(tokens) for tokens in raw_docs]
+        index = build_near_index(make_corpus([words_doc(*d) for d in docs]), window=window)
+        pos_seed, neg_seed = seeds
+        queries = [(phrase, pos_seed), (phrase, neg_seed), (pos_seed, phrase), (phrase, phrase),
+                   (phrase[0], phrase[0]), (phrase[1], pos_seed), (pos_seed, neg_seed)]
+        for a, b in queries:
+            assert index.near_count(a, b) == scan_near(docs, window, a, b), (a, b)
+            assert hits(index, a) == scan_hits(docs, a), a
+        seed_counts = scan_hits(docs, pos_seed), scan_hits(docs, neg_seed)
+        if not all(seed_counts):
+            with pytest.raises(SeedMissingError):
+                so_phrase(index, phrase, pos_seed, neg_seed)
+            return
+        near_pos, near_neg = (scan_near(docs, window, phrase, seed) or 0.01 for seed in seeds)
+        assert so_phrase(index, phrase, pos_seed, neg_seed) == (
+            math.log2(near_pos * seed_counts[1]) - math.log2(near_neg * seed_counts[0]))
+
+
+def test_evaluate_pmi_matches_a_per_review_reference():
+    train = make_reviews(80, seed=5)
+    reviews = join([make_reviews(30, seed=6),
+                    make_corpus([[("zzz", "NN")]], labels=[NEG])])  # no phrase
+    snapshot = {"window": 4}
+    report = evaluate_pmi(build_near_index(train, window=4), reviews, config_snapshot=snapshot)
+    # each review extracted alone, each phrase scored on a fresh index
+    confusion = {(gold, pred): 0 for gold in (POS, NEG) for pred in (POS, NEG)}
+    undecided = 0
+    for i, gold in enumerate(reviews.labels):
+        values = [so_phrase(build_near_index(train, window=4), phrase)
+                  for phrase in phrases_of(reviews.take([i]))]
+        confusion[gold, label_for(sum(values) / len(values) if values else 0.0)] += 1
+        undecided += not values
+    n_correct = confusion[POS, POS] + confusion[NEG, NEG]
+    assert report == EvalReport(
+        accuracy=n_correct / len(reviews), n_total=len(reviews), n_correct=n_correct,
+        n_pos_gold=reviews.labels.count(POS), n_neg_gold=reviews.labels.count(NEG),
+        n_undecided=undecided,
+        confusion=((confusion[POS, POS], confusion[POS, NEG]),
+                   (confusion[NEG, POS], confusion[NEG, NEG])),
+        config_snapshot=snapshot)
+    assert undecided == 1 and 0 < n_correct < len(reviews)

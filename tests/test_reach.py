@@ -53,6 +53,11 @@ UNREACHED = {
     "corpus.TaggedCorpus.__eq__": DOCUMENT_VIEW,
 }
 
+# Functions that wrap a compiled kernel, with the loader that returns the
+# kernel or None. A wrapper is reached whenever its kernel loads, and cannot
+# be when no compiler can build it; only then may it stay unreached.
+KERNEL_WRAPPERS = {"sgns._load_kernel.<locals>.train": sgns._load_kernel}
+
 
 def _functions():
     """module.qualname -> (file, first line) of every named function in the package."""
@@ -73,7 +78,8 @@ def _functions():
 
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
-    """(file, first line) of every package function the subcommands call."""
+    """(file, first line) of every package function the subcommands call, and
+    the kernel wrappers whose kernel did not load."""
     root = tmp_path_factory.mktemp("reach")
     corpus, inline, reviews, gold, annotated = (
         root / name for name in ("train.tsv", "train.txt", "reviews.tsv", "gold.tsv",
@@ -135,21 +141,25 @@ def reached(tmp_path_factory):
             codes = [cli.main(argv) for argv in runs]
         finally:
             sys.setprofile(None)
+            # the runs' own result: the loaders are cached until cleared here
+            unloaded = {name for name, loader in KERNEL_WRAPPERS.items()
+                        if loader() is None}
             sgns._load_kernel.cache_clear()
             vectors_mod._load_parser.cache_clear()
             corpus_mod._load_interner.cache_clear()
     assert codes == [0] * len(runs)
-    return called
+    return called, unloaded
 
 
 def test_every_function_is_reached_or_allowed(reached):
-    unreached = {name for name, where in _functions().items() if where not in reached}
-    assert sorted(unreached - UNREACHED.keys()) == []
+    called, unloaded = reached
+    unreached = {name for name, where in _functions().items() if where not in called}
+    assert sorted(unreached - UNREACHED.keys() - unloaded) == []
 
 
 def test_allowlist_names_existing_functions_with_a_reason():
     functions = _functions()
-    assert sorted(UNREACHED.keys() - functions.keys()) == []
+    assert sorted((UNREACHED.keys() | KERNEL_WRAPPERS.keys()) - functions.keys()) == []
     for name, reason in UNREACHED.items():
         assert reason.startswith(REASONS), name
         if reason.startswith(ERROR_PATH):

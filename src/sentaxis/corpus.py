@@ -39,7 +39,6 @@ numbered the same.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -234,18 +233,6 @@ def _intern_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return ids[:lines], spans[:distinct]
 
 
-_INTERNER_SOURCE = Path(__file__).with_name("corpus_kernel.c")
-_INTERNER_CACHE = _INTERNER_SOURCE.parent / "__pycache__"
-
-
-def _interner_build_argv(output: Path) -> tuple[str, ...]:
-    """The compiler command that builds ``corpus_kernel.c`` into ``output``."""
-    from . import compiled
-
-    return compiled.build_argv(_INTERNER_SOURCE, output)
-
-
-@functools.cache
 def _load_interner():
     """``corpus_intern`` of ``corpus_kernel.c`` (see :mod:`sentaxis.compiled`),
     or None if it cannot be built or loaded."""
@@ -254,18 +241,13 @@ def _load_interner():
 
     from . import compiled  # here, not at the top: importing sentaxis stays as fast
 
-    library = compiled.load_library(_INTERNER_SOURCE, _INTERNER_CACHE, _interner_build_argv)
-    intern = getattr(library, "corpus_intern", None)
-    if intern is None:
-        return None
     count, out = ctypes.c_int64, ("C_CONTIGUOUS", "WRITEABLE")
-    intern.argtypes = [ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count,
-                       ndpointer(np.int32, ndim=1, flags=out),
-                       ndpointer(np.int64, ndim=2, flags=out), count,
-                       ndpointer(np.uint64, ndim=1, flags=out), count,
-                       ndpointer(np.int64, ndim=1, flags=out)]
-    intern.restype = ctypes.c_int
-    return intern
+    return compiled.kernel(
+        "corpus_kernel", "corpus_intern",
+        (ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count,
+         ndpointer(np.int32, ndim=1, flags=out), ndpointer(np.int64, ndim=2, flags=out), count,
+         ndpointer(np.uint64, ndim=1, flags=out), count, ndpointer(np.int64, ndim=1, flags=out)),
+        ctypes.c_int)
 
 
 def _lines(text: str) -> Iterator[str]:

@@ -109,14 +109,12 @@ def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
     return table, third_class
 
 
-def extract_phrases(corpus: TaggedCorpus,
-                    rules: Sequence[PatternRule] | None = None) -> list[PhraseOccurrence]:
+def extract_phrases(corpus: TaggedCorpus) -> list[PhraseOccurrence]:
     """All rule-matching bigram occurrences, in document then position order."""
     tag_ids, n = corpus.tag_ids, len(corpus.tag_ids)
     if n < 2:
         return []
-    table, third_class = _rule_table(tuple(builtin_rules() if rules is None else rules),
-                                     corpus.tags)
+    table, third_class = _rule_table(builtin_rules(), corpus.tags)
     # bigram i is tokens i and i + 1, then marked[i + 2]; document starts are boundaries
     marked = np.empty(n + 1, dtype=np.intp)
     marked[:n] = tag_ids

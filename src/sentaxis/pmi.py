@@ -115,11 +115,15 @@ class NearIndex:
         self.near_hits: dict[frozenset[Term], int] = {}
         self._reach: dict[Term, np.ndarray] = {}
         self._next_words: tuple[str | None, np.ndarray] = (None, _NO_POSITIONS)
+        self._last_phrase: tuple[Term | None, np.ndarray] = (None, _NO_POSITIONS)
 
     def positions(self, term: Term) -> np.ndarray:
         """Ascending occurrence positions; phrases anchor at their first token."""
         if isinstance(term, str):
             return self.postings.get(term, _NO_POSITIONS)
+        # kept for the next call only: so_phrase asks once for each seed
+        if self._last_phrase[0] == term:
+            return self._last_phrase[1]
         w1, w2 = term
         first = self.postings.get(w1)
         second = self.term_ids.get(w2)
@@ -129,7 +133,8 @@ class NearIndex:
         # document's last token is followed by padding, never by a term
         if self._next_words[0] != w1:
             self._next_words = (w1, self.terms[1:][first])
-        return first[self._next_words[1] == second]
+        self._last_phrase = (term, first[self._next_words[1] == second])
+        return self._last_phrase[1]
 
     def reach(self, term: Term) -> np.ndarray:
         """Slot mask: True where ``term`` occurs at most ``pad`` slots away."""

@@ -6,9 +6,8 @@ against finite differences; the training loop applies exactly those gradients.
 
 Training runs in one thread and draws every random number from one generator
 seeded by ``rng_seed``, so equal seeds give bit-identical tables. The whole
-epoch and document loop is one call of ``sgns_kernel.c``, compiled with
-``cc`` on first use into ``__pycache__/`` beside this file and loaded through
-``ctypes``. It links numpy's ``libnpyrandom.a`` and draws from the
+epoch and document loop is one call of ``sgns_kernel.c``, built and bound by
+:mod:`sentaxis.compiled`. It links numpy's ``libnpyrandom.a`` and draws from the
 generator's own ``bitgen_t``, through the functions ``Generator.random`` and
 ``Generator.integers`` call, so it takes the same numbers in the same order
 as the numpy loop. On x86-64 with glibc the update body is compiled twice,
@@ -27,7 +26,6 @@ of the dot-product sums differs).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -146,7 +144,7 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     bounds = np.concatenate(([0], np.cumsum(kept)))[corpus.offsets]
     doc_ids = [d for d in np.split(ids[kept], bounds[1:-1]) if d.size]
     total_tokens = int(counts.sum())
-    train = _load_kernel() or _train_documents
+    train = _train_kernel if _load_kernel() else _train_documents
     train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, config.epochs * total_tokens)
 
     metadata = {"model": "sgns", "corpus_tokens": corpus_total,
@@ -210,25 +208,13 @@ def _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
         np.subtract.at(w_out, rows, lr * d_outputs)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("sgns_kernel.c")
-_KERNEL_CACHE = _KERNEL_SOURCE.parent / "__pycache__"
-
-
 def _numpy_random_library() -> Path:
     """numpy's static library of the generator's C functions."""
     return Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 
 
-def _kernel_build_argv(output: Path) -> tuple[str, ...]:
-    """The compiler command that builds ``sgns_kernel.c`` into ``output``."""
-    from . import compiled
-
-    return compiled.build_argv(_KERNEL_SOURCE, output, (_numpy_random_library(),))
-
-
-@functools.cache
 def _load_kernel():
-    """The training loop of ``sgns_kernel.c``, linked against numpy's
+    """``sgns_train`` of ``sgns_kernel.c``, linked against numpy's
     ``libnpyrandom.a`` (see :mod:`sentaxis.compiled`), or None if it cannot be
     built or loaded."""
     import ctypes
@@ -236,29 +222,28 @@ def _load_kernel():
 
     from . import compiled  # here, not at the top: importing sentaxis stays as fast
 
-    library = compiled.load_library(_KERNEL_SOURCE, _KERNEL_CACHE, _kernel_build_argv,
-                                    (_numpy_random_library(),))
-    kernel = getattr(library, "sgns_train", None)
-    if kernel is None:
-        return None
     ids = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     table = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     matrix = ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     count = ctypes.c_int64
-    kernel.argtypes = [ids, ids, count, table, table, count, count, count, count, count,
-                       ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p]
-    kernel.restype = ctypes.c_int
+    return compiled.kernel(
+        "sgns_kernel", "sgns_train",
+        (ids, ids, count, table, table, count, count, count, count, count,
+         ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p),
+        ctypes.c_int, (_numpy_random_library(),))
 
-    def train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, planned) -> None:
-        offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-        np.cumsum([ids.size for ids in doc_ids], out=offsets[1:])
-        lr0 = config.initial_learning_rate
-        bit_generator = rng.bit_generator
-        with bit_generator.lock:
-            failed = kernel(np.concatenate(doc_ids), offsets, len(doc_ids), keep_p, noise_cdf,
-                            noise_cdf.size, config.epochs, config.window, config.negatives,
-                            w_in.shape[1], lr0, _LR_FLOOR * lr0, planned, w_in, w_out,
-                            bit_generator.ctypes.bit_generator)
-        if failed:
-            raise MemoryError("sgns kernel could not allocate its scratch memory")
-    return train
+
+def _train_kernel(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, planned) -> None:
+    """:func:`_train_documents` as one call of the kernel :func:`_load_kernel` loads."""
+    kernel = _load_kernel()
+    offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+    np.cumsum([ids.size for ids in doc_ids], out=offsets[1:])
+    lr0 = config.initial_learning_rate
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        failed = kernel(np.concatenate(doc_ids), offsets, len(doc_ids), keep_p, noise_cdf,
+                        noise_cdf.size, config.epochs, config.window, config.negatives,
+                        w_in.shape[1], lr0, _LR_FLOOR * lr0, planned, w_in, w_out,
+                        bit_generator.ctypes.bit_generator)
+    if failed:
+        raise MemoryError("sgns kernel could not allocate its scratch memory")

@@ -30,7 +30,6 @@ reading a regular file again; from a pipe, only ``path``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import os
@@ -296,18 +295,6 @@ def _read_rows(fh, path, matrix: np.ndarray, words: list[str], lineno: int) -> l
     return words
 
 
-_PARSER_SOURCE = Path(__file__).with_name("vectors_kernel.c")
-_PARSER_CACHE = _PARSER_SOURCE.parent / "__pycache__"
-
-
-def _parser_build_argv(output: Path) -> tuple[str, ...]:
-    """The compiler command that builds ``vectors_kernel.c`` into ``output``."""
-    from . import compiled
-
-    return compiled.build_argv(_PARSER_SOURCE, output)
-
-
-@functools.cache
 def _load_parser():
     """``vectors_parse`` of ``vectors_kernel.c`` (see :mod:`sentaxis.compiled`),
     or None if it cannot be built or loaded."""
@@ -316,17 +303,12 @@ def _load_parser():
 
     from . import compiled  # here, not at the top: importing sentaxis stays as fast
 
-    library = compiled.load_library(_PARSER_SOURCE, _PARSER_CACHE, _parser_build_argv)
-    parse = getattr(library, "vectors_parse", None)
-    if parse is None:
-        return None
-    count = ctypes.c_int64
-    parse.argtypes = [ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count, count, count,
-                      ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE")),
-                      ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE")),
-                      ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))]
-    parse.restype = count
-    return parse
+    count, out = ctypes.c_int64, ("C_CONTIGUOUS", "WRITEABLE")
+    return compiled.kernel(
+        "vectors_kernel", "vectors_parse",
+        (ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count, count, count,
+         ndpointer(np.float64, ndim=2, flags=out), ndpointer(np.int64, ndim=1, flags=out),
+         ndpointer(np.int64, ndim=1, flags=out)), count)
 
 
 def _parse_block(lines: list[str], words: list[str], dim: int) -> np.ndarray:

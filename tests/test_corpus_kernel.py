@@ -3,7 +3,6 @@ Python route it stands in for: the same columns and the same errors, or a
 declined file that the Python route reads."""
 
 import shutil
-import subprocess
 from unittest import mock
 
 import pytest
@@ -34,14 +33,6 @@ def outcome(path, kernel=True):
 
 def kernel_takes(data: bytes) -> bool:
     return corpus_mod._intern_bytes(data) is not None
-
-
-@pytest.fixture
-def fresh_interner():
-    """Forget the loaded interner before and after the test, as a new process would."""
-    corpus_mod._load_interner.cache_clear()
-    yield
-    corpus_mod._load_interner.cache_clear()
 
 
 # Every line break str.splitlines knows, U+2005 (whose UTF-8 shares bytes
@@ -114,42 +105,6 @@ class TestKernel:
         path = tmp_path / "c.tsv"
         path.write_bytes(data)
         assert outcome(path) == outcome(path, kernel=False)
-
-
-@needs_cc
-class TestBuild:
-    def test_source_compiles_without_warnings(self, tmp_path):
-        # the command the loader runs, with warnings as errors
-        cc, *args = corpus_mod._interner_build_argv(tmp_path / "interner.so")
-        built = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", *args],
-                               capture_output=True, text=True)
-        assert built.returncode == 0, built.stderr
-        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-
-    def test_hidden_compiler_falls_back_to_python(self, monkeypatch, tmp_path,
-                                                   fresh_interner):
-        path = tmp_path / "c.tsv"
-        path.write_text("Good\tJJ\nfilm\tNN\n\nbad\tJJ\ngood\tJJ\n", encoding="utf-8")
-        expected = outcome(path, kernel=False)
-        assert corpus_mod._load_interner() is not None
-        corpus_mod._load_interner.cache_clear()
-        (tmp_path / "bin").mkdir()
-        monkeypatch.setattr(corpus_mod, "_INTERNER_CACHE", tmp_path / "cache")
-        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-        assert corpus_mod._load_interner() is None
-        assert outcome(path) == expected
-
-    def test_failed_build_falls_back_to_python(self, monkeypatch, tmp_path, fresh_interner):
-        path = tmp_path / "c.tsv"
-        path.write_text("Good\tJJ\nfilm\tNN\n\nbad\tJJ\ngood\tJJ\n", encoding="utf-8")
-        expected = outcome(path, kernel=False)
-        broken = tmp_path / "corpus_kernel.c"
-        broken.write_text("int corpus_intern(void) { return }\n")
-        monkeypatch.setattr(corpus_mod, "_INTERNER_SOURCE", broken)
-        monkeypatch.setattr(corpus_mod, "_INTERNER_CACHE", tmp_path / "cache")
-        assert corpus_mod._load_interner() is None
-        assert outcome(path) == expected
-        assert list((tmp_path / "cache").iterdir()) == []
 
 
 # Every format-A test of test_corpus.py and test_memory.py, again with the

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentaxis.corpus import TaggedToken
+from sentaxis import patterns
 from sentaxis.errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError
 from sentaxis.patterns import (
     MODIFIER_TAGS,
@@ -99,14 +100,16 @@ class TestExtractPhrases:
         assert [occ.rule_index for occ in got] == [2]
 
     def test_lowest_rule_index_wins_on_overlap(self):
-        rules = [
+        # no two built-in rules match one tag pair, so the table is built from two that do
+        rules = (
             PatternRule(frozenset({"JJ"}), frozenset({"NN"}), ThirdWord.ANYTHING),
             PatternRule(frozenset({"JJ", "RB"}), frozenset({"NN", "JJ"}),
                         ThirdWord.ANYTHING),
-        ]
-        corpus = make_corpus([[("nice", "JJ"), ("film", "NN")]])
-        got = extract_phrases(corpus, rules)
-        assert [occ.rule_index for occ in got] == [1]
+        )
+        table, _ = patterns._rule_table(rules, ("JJ", "NN"))
+        # JJ NN before any third word: both rules match, rule 1 wins; JJ JJ is rule 2's alone
+        assert table[0, 1].tolist() == [1, 1, 1]
+        assert table[0, 0].tolist() == [2, 2, 2]
 
     def test_empty_corpus_gives_empty_list(self):
         corpus = make_corpus([[("the", "DT"), ("film", "NN")]])
@@ -193,12 +196,13 @@ class TestRuleTable:
         assert [tuple(o) for o in extract_phrases(corpus)] == \
             priority_loop(corpus, builtin_rules())
 
-    def test_custom_rules_match_the_priority_loop(self):
-        rules = [PatternRule(frozenset({"NN"}), frozenset({"NN"}), ThirdWord.NOT_NN_NOR_NNS),
-                 PatternRule(frozenset({"NN", "DT"}), frozenset({"NN"}), ThirdWord.ANYTHING)]
+    def test_custom_rules_match_the_priority_loop(self, monkeypatch):
+        rules = (PatternRule(frozenset({"NN"}), frozenset({"NN"}), ThirdWord.NOT_NN_NOR_NNS),
+                 PatternRule(frozenset({"NN", "DT"}), frozenset({"NN"}), ThirdWord.ANYTHING))
+        monkeypatch.setattr(patterns, "builtin_rules", lambda: rules)
         corpus = make_corpus([[("a", "DT"), ("b", "NN"), ("c", "NN"), ("d", "NN")],
                               [("e", "NN"), ("f", "NN")]])
-        got = [tuple(o) for o in extract_phrases(corpus, rules)]
+        got = [tuple(o) for o in extract_phrases(corpus)]
         assert got == priority_loop(corpus, rules)
         assert [rule for _, _, rule, _, _ in got] == [2, 2, 1, 1]
 

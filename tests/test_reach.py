@@ -14,9 +14,7 @@ from pathlib import Path
 import pytest
 
 import sentaxis
-from sentaxis import cli, records, sgns
-from sentaxis import corpus as corpus_mod
-from sentaxis import vectors as vectors_mod
+from sentaxis import cli, compiled, records, sgns
 
 from corpus_helpers import save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
@@ -56,7 +54,7 @@ UNREACHED = {
 # Functions that wrap a compiled kernel, with the loader that returns the
 # kernel or None. A wrapper is reached whenever its kernel loads, and cannot
 # be when no compiler can build it; only then may it stay unreached.
-KERNEL_WRAPPERS = {"sgns._load_kernel.<locals>.train": sgns._load_kernel}
+KERNEL_WRAPPERS = {"sgns._train_kernel": sgns._load_kernel}
 
 
 def _functions():
@@ -133,20 +131,16 @@ def reached(tmp_path_factory):
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sgns, "_KERNEL_CACHE", root / "kernel")
-        patch.setattr(vectors_mod, "_PARSER_CACHE", root / "kernel")
-        patch.setattr(corpus_mod, "_INTERNER_CACHE", root / "kernel")
+        patch.setattr(compiled, "CACHE", root / "kernel")
         sys.setprofile(profile)
         try:
             codes = [cli.main(argv) for argv in runs]
         finally:
             sys.setprofile(None)
-            # the runs' own result: the loaders are cached until cleared here
+            # the runs' own result: compiled.kernel keeps it until cleared here
             unloaded = {name for name, loader in KERNEL_WRAPPERS.items()
                         if loader() is None}
-            sgns._load_kernel.cache_clear()
-            vectors_mod._load_parser.cache_clear()
-            corpus_mod._load_interner.cache_clear()
+            compiled.kernel.cache_clear()
     assert codes == [0] * len(runs)
     return called, unloaded
 

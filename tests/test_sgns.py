@@ -1,5 +1,4 @@
 import shutil
-import subprocess
 
 import numpy as np
 import pytest
@@ -190,15 +189,6 @@ class TestSamplingHelpers:
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-@pytest.fixture
-def fresh_kernel():
-    """Forget the loaded kernel before and after the test, as a new process would."""
-    load = sgns._load_kernel
-    load.cache_clear()
-    yield
-    load.cache_clear()
-
-
 def recorded_documents(monkeypatch):
     """The (kept, shrink, negs) of every document the numpy loop steps through."""
     seen = []
@@ -315,11 +305,10 @@ class TestKernel:
         start = np.random.default_rng(0)
         weights = (start.normal(scale=0.5, size=(vocab, 7)),
                    start.normal(scale=0.5, size=(vocab, 7)))
-        kernel = sgns._load_kernel()
-        assert kernel is not None
+        assert sgns._load_kernel() is not None
         stepped = recorded_documents(monkeypatch)
         runs = []
-        for train in (kernel, sgns._train_documents):
+        for train in (sgns._train_kernel, sgns._train_documents):
             rng = np.random.default_rng(11)
             w_in, w_out = weights[0].copy(), weights[1].copy()
             train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, 40)
@@ -350,59 +339,3 @@ class TestKernel:
         assert compiled.metadata["sgns_kernel"] == "c"
         assert compiled.words == reference.words
         assert np.max(np.abs(compiled.matrix - reference.matrix)) <= 1e-9
-
-    def test_hidden_compiler_falls_back_to_numpy(self, monkeypatch, tmp_path, fresh_kernel):
-        corpus = make_reviews(30, seed=8)
-        config = SgnsConfig(dim=8, epochs=1, min_count=2, rng_seed=3)
-        (tmp_path / "bin").mkdir()
-        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
-        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
-        fallback = train_sgns(corpus, config)
-        assert list((tmp_path / "cache").iterdir()) == []
-        monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
-        forced = train_sgns(corpus, config)
-        assert fallback.metadata["sgns_kernel"] == forced.metadata["sgns_kernel"] == "numpy"
-        assert fallback.fingerprint() == forced.fingerprint()
-
-    @needs_cc
-    def test_failed_build_falls_back_to_numpy(self, monkeypatch, tmp_path, fresh_kernel):
-        broken = tmp_path / "sgns_kernel.c"
-        broken.write_text("int sgns_train(void) { return }\n")
-        monkeypatch.setattr(sgns, "_KERNEL_SOURCE", broken)
-        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
-        table = train_sgns(two_sentence_corpus(), SgnsConfig(dim=4, epochs=1, min_count=1))
-        assert table.metadata["sgns_kernel"] == "numpy"
-        assert list((tmp_path / "cache").iterdir()) == []
-
-    @needs_cc
-    def test_second_call_reuses_the_cached_library(self, monkeypatch, tmp_path, fresh_kernel):
-        builds = []
-        run = subprocess.run
-        monkeypatch.setattr(subprocess, "run", lambda *a, **k: builds.append(a) or run(*a, **k))
-        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path)
-        corpus = two_sentence_corpus()
-        config = SgnsConfig(dim=4, epochs=1, min_count=1, rng_seed=1)
-        first = train_sgns(corpus, config)
-        sgns._load_kernel.cache_clear()  # a later process finds the file
-        second = train_sgns(corpus, config)
-        assert first.metadata["sgns_kernel"] == second.metadata["sgns_kernel"] == "c"
-        assert len(builds) == 1
-        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-        assert np.array_equal(first.matrix, second.matrix)
-
-    @needs_cc
-    def test_missing_random_library_falls_back_to_numpy(self, monkeypatch, tmp_path,
-                                                        fresh_kernel):
-        monkeypatch.setattr(sgns, "_numpy_random_library", lambda: tmp_path / "libnpyrandom.a")
-        monkeypatch.setattr(sgns, "_KERNEL_CACHE", tmp_path / "cache")
-        table = train_sgns(two_sentence_corpus(), SgnsConfig(dim=4, epochs=1, min_count=1))
-        assert table.metadata["sgns_kernel"] == "numpy"
-        assert not (tmp_path / "cache").exists()
-
-    @needs_cc
-    def test_source_compiles_without_warnings(self, tmp_path):
-        # the command the loader runs, linking included, with warnings as errors
-        cc, *args = sgns._kernel_build_argv(tmp_path / "kernel.so")
-        built = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", *args],
-                               capture_output=True, text=True)
-        assert built.returncode == 0, built.stderr

@@ -8,7 +8,7 @@ in a checkout compiles the source into ``<stem>-<key>.so`` in ``CACHE``
 (``__pycache__/`` beside the source); later processes load that file. The
 key is the sha256 of the source, the flags, numpy's version and the bytes
 of every library linked in, so a change to any of them builds anew. Without
-a compiler, or if the build fails, the caller gets None and runs its numpy
+a compiler, or if the build fails, the caller gets None and runs its Python
 path.
 """
 

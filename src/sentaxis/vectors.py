@@ -1,39 +1,32 @@
 """Dense word-vector tables and cosine geometry primitives.
 
 Vectors are stored unnormalized; the geometry helpers normalize on the fly.
-The on-disk text format is: a header line ``vocab_count dim`` followed by one
-``word v1 v2 ... v_dim`` line per word (space separators, UTF-8). The same
-format imports externally trained vectors. Words contain no whitespace;
-trailing whitespace and blank lines are ignored; every value must be a finite
-number, spelled as Python's ``float`` reads ASCII text without underscores
-(``-1``, ``0.25``, ``2.5E-3``); ``1_000`` and non-ASCII digits are non-numeric.
-Loading reads the file once, as bytes, in chunks of ``CHUNK_BYTES`` into one
-reused buffer; a chunk's unfinished last line moves to the front of the next.
-The compiled parser of ``vectors_kernel.c`` fills the matrix from each
-chunk's whole lines; Python checks the words for repeats, and sends a chunk
-holding one to the text path, which names it. The parser declines the
-first line that is not plain: a byte outside printable ASCII, space, tab and
-``"\\n"`` (so ``"\\r"`` and any non-ASCII word), ``inf`` or ``nan``, a value
-whose digits it cannot turn into the double ``float`` reads with one exact
-multiply or divide (more than 19 digits, a mantissa over 2^53 or a decimal
-exponent past +-22, so 17-digit ``repr`` output), a wrong field count or a row
-past the header's count; also a line longer than a chunk, a last line with no
-``"\\n"``, and a header holding ``"\\r"``. From that line on, the text path reads
-the rest of the input: blocks of lines that numpy's C reader (``np.loadtxt``)
-parses. A block that fails is checked again line by line, so every malformed
-row is named ``path:line``. Without a C compiler, or if the build fails, the
-text path reads every row; ``table.metadata["vector_parser"]`` is ``"c"`` if
-the compiled parser read every row, else ``"numpy"``. Both give the same
-bits and the same errors. A byte that is not UTF-8 is named ``path:line`` by
-reading a regular file again; from a pipe, only ``path``.
+The on-disk text format is: a header line ``vocab_count dim`` of ASCII digits
+followed by one ``word v1 v2 ... v_dim`` line per word (space separators,
+UTF-8). The same format imports externally trained vectors. Words contain no
+whitespace; trailing whitespace and blank lines are ignored; every value must
+be a finite number, spelled as Python's ``float`` reads ASCII text without
+underscores (``-1``, ``0.25``, ``2.5E-3``); ``1_000`` and non-ASCII digits are
+non-numeric. Loading reads the input once, as bytes, in chunks of
+``CHUNK_BYTES`` into one buffer, which grows to hold a longer line. The
+compiled parser of ``vectors_kernel.c`` fills the matrix from a chunk's whole
+lines with ``float``'s bits, and stops at a line that is not plain (a byte
+outside printable ASCII, space, tab and ``"\\n"``, ``inf``, ``nan``, a
+subnormal, more than 19 significant digits, a wrong field count). Python
+reads that line with ``split`` and ``float`` and names its error
+``path:line``, bytes that are not UTF-8 included; then the parser resumes
+(after a run of declined lines, Python reads on in growing spans).
+Python also reads the header and a last line with no ``"\\n"``, and without
+a C compiler, every line. ``table.metadata["vector_parser"]`` is ``"c"`` if
+the compiled parser read every row, else ``"python"``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
+import math
 import os
-from itertools import islice
 from pathlib import Path
 from stat import S_ISREG
 from typing import Iterator, Mapping, Sequence
@@ -112,143 +105,97 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word in table.words:
-            values = " ".join(repr(float(v)) for v in table[word])
-            fh.write(f"{word} {values}\n")
+        for word, row in zip(table.words, table.matrix.tolist()):
+            fh.write(f"{word} {' '.join(map(repr, row))}\n")
 
 
-# Lines parsed per np.loadtxt call. Loading a 20,000 x 100 file takes about
-# as long with 256 as with 1,024, but the memory a block's lines and values
-# leave with the allocator adds to the pipeline's peak: +0.5 MB at 256 lines,
-# +2 MB at 1,024.
-BLOCK_LINES = 256
-
-# Bytes read at a time for the compiled parser, into one reused buffer. A
-# line longer than this goes to the text path.
+# Bytes read at a time, into one reused buffer; a longer line grows it.
 CHUNK_BYTES = 1 << 18
 
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a vector file (the format is in the module docstring)."""
     path = Path(path)
-    with path.open("rb", buffering=0) as raw:
+    with path.open("rb") as raw:
         st = os.fstat(raw.fileno())
-        size = st.st_size if S_ISREG(st.st_mode) else None  # a pipe has none
-        try:
-            matrix, words, parser = _read(raw, path, size)
-        except UnicodeDecodeError:
-            if size is None:
-                # the bytes before the bad one are consumed, so its line is unknown
-                raise ParseError("not UTF-8", path=path) from None
-            with path.open("r", encoding="utf-8", errors="surrogateescape") as again:
-                raise records.not_utf8(path, again) from None
-    if len(words) != len(matrix):
-        raise ParseError(f"header promised {len(matrix)} rows, found {len(words)}", path=path)
-    return EmbeddingTable(words, matrix, metadata={"source": str(path), "vector_parser": parser})
+        rows = _Rows(path, st.st_size if S_ISREG(st.st_mode) else None)  # a pipe has none
+        parser = _read(raw, rows)
+    if rows.matrix is None:  # an empty file
+        _header([], path, None)
+    if rows.nonfinite:  # reported only once every row is known well-formed
+        line, word = rows.nonfinite
+        raise ParseError(f"non-finite vector component for {word!r}", path=path, line=line)
+    if len(rows.words) != len(rows.matrix):
+        raise ParseError(f"header promised {len(rows.matrix)} rows, found {len(rows.words)}",
+                         path=path)
+    return EmbeddingTable(rows.words, rows.matrix,
+                          metadata={"source": str(path), "vector_parser": parser})
 
 
-def _read(raw, path, size: int | None) -> tuple[np.ndarray, list[str], str]:
-    """The matrix, the words in file order and the parser that read every
-    row (``"c"``, else ``"numpy"``) of the file open as ``raw``. The rows go
-    to the compiled parser a chunk of whole lines at a time. From the first
-    line it declines, the text path reads the rest."""
-    buf = bytearray(CHUNK_BYTES)
-    view = memoryview(buf)
-    filled = _fill(raw, view, 0)
-    pos = buf.find(b"\n", 0, filled) + 1  # of the first row
-    parse = _load_parser()
-    if not pos or parse is None or buf.find(b"\r", 0, pos) >= 0:
-        # a lone "\r" ends a line where a text stream reads the header
-        return _read_text(buf[:filled], raw, path, size, None, [], 2)
-    matrix = _read_header(str(view[:pos], "utf-8"), path, size)
-    dim = matrix.shape[1]
-    data = np.frombuffer(buf, dtype=np.uint8)
-    # a row takes at least 2 * dim + 2 bytes
-    spans = np.empty(2 * (CHUNK_BYTES // (2 * dim + 2)), dtype=np.int64)
-    stop = np.empty(2, dtype=np.int64)
-    words: list[str] = []
-    seen: set[str] = set()
-    lineno = 2
-    while True:
-        end = buf.rfind(b"\n", pos, filled) + 1  # of the chunk's whole lines
-        if end:
-            rows = parse(data[pos:], end - pos, dim, len(matrix) - len(words),
-                         matrix[len(words):], spans, stop)
-            parsed, lines = stop.tolist()
-            chunk = str(view[pos:pos + parsed], "ascii")
-            bounds = iter(spans[:2 * rows].tolist())
-            new = [chunk[i:j] for i, j in zip(bounds, bounds)]
-            seen.update(new)
-            if len(seen) == len(words) + rows:  # else the chunk repeats a word
-                words += new
-                lineno += lines
-                pos += parsed
-            if pos < end:  # the text path names a repeat, reads a declined line
-                return _read_text(buf[pos:filled], raw, path, size, matrix, words, lineno)
-        # keep the unfinished last line and read on after it
-        tail = filled - pos
-        view[:tail] = buf[pos:filled]
-        filled = _fill(raw, view, tail)
-        pos = 0
-        if filled == tail:
-            if tail:  # a line longer than the buffer, or a last line with no "\n"
-                return _read_text(buf[:tail], raw, path, size, matrix, words, lineno)
-            return matrix, words, "c"
+class _Rows:
+    """The header and the rows of a vector file read so far, and the Python
+    reader of the lines the compiled parser does not take."""
+
+    def __init__(self, path, size: int | None):
+        self.path, self.size = path, size  # size in bytes, None for a pipe
+        self.matrix: np.ndarray | None = None  # once the header is read
+        self.words: list[str] = []
+        self.seen: set[str] = set()
+        self.line = 1  # the number of the next line
+        self.python = False  # whether a row was read here
+        self.nonfinite: tuple[int, str] | None = None  # (line, word) of the first
+
+    def read(self, data: bytes) -> None:
+        """Read the lines of ``data`` (a lone ``"\\r"`` ends one too, as in a
+        text stream): the header if it is not read yet, then rows."""
+        path, lines = self.path, data.splitlines()
+        for line, text in enumerate(lines, start=self.line):
+            try:
+                fields = text.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise records.not_utf8(path, [text.decode("utf-8", "surrogateescape")],
+                                       first=line) from None
+            if self.matrix is None:
+                self.matrix = _header(fields, path, self.size)
+            elif fields:
+                word, values = fields[0], fields[1:]
+                matrix, n = self.matrix, len(self.words)
+                if len(values) != matrix.shape[1]:
+                    raise ParseError(f"expected {matrix.shape[1]} values for word {word!r}, "
+                                     f"got {len(values)}", path=path, line=line)
+                if n == len(matrix):
+                    raise ParseError("more rows than the header promised", path=path, line=line)
+                if word in self.seen:
+                    raise ParseError(f"duplicate word {word!r}", path=path, line=line)
+                try:
+                    row = list(map(float, values))
+                except ValueError:
+                    row = None
+                spelled = "".join(values)
+                if row is None or "_" in spelled or not spelled.isascii():
+                    raise ParseError(f"non-numeric vector component for {word!r}",
+                                     path=path, line=line)
+                # a sum is finite if every value is
+                if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                    self.nonfinite = self.nonfinite or (line, word)
+                matrix[n] = row
+                self.words.append(word)
+                self.seen.add(word)
+                self.python = True
+        self.line += len(lines)
 
 
-def _fill(raw, view: memoryview, start: int) -> int:
-    """Read from ``raw`` into ``view[start:]`` until it is full or the input
-    ends (a pipe hands over less at a time); returns the bytes in ``view``."""
-    while start < len(view) and (read := raw.readinto(view[start:])):
-        start += read
-    return start
-
-
-def _read_text(head: bytes, raw, path, size, matrix, words, lineno):
-    """:func:`_read` on the text path, from ``head`` and the rest of ``raw``
-    on: with no ``matrix``, from the header; else from row ``len(words)``,
-    at line ``lineno``."""
-    fh = io.TextIOWrapper(io.BufferedReader(_Chained(head, raw)), encoding="utf-8")
-    if matrix is None:
-        matrix = _read_header(fh.readline(), path, size)
-    return matrix, _read_rows(fh, path, matrix, words, lineno), "numpy"
-
-
-class _Chained(io.RawIOBase):
-    """A raw stream of ``head``, then of what ``raw`` has left."""
-
-    def __init__(self, head: bytes, raw):
-        self._head = memoryview(head)
-        self._raw = raw
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, b) -> int:
-        if not self._head:
-            return self._raw.readinto(b)
-        n = min(len(b), len(self._head))
-        b[:n] = self._head[:n]
-        self._head = self._head[n:]
-        return n
-
-
-def _read_header(header: str, path, size: int | None) -> np.ndarray:
-    """The uninitialised ``vocab_count x dim`` matrix the header line promises;
-    ``size`` is the file's size in bytes, None for a pipe."""
-    parts = header.split()
-    if len(parts) != 2:
+def _header(fields: list[str], path, size: int | None) -> np.ndarray:
+    """The uninitialised ``vocab_count x dim`` matrix the header's ``fields``
+    promise; ``size`` is the file's size in bytes, None for a pipe."""
+    if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
         raise ParseError("header must be 'vocab_count dim'", path=path, line=1)
-    try:
-        vocab_count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("header must be 'vocab_count dim'", path=path, line=1) from None
+    vocab_count, dim = int(fields[0]), int(fields[1])
     if vocab_count < 1 or dim < 1:
         raise ParseError("vocab_count and dim must be positive", path=path, line=1)
     # Every row takes at least 2*dim + 1 bytes (a one-byte word, then a
     # separator and a digit per value), so a header promising more than
-    # the file can hold is rejected before the matrix is allocated. A pipe
-    # reports no size, so only regular files are checked.
+    # the file can hold is rejected before the matrix is allocated.
     if size is not None and vocab_count * (2 * dim + 1) > size:
         raise ParseError(
             f"header promises {vocab_count} rows of {dim} values, "
@@ -261,96 +208,96 @@ def _read_header(header: str, path, size: int | None) -> np.ndarray:
             "more than memory can hold", path=path, line=1) from None
 
 
-def _read_rows(fh, path, matrix: np.ndarray, words: list[str], lineno: int) -> list[str]:
-    """Fill ``matrix`` from row ``len(words)`` on with the rows of the text
-    stream ``fh``, whose first line is line ``lineno``, a block of lines at a
-    time; returns ``words`` with the new rows' words appended. A block that
-    fails to parse is checked again line by line to name its first bad line,
-    so the file is read only once and a pipe works too."""
-    vocab_count, dim = matrix.shape
-    seen = set(words)
-    nonfinite = None  # (first line, lines, values) of the first block holding one
-    while block := list(islice(fh, BLOCK_LINES)):
-        start = len(words)
-        try:
-            values = _parse_block(block, words, dim)
-            seen.update(words[start:])
-            if len(seen) != len(words) or len(words) > vocab_count:
-                raise ValueError("a repeated word or more rows than the header promised")
-        except ValueError:
-            del words[start:]
-            _check_lines(path, block, lineno, dim, set(words), vocab_count - start)
-            raise  # not reached: _check_lines applies every rule the block parse does
-        matrix[start:len(words)] = values
-        if nonfinite is None and not np.isfinite(values).all():
-            nonfinite = (lineno, block, values)
-        lineno += len(block)
-    # a non-finite value is reported only once every row is known well-formed
-    if nonfinite is not None:
-        lineno, block, values = nonfinite
-        row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        i = [i for i, text in enumerate(block) if not text.isspace()][row]
-        raise ParseError(f"non-finite vector component for {block[i].split()[0]!r}",
-                         path=path, line=lineno + i)
-    return words
+def _read(raw, rows: _Rows) -> str:
+    """Read the file open as ``raw`` into ``rows``; returns the parser that
+    read every row: ``"c"``, else ``"python"``. The compiled parser takes a
+    buffer of whole lines at a time; ``rows.read`` takes the rest."""
+    parse = _load_parser()
+    buf = bytearray(CHUNK_BYTES)
+    filled = pos = 0
+    # Bytes of whole lines Python reads from a declined line on: one line,
+    # doubling while the parser declines the first line it is given, so that
+    # a run of declined lines costs few calls
+    span = 1
+    while True:
+        # a buffered stream fills the buffer unless the input ends, a pipe too
+        filled += raw.readinto(memoryview(buf)[filled:])
+        end = buf.rfind(b"\n", pos, filled) + 1  # after the buffer's whole lines
+        while pos < end:
+            if parse is not None and rows.matrix is not None:
+                start, pos = pos, _parse(parse, buf, pos, end, rows)
+                span = 1 if pos > start else min(2 * span, len(buf))
+            if pos < end:
+                stop = end if parse is None else buf.find(b"\n", min(pos + span, end) - 1, end) + 1
+                rows.read(buf[pos:stop])
+                pos = stop
+        if filled < len(buf):  # the input has ended
+            rows.read(buf[pos:filled])
+            return "c" if parse is not None and not rows.python else "python"
+        # keep the unfinished last line and read on after it
+        if pos == 0:  # a line longer than the buffer
+            buf = buf + bytes(len(buf))
+        buf[:filled - pos] = buf[pos:filled]
+        filled, pos = filled - pos, 0
+
+
+def _parse(parse, buf: bytearray, pos: int, end: int, rows: _Rows) -> int:
+    """Let the compiled parser read the lines of ``buf[pos:end]`` into ``rows``;
+    returns the offset of the first line it does not take, ``end`` if none."""
+    matrix, words = rows.matrix, rows.words
+    dim, size, start = matrix.shape[1], end - pos, len(words)
+    data = np.frombuffer(buf, dtype=np.uint8, count=size, offset=pos)
+    spans = np.empty(2 * (size // (2 * dim + 2)), dtype=np.int64)  # a row's least bytes
+    stop = np.empty(2, dtype=np.int64)
+    taken = parse(data, size, dim, len(matrix) - start, matrix[start:], spans, stop)
+    parsed, lines = stop.tolist()
+    text = str(memoryview(buf)[pos:pos + parsed], "ascii")
+    bounds = iter(spans[:2 * taken].tolist())
+    new = [text[i:j] for i, j in zip(bounds, bounds)]
+    rows.seen.update(new)
+    if len(rows.seen) != start + taken:  # a word repeats: the Python reader names it
+        rows.seen = set(words)
+        rows.read(buf[pos:end])
+        return end
+    words += new
+    rows.line += lines
+    return pos + parsed
+
+
+@functools.cache
+def _powers_of_five() -> np.ndarray:
+    """The table of the Eisel-Lemire step in ``vectors_kernel.c``, built from
+    exact integers as fast_float builds it: for q in [-342, 308], the 128
+    leading bits of 5^q (for q < 0, of 2^k / 5^-q rounded up), high word first."""
+    words = []
+    for q in range(-342, 309):
+        power = 5 ** abs(q)
+        if q >= 0:
+            value = (power << 128) >> power.bit_length()
+        else:
+            z = (power - 1).bit_length()  # the least z with 2^z >= 5^-q
+            value = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // power + 1
+            value >>= value.bit_length() - 128
+        words += divmod(value, 1 << 64)
+    return np.array(words, dtype=np.uint64)
 
 
 def _load_parser():
-    """``vectors_parse`` of ``vectors_kernel.c`` (see :mod:`sentaxis.compiled`),
-    or None if it cannot be built or loaded."""
+    """``vectors_parse`` of ``vectors_kernel.c`` (see :mod:`sentaxis.compiled`)
+    with its table bound, or None if it cannot be built or loaded."""
     import ctypes
     from numpy.ctypeslib import ndpointer
 
     from . import compiled  # here, not at the top: importing sentaxis stays as fast
 
     count, out = ctypes.c_int64, ("C_CONTIGUOUS", "WRITEABLE")
-    return compiled.kernel(
+    parse = compiled.kernel(
         "vectors_kernel", "vectors_parse",
-        (ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count, count, count,
+        (ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS"),
+         ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), count, count, count,
          ndpointer(np.float64, ndim=2, flags=out), ndpointer(np.int64, ndim=1, flags=out),
          ndpointer(np.int64, ndim=1, flags=out)), count)
-
-
-def _parse_block(lines: list[str], words: list[str], dim: int) -> np.ndarray:
-    """The ``n x dim`` values of the rows among ``lines``, parsed by numpy's
-    C reader; appends each row's word to ``words``. Raises ``ValueError``
-    unless every non-blank line is a word and ``dim`` numbers."""
-    if all(line.isspace() for line in lines):
-        return np.empty((0, dim))  # np.loadtxt warns on input without data
-    # comments=None: a word may start with '#'. encoding=None: numpy 1's
-    # default, "bytes", would hand the word converter Latin-1 bytes
-    table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2, encoding=None,
-                       converters={0: lambda word: words.append(word) or 0.0})
-    if table.shape[1] != dim + 1:
-        raise ValueError(f"expected {dim + 1} fields, got {table.shape[1]}")
-    return table[:, 1:]
-
-
-def _check_lines(path, lines: list[str], first_line: int, dim: int,
-                 seen: set[str], room: int) -> None:
-    """Raise a :class:`ParseError` at the first of ``lines`` that breaks a row
-    rule. ``seen`` holds the words of the rows before them, ``room`` is how
-    many more rows the header allows."""
-    for lineno, line in enumerate(lines, start=first_line):
-        row = line.split()
-        if not row:
-            continue
-        if len(row) != dim + 1:
-            raise ParseError(
-                f"expected {dim} values for word {row[0]!r}, got {len(row) - 1}",
-                path=path, line=lineno)
-        if room == 0:
-            raise ParseError("more rows than the header promised", path=path, line=lineno)
-        word = row[0]
-        if word in seen:
-            raise ParseError(f"duplicate word {word!r}", path=path, line=lineno)
-        try:
-            _parse_block([line], [], dim)
-        except ValueError:
-            raise ParseError(f"non-numeric vector component for {word!r}",
-                             path=path, line=lineno) from None
-        seen.add(word)
-        room -= 1
+    return None if parse is None else functools.partial(parse, _powers_of_five())
 
 
 def _checked_norms(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sentaxis
-from sentaxis import cli, compiled, records, sgns
+from sentaxis import cli, compiled, records, sgns, vectors
 
 from corpus_helpers import save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
@@ -34,8 +34,6 @@ UNREACHED = {
     "errors.PipelineError.__init__":
         ERROR_PATH + "test_evaluation.py::TestPipeline::test_bad_cutoff_attributed_to_select_stage",
     "records.not_utf8": ERROR_PATH + "test_records.py::TestRead::test_undecodable_byte_names_its_line",
-    "vectors._check_lines":
-        ERROR_PATH + "test_vectors.py::TestBlockLoader::test_bad_file_gives_its_first_bad_line",
     "sgns._train_documents": "numpy SGNS reference",
     "sgns._numpy_step": "numpy SGNS reference",
     "sgns.negative_sampling_grads": "numpy SGNS reference",
@@ -54,7 +52,9 @@ UNREACHED = {
 # Functions that wrap a compiled kernel, with the loader that returns the
 # kernel or None. A wrapper is reached whenever its kernel loads, and cannot
 # be when no compiler can build it; only then may it stay unreached.
-KERNEL_WRAPPERS = {"sgns._train_kernel": sgns._load_kernel}
+KERNEL_WRAPPERS = {"sgns._train_kernel": sgns._load_kernel,
+                   "vectors._parse": vectors._load_parser,
+                   "vectors._powers_of_five": vectors._load_parser}
 
 
 def _functions():

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sentaxis import vectors
@@ -242,7 +242,7 @@ def rows(start, stop):
 
 
 # after the header, B rows fill the first block; the second starts at line B + 2
-B = vectors.BLOCK_LINES
+B = 256
 SECOND = B + 2
 
 
@@ -270,6 +270,10 @@ class TestBlockLoader:
                      "non-numeric vector component for 'a'", id="underscore-digits"),
         pytest.param("2 2\na 1 2\nb \u0661 2\n", 3,
                      "non-numeric vector component for 'b'", id="arabic-indic-digit"),
+        pytest.param("\u0662 1_0\na 1 2\nb 1 2\n", 1, "header must be 'vocab_count dim'",
+                     id="header-non-ascii-and-underscore-digits"),
+        pytest.param("+2 2\na 1 2\nb 1 2\n", 1, "header must be 'vocab_count dim'",
+                     id="header-signed-count"),
         pytest.param(f"{B + 1} 2\n" + rows(0, B - 1) + "x nan 1\n" + "y 1\n", SECOND,
                      "expected 2 values for word 'y', got 1", id="bad-row-before-non-finite-report"),
         pytest.param(f"{B + 2} 2\n" + rows(0, B) + "x 0 1\ny 1e400 1\n", SECOND + 1,
@@ -303,8 +307,8 @@ class TestBlockLoader:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_undecodable_byte_names_no_line(self):
-        # the bytes before the bad one are consumed, so no line can be named;
-        # a second bad byte more than a read chunk further on is not reported
+        # each line is decoded as it is read, so a pipe's bad line is named
+        # too; a second bad byte further on is not reported
         read_end, write_end = os.pipe()
         try:
             os.write(write_end, b"1002 2\na 1 0\n\xe9 0 1\n" + rows(0, 999).encode()
@@ -314,7 +318,7 @@ class TestBlockLoader:
                 load_embeddings(f"/dev/fd/{read_end}")
         finally:
             os.close(read_end)
-        assert str(err.value) == f"/dev/fd/{read_end}: not UTF-8"
+        assert str(err.value) == f"/dev/fd/{read_end}:3: byte 0xe9 is not UTF-8"
 
     @pytest.mark.parametrize("numpy_default", [None, "bytes"], ids=["numpy-2", "numpy-1"])
     def test_words_load_as_text_under_either_numpy_default(self, tmp_path, numpy_default):
@@ -368,22 +372,24 @@ class TestBlockLoader:
         path.write_text(drawn.draw(_vector_text(valid)), encoding="utf-8", newline="")
         expected = per_line_load(path)
         assert not (valid and isinstance(expected, str))
-        with mock.patch.object(vectors, "BLOCK_LINES", drawn.draw(st.integers(1, 4))):
-            if isinstance(expected, str):
-                with pytest.raises(ParseError) as err:
-                    load_embeddings(path)
-                assert str(err.value) == f"{path}:{expected}"
-            else:
-                table = load_embeddings(path)
-                assert list(table.words) == expected[0]
-                assert table.matrix.tobytes() == expected[1].tobytes()
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as err:
+                load_embeddings(path)
+            assert str(err.value) == f"{path}:{expected}"
+        else:
+            table = load_embeddings(path)
+            assert list(table.words) == expected[0]
+            assert table.matrix.tobytes() == expected[1].tobytes()
 
 
 def per_line_load(path):
     """The loader's rules one line at a time, values read by ``float``: the
     (words, matrix) of a good file, or ``"line: message"`` of a bad one."""
     with open(path, encoding="utf-8") as fh:
-        vocab_count, dim = map(int, fh.readline().split())
+        header = fh.readline().split()
+        if len(header) != 2 or not all(f.isascii() and f.isdigit() for f in header):
+            return "1: header must be 'vocab_count dim'"
+        vocab_count, dim = map(int, header)
         if vocab_count < 1:
             return "1: vocab_count and dim must be positive"
         size = os.path.getsize(path)
@@ -475,6 +481,32 @@ class TestBlockLoaderTextPath(TestBlockLoader):
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
+@st.composite
+def _significant_digits(draw):
+    """1-19 significant digits after leading zeros, with a point before or
+    among them, and an exponent in -350..330."""
+    n = draw(st.integers(1, 19))
+    digits = str(draw(st.integers(10 ** (n - 1), 10**n - 1)))
+    zeros = draw(st.sampled_from(["", "0", "000", "0.", ".000", "0.0"]))
+    if "." not in zeros:
+        point = draw(st.integers(0, n))
+        digits = f"{digits[:point]}.{digits[point:]}"
+    return f"{zeros}{digits}e{draw(st.integers(-350, 330))}"
+
+
+_odd_above_2_53 = st.integers(0, 2**52 - 1).map(lambda i: 2**53 + 2 * i + 1)
+# one value each, in the spellings the two readers must agree on
+_one_values = {
+    "repr": st.floats(allow_nan=False, allow_infinity=False).map(repr),  # subnormals too
+    "digits": _significant_digits(),
+    # near a tie: (2^53 + odd) * 10^k
+    "near-halfway": st.builds(lambda t, k: f"{t}e{k}", _odd_above_2_53, st.integers(-30, 30)),
+    # exactly halfway between two doubles: (2^53 + odd) * 2^j
+    "halfway": st.builds(lambda t, j: str(t << j) if j >= 0 else f"{t * 5**-j}e{j}",
+                         _odd_above_2_53, st.integers(-4, 10)),
+}
+
+
 def outcome(path, compiled=True):
     """``path`` as loaded: ``(words, matrix bytes, parser)``, or the error's text."""
     with mock.patch.object(vectors, "_load_parser",
@@ -488,7 +520,7 @@ def outcome(path, compiled=True):
 
 def expected_parser(fast):
     """``vector_parser`` of a file the compiled parser takes whole if ``fast``."""
-    return "c" if fast and vectors._load_parser() is not None else "numpy"
+    return "c" if fast and vectors._load_parser() is not None else "python"
 
 
 @pytest.fixture(scope="module")
@@ -513,8 +545,7 @@ class TestCompiledParser:
         path = tmp_path_factory.mktemp("pl") / "v.txt"
         path.write_text(drawn.draw(_vector_text(valid)), encoding="utf-8", newline="")
         expected = per_line_load(path)
-        with mock.patch.object(vectors, "BLOCK_LINES", drawn.draw(st.integers(1, 4))), \
-                mock.patch.object(vectors, "CHUNK_BYTES", drawn.draw(st.integers(1, 64))):
+        with mock.patch.object(vectors, "CHUNK_BYTES", drawn.draw(st.integers(1, 64))):
             loaded = outcome(path, compiled)
         if isinstance(expected, str):
             assert loaded == f"{path}:{expected}"
@@ -530,9 +561,9 @@ class TestCompiledParser:
         assert words == ("a", "b", "c")
         assert values == np.array([[1, 2], [3, 4], [5, -6.5]], dtype=float).tobytes()
         # the compiled parser takes whole lines only
-        assert parser == "numpy"
+        assert parser == "python"
 
-    @pytest.mark.parametrize("row", ["café 1 2", "x 0.30000000000000004 1", "x 1 2\r",
+    @pytest.mark.parametrize("row", ["café 1 2", "x 1e-320 1", "x 1 2\r",
                                      "x inf 1"],
                              ids=["non-ascii-word", "repr-value", "carriage-return", "inf"])
     def test_decline_after_many_rows_names_a_later_line(self, tmp_path, row):
@@ -559,11 +590,13 @@ class TestCompiledParser:
 
     @pytest.mark.parametrize("value, fast", [
         ("-0.0", True), ("0.", True), (".5", True), ("+.5e+1", True), ("-7E-0", True),
-        ("1e22", True), ("1e23", False), ("1e-22", True), ("1e-23", False),
-        ("9007199254740992", True), ("9007199254740993", False),
-        # 19 digits against 20 of the same value
-        ("0.000000000000000001", True), ("0.0000000000000000001", False),
+        ("1e22", True), ("1e23", True), ("1e-22", True), ("1e-23", True),
+        ("9007199254740992", True), ("9007199254740993", True),
+        # leading zeros are not significant digits
+        ("0.000000000000000001", True), ("0.0000000000000000001", True),
         ("1e0000000000000000000000001", True), ("0.1e-99999999999999999999", False),
+        # uncounted leading zeros against an exponent too long to hold exactly
+        pytest.param("0." + "0" * 100_000 + "1e100005", False, id="exponent-past-saturation"),
     ])
     def test_fast_path_edges_read_as_float_does(self, tmp_path, value, fast):
         path = tmp_path / "v.txt"
@@ -571,6 +604,41 @@ class TestCompiledParser:
         _, values, parser = outcome(path)
         assert values == np.array([float(value)]).tobytes()
         assert parser == expected_parser(fast)
+
+    @settings(derandomize=True, max_examples=400)
+    @given(drawn=st.data(), kind=st.sampled_from(sorted(_one_values)))
+    def test_one_value_reads_as_float_does(self, tmp_path_factory, drawn, kind):
+        # a value the compiled parser declines is read by Python, with the same bits
+        value = drawn.draw(_one_values[kind], label=kind)
+        path = tmp_path_factory.mktemp("one") / "v.txt"
+        path.write_text(f"1 1\na {value}\n", encoding="utf-8")
+        expected = float(value)
+        for compiled in (True, False):
+            loaded = outcome(path, compiled)
+            if math.isfinite(expected):
+                assert loaded[1] == np.array([expected]).tobytes(), (value, compiled)
+            else:
+                assert loaded == f"{path}:2: non-finite vector component for 'a'"
+
+    def test_line_longer_than_the_buffer_grows_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        path.write_text("2 3\nalpha 0.25 -1.5 3\nb 1 2 3000000000000000000e4\n",
+                        encoding="utf-8")
+        monkeypatch.setattr(vectors, "CHUNK_BYTES", 4)
+        words, values, parser = outcome(path)
+        assert words == ("alpha", "b")
+        assert values == np.array([[0.25, -1.5, 3], [1, 2, 3e22]]).tobytes()
+        assert parser == expected_parser(True)
+
+    @needs_cc
+    def test_saved_file_is_read_whole_by_the_compiled_parser(self, tmp_path):
+        # save_embeddings writes repr: mostly 17 significant digits
+        table = EmbeddingTable([f"w{i}" for i in range(2_000)],
+                               np.random.default_rng(3).normal(size=(2_000, 20)))
+        save_embeddings(table, tmp_path / "v.txt")
+        again = load_embeddings(tmp_path / "v.txt")
+        assert again.metadata["vector_parser"] == "c"
+        assert again.matrix.tobytes() == table.matrix.tobytes()
 
     @needs_cc
     def test_pinned_file_keeps_its_fingerprint(self, pinned_file, monkeypatch):
@@ -580,5 +648,5 @@ class TestCompiledParser:
         assert table.fingerprint() == "19d7509bef605378"
         monkeypatch.setattr(vectors, "_load_parser", lambda: None)
         again = load_embeddings(pinned_file)
-        assert again.metadata["vector_parser"] == "numpy"
+        assert again.metadata["vector_parser"] == "python"
         assert again.fingerprint() == "19d7509bef605378"

@@ -16,7 +16,6 @@ from . import patterns, pmi, records
 from .corpus import (
     FORMAT_INLINE,
     FORMAT_ONE_TOKEN_PER_LINE,
-    TaggedToken,
     load_labeled_reviews,
     load_polarity_lexicon,
     load_tagged_corpus,
@@ -55,14 +54,18 @@ def _load_reviews(args) -> "eval_mod.TaggedCorpus":
 
 
 def _parse_cutoffs(text: str) -> list[int]:
-    """Accept 'A..B' ranges or comma-separated lists."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",") if part]
+    """Accept 'A..B' ranges or comma-separated lists of cutoffs >= 1."""
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
     if not values or any(v < 1 for v in values):
-        raise ValueError(f"invalid cutoff range {text!r}")
+        raise ConfigError(f"invalid cutoff range {text!r} for --cutoffs: "
+                          "expected 'A..B' or 'a,b,c' of integers >= 1")
     return values
 
 
@@ -222,7 +225,7 @@ def cmd_pmi_baseline(args) -> int:
 
 def cmd_tag_variance(args) -> int:
     _, rows = records.read(args.annotated, ("token", "tag", "polarity"))
-    annotated = [(TaggedToken(text=token.lower(), tag=tag),
+    annotated = [(token.strip().lower(), tag.strip(),
                   records.finite_float(args.annotated, line, polarity, "polarity"))
                  for line, (token, tag, polarity) in rows]
     report = patterns.tag_polarity_variance(annotated)

@@ -67,30 +67,6 @@ FORMAT_INLINE = "inline"
 # corpus's would take 66 MB.
 PIECE_CHARS = 1 << 20
 
-@dataclass(frozen=True, slots=True)
-class TaggedToken:
-    text: str
-    tag: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("token text must be non-empty")
-        if not self.tag:
-            raise ValueError("token tag must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
-class TaggedDocument:
-    id: str
-    tokens: tuple[TaggedToken, ...]
-    label: str | None = None
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError(f"document {self.id!r} has no tokens")
-        if self.label is not None and self.label not in (POS, NEG):
-            raise ValueError(f"document {self.id!r} has label {self.label!r}")
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class TaggedCorpus:
@@ -123,22 +99,6 @@ class TaggedCorpus:
                             np.append(0, np.cumsum(lengths[docs])),
                             *(tuple(map(column.__getitem__, docs))
                               for column in (self.ids, self.labels)), self.source)
-
-    @property
-    def documents(self) -> tuple[TaggedDocument, ...]:
-        """Every document as a value; for tests and inspection, no stage walks them."""
-        tokens = list(map(TaggedToken, map(self.words.__getitem__, self.word_ids.tolist()),
-                          map(self.tags.__getitem__, self.tag_ids.tolist())))
-        bounds = self.offsets.tolist()
-        return tuple(TaggedDocument(doc_id, tuple(tokens[a:b]), label)
-                     for doc_id, a, b, label in zip(self.ids, bounds, bounds[1:], self.labels))
-
-    def __iter__(self):
-        return iter(self.documents)
-
-    def __eq__(self, other):
-        return isinstance(other, TaggedCorpus) and \
-            (self.source, self.documents) == (other.source, other.documents)
 
 
 @dataclass(frozen=True, slots=True)

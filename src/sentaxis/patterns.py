@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import records
-from .corpus import TaggedCorpus, TaggedToken
+from .corpus import TaggedCorpus
 from .errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError, ParseError
 
 #: Tags whose bearers count as modifiers when collecting point words.
@@ -168,8 +168,9 @@ def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus
                         word_counts=dict(word_counts))
 
 
-def tag_polarity_variance(annotated: Sequence[tuple[TaggedToken, float]]) -> TagVarianceReport:
-    """Population variance of polarity values per POS tag, weighted by count.
+def tag_polarity_variance(annotated: Sequence[tuple[str, str, float]]) -> TagVarianceReport:
+    """Population variance of the polarity values of ``(token, tag,
+    polarity)`` triples per POS tag, weighted by count.
 
     total_variance is the sum over tags of variance * occurrence count, so a
     tag's contribution share is (variance * count) / total_variance.
@@ -177,10 +178,10 @@ def tag_polarity_variance(annotated: Sequence[tuple[TaggedToken, float]]) -> Tag
     if not annotated:
         raise EmptyInputError("no annotated tokens")
     by_tag: dict[str, list[float]] = {}
-    for token, polarity in annotated:
+    for token, tag, polarity in annotated:
         if not np.isfinite(polarity):
-            raise ValueError(f"polarity for {token.text!r} is not finite")
-        by_tag.setdefault(token.tag, []).append(float(polarity))
+            raise ValueError(f"polarity for {token!r} is not finite")
+        by_tag.setdefault(tag, []).append(float(polarity))
     per_tag: dict[str, tuple[float, int]] = {}
     total = 0.0
     for tag in sorted(by_tag):

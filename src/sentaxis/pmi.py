@@ -92,8 +92,6 @@ class NearIndex:
             raise ValueError("window must be >= 1")
         if not len(corpus):
             raise EmptyInputError("corpus is empty")
-        self.window = window
-        self.doc_ids = corpus.ids
         lengths = np.diff(corpus.offsets)
         self.pad = min(window, int(lengths.max()))
         self.term_ids: dict[str, int] = dict(zip(corpus.words, range(len(corpus.words))))

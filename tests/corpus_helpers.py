@@ -7,62 +7,56 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sentaxis.corpus import (
-    FORMAT_INLINE,
-    FORMAT_ONE_TOKEN_PER_LINE,
-    TaggedCorpus,
-    TaggedDocument,
-    TaggedToken,
-)
+from sentaxis.corpus import FORMAT_INLINE, FORMAT_ONE_TOKEN_PER_LINE, TaggedCorpus
 
 
 def make_corpus(token_lists: Sequence[Sequence[tuple[str, str]]],
                 labels: Sequence[str | None] | None = None,
                 source: str = "inline") -> TaggedCorpus:
-    """Build a corpus from (token, tag) tuples."""
-    docs = []
-    for i, pairs in enumerate(token_lists):
-        label = labels[i] if labels is not None else None
-        docs.append(TaggedDocument(
-            id=f"d{i:06d}",
-            tokens=tuple(TaggedToken(text=w.lower(), tag=t) for w, t in pairs),
-            label=label,
-        ))
-    return corpus_of(docs, source=source)
-
-
-def corpus_of(documents: Sequence[TaggedDocument], source: str = "inline") -> TaggedCorpus:
-    """The columns of these documents, words and tags numbered in first-seen order."""
+    """The columns of documents of (token, tag) tuples, tokens lowercased and
+    words and tags numbered in first-seen order; documents are named d000000,
+    d000001, ..."""
     words: dict[str, int] = {}
     tags: dict[str, int] = {}
-    tokens = [token for doc in documents for token in doc.tokens]
-    word_ids = np.array([words.setdefault(t.text, len(words)) for t in tokens], dtype=np.int32)
-    tag_ids = np.array([tags.setdefault(t.tag, len(tags)) for t in tokens], dtype=np.int16)
-    offsets = np.cumsum([0] + [len(doc.tokens) for doc in documents], dtype=np.int64)
+    pairs = [(word.lower(), tag) for doc in token_lists for word, tag in doc]
+    word_ids = np.array([words.setdefault(w, len(words)) for w, _ in pairs], dtype=np.int32)
+    tag_ids = np.array([tags.setdefault(t, len(tags)) for _, t in pairs], dtype=np.int16)
+    offsets = np.cumsum([0] + [len(doc) for doc in token_lists], dtype=np.int64)
     return TaggedCorpus(tuple(words), tuple(tags), word_ids, tag_ids, offsets,
-                        ids=tuple(doc.id for doc in documents),
-                        labels=tuple(doc.label for doc in documents), source=source)
+                        ids=tuple(f"d{i:06d}" for i in range(len(token_lists))),
+                        labels=tuple(labels or (None,) * len(token_lists)), source=source)
+
+
+def documents(corpus: TaggedCorpus) -> list[tuple[str, tuple[tuple[str, str], ...], str | None]]:
+    """Each document of ``corpus`` as ``(id, ((word, tag), ...), label)``."""
+    tokens = list(zip(map(corpus.words.__getitem__, corpus.word_ids.tolist()),
+                      map(corpus.tags.__getitem__, corpus.tag_ids.tolist())))
+    bounds = corpus.offsets.tolist()
+    return [(doc_id, tuple(tokens[a:b]), label)
+            for doc_id, a, b, label in zip(corpus.ids, bounds, bounds[1:], corpus.labels)]
 
 
 def join(corpora: Iterable[TaggedCorpus]) -> TaggedCorpus:
     """One corpus of the documents of ``corpora`` in order, renumbered."""
-    docs = [doc for corpus in corpora for doc in corpus]
-    return make_corpus([[(t.text, t.tag) for t in doc.tokens] for doc in docs],
-                       labels=[doc.label for doc in docs])
+    docs = [doc for corpus in corpora for doc in documents(corpus)]
+    return make_corpus([tokens for _, tokens, _ in docs], labels=[label for *_, label in docs])
 
 
 def save_tagged_corpus(corpus: TaggedCorpus, path, format: str = FORMAT_ONE_TOKEN_PER_LINE) -> None:
     """Serialize a corpus; formats carry tokens and tags only (no ids, no labels)."""
-    path = Path(path)
-    lines: list[str] = []
     if format == FORMAT_ONE_TOKEN_PER_LINE:
-        for i, doc in enumerate(corpus.documents):
-            if i:
-                lines.append("")
-            lines.extend(f"{t.text}\t{t.tag}" for t in doc.tokens)
+        lines = "\n\n".join("\n".join(f"{w}\t{t}" for w, t in tokens)
+                            for _, tokens, _ in documents(corpus))
     elif format == FORMAT_INLINE:
-        for doc in corpus.documents:
-            lines.append(" ".join(f"{t.text}_{t.tag}" for t in doc.tokens))
+        lines = "\n".join(" ".join(f"{w}_{t}" for w, t in tokens)
+                          for _, tokens, _ in documents(corpus))
     else:
         raise ValueError(f"unknown corpus format {format!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(lines + "\n", encoding="utf-8")
+
+
+def save_reviews(corpus: TaggedCorpus, path) -> None:
+    """Write a labeled corpus as ``LABEL<TAB>token_TAG token_TAG ...`` lines."""
+    lines = (f"{label}\t" + " ".join(f"{w}_{t}" for w, t in tokens)
+             for _, tokens, label in documents(corpus))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -18,7 +18,6 @@ from sentaxis import axis as axis_mod
 from sentaxis import evaluation as ev
 from sentaxis import patterns, pmi, records
 from sentaxis.axis import SentimentAxis, principal_axis
-from sentaxis.corpus import TaggedToken
 from sentaxis.sgns import (
     SgnsConfig,
     negative_sampling_grads,
@@ -27,7 +26,7 @@ from sentaxis.sgns import (
 )
 from sentaxis.vectors import EmbeddingTable
 
-from corpus_helpers import make_corpus, save_tagged_corpus
+from corpus_helpers import documents, make_corpus, save_reviews, save_tagged_corpus
 from pattern_fixture import FIFTY_DOCUMENTS
 from synthgen import gold_lexicon, make_reviews
 from test_patterns import oracle_extract
@@ -64,9 +63,7 @@ def world(tmp_path_factory):
     corpus_path = root / "train.tsv"
     save_tagged_corpus(train, corpus_path)
     reviews_path = root / "reviews.tsv"
-    reviews_path.write_text("\n".join(
-        f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
-        for doc in test) + "\n", encoding="utf-8")
+    save_reviews(test, reviews_path)
     lexicon_path = root / "gold.tsv"
     records.write(lexicon_path, sorted(gold_lexicon().entries.items()))
 
@@ -247,7 +244,7 @@ def test_tag_variance_spreadsheet():
         ("UH", [0.7]),
     ]
     annotated = [
-        (TaggedToken(f"w{tag}{i}".lower().replace(".", "p"), tag), value)
+        (f"w{tag}{i}".lower().replace(".", "p"), tag, value)
         for tag, values in fixture for i, value in enumerate(values)
     ]
     report = patterns.tag_polarity_variance(annotated)
@@ -265,10 +262,10 @@ def test_tag_variance_spreadsheet():
 def test_tag_variance_directional(world):
     gold = gold_lexicon()
     annotated = []
-    for doc in world["test"].documents[:200]:
-        for i, token in enumerate(doc.tokens):
-            polarity = gold.entries.get(token.text, 0.01 if i % 2 else -0.01)
-            annotated.append((token, polarity))
+    for _, tokens, _ in documents(world["test"])[:200]:
+        for i, (word, tag) in enumerate(tokens):
+            polarity = gold.entries.get(word, 0.01 if i % 2 else -0.01)
+            annotated.append((word, tag, polarity))
     report = patterns.tag_polarity_variance(annotated)
     shares = report.shares()
     modifier_share = max(shares.get(tag, 0.0) for tag in ("JJ", "RB", "JJS", "RBR"))

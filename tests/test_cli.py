@@ -7,7 +7,7 @@ from sentaxis.patterns import extract_phrases, load_point_words, select_point_wo
 from sentaxis.sgns import SgnsConfig
 from sentaxis.vectors import load_embeddings
 
-from corpus_helpers import save_tagged_corpus
+from corpus_helpers import save_reviews, save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 
@@ -20,9 +20,7 @@ def world(tmp_path_factory):
     corpus = root / "train.tsv"
     save_tagged_corpus(train, corpus)
     reviews = root / "reviews.tsv"
-    reviews.write_text("\n".join(
-        f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
-        for doc in test) + "\n", encoding="utf-8")
+    save_reviews(test, reviews)
     lexicon = root / "gold.tsv"
     records.write(lexicon, sorted(gold_lexicon().entries.items()))
 
@@ -214,6 +212,15 @@ def test_tag_variance(world, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# total_variance=")
     assert lines[1].startswith("JJ\t")
+
+
+def test_tag_variance_strips_its_fields(tmp_path):
+    # as the corpus and lexicon loaders do: ' JJ ' is the tag JJ
+    annotated = tmp_path / "annotated.tsv"
+    annotated.write_text(" good \t JJ \t1.0\nbad\tJJ\t-1\n", encoding="utf-8")
+    out = tmp_path / "variance.tsv"
+    assert main(["tag-variance", "--annotated", str(annotated), "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["# total_variance=2.0", "JJ\t1.0\t2\t1.0"]
 
 
 def test_pipeline_command(world, tmp_path):
@@ -468,6 +475,10 @@ def test_pmi_seeds_are_lowercased_like_the_corpus(world, tmp_path):
     pytest.param("sweep", ["--reviews", "nope-reviews.tsv", "--embeddings", "nope-v.txt",
                            "--mode", "unsup", "--cutoffs", "0..2"],
                  "invalid cutoff range", id="sweep"),
+    *(pytest.param("sweep", ["--reviews", "nope-reviews.tsv", "--embeddings", "nope-v.txt",
+                             "--mode", "unsup", "--cutoffs", cutoffs],
+                   f"invalid cutoff range {cutoffs!r} for --cutoffs: expected 'A..B' or 'a,b,c'",
+                   id=f"sweep-{cutoffs}") for cutoffs in ("1..", "..3", "1..5,7", "two")),
 ])
 def test_bad_cutoff_or_training_flag_rejected_before_any_file(tmp_path, capsys,
                                                               command, argv, error):

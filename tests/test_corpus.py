@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,6 @@ from sentaxis.corpus import (
     FORMAT_ONE_TOKEN_PER_LINE,
     NEG,
     POS,
-    TaggedDocument,
-    TaggedToken,
     load_labeled_reviews,
     load_polarity_lexicon,
     load_tagged_corpus,
@@ -17,7 +17,7 @@ from sentaxis.corpus import (
 from sentaxis.errors import ConfigError, EmptyInputError, ParseError
 from sentaxis.sgns import _build_vocab
 
-from corpus_helpers import corpus_of, make_corpus, save_tagged_corpus
+from corpus_helpers import documents, make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -32,8 +32,8 @@ class TestLoadTaggedCorpus:
         path = write(tmp_path, "c.tsv", "good\tJJ\nmovie\tNN\n\nbad\tJJ\nfilm\tNN")
         corpus = load_tagged_corpus(path)
         assert len(corpus) == 2
-        assert [len(d.tokens) for d in corpus] == [2, 2]
-        assert corpus.documents[0].tokens[0] == TaggedToken("good", "JJ")
+        assert [len(tokens) for _, tokens, _ in documents(corpus)] == [2, 2]
+        assert documents(corpus)[0][1][0] == ("good", "JJ")
 
     def test_missing_tag_is_parse_error_with_line(self, tmp_path):
         path = write(tmp_path, "c.tsv", "good\tJJ\ngood\nmovie\tNN")
@@ -44,7 +44,7 @@ class TestLoadTaggedCorpus:
     def test_tokens_are_lowercased(self, tmp_path):
         path = write(tmp_path, "c.tsv", "Good\tJJ\nMOVIE\tNN")
         corpus = load_tagged_corpus(path)
-        assert [t.text for t in corpus.documents[0].tokens] == ["good", "movie"]
+        assert corpus.words == ("good", "movie")
 
     def test_empty_file_raises(self, tmp_path):
         path = write(tmp_path, "c.tsv", "\n\n")
@@ -55,13 +55,13 @@ class TestLoadTaggedCorpus:
         path = write(tmp_path, "c.txt", "good_JJ movie_NN\nbad_JJ film_NN\n")
         corpus = load_tagged_corpus(path, FORMAT_INLINE)
         assert len(corpus) == 2
-        assert corpus.documents[1].tokens[0] == TaggedToken("bad", "JJ")
+        assert documents(corpus)[1][1][0] == ("bad", "JJ")
 
     def test_inline_underscore_in_token(self, tmp_path):
         # tag follows the last underscore
         path = write(tmp_path, "c.txt", "spider_man_NNP swings_VBZ\n")
         corpus = load_tagged_corpus(path, FORMAT_INLINE)
-        assert corpus.documents[0].tokens[0] == TaggedToken("spider_man", "NNP")
+        assert documents(corpus)[0][1][0] == ("spider_man", "NNP")
 
     def test_inline_missing_tag_is_parse_error(self, tmp_path):
         path = write(tmp_path, "c.txt", "good_JJ movie\n")
@@ -85,13 +85,13 @@ class TestLoadTaggedCorpus:
         # the oracle counts lines of the raw text, independent of the parser
         reviews = make_reviews(100, seed=5)
         text = "\n\n".join(
-            "\n".join(f"{t.text}\t{t.tag}" for t in doc.tokens) for doc in reviews
+            "\n".join(f"{w}\t{t}" for w, t in tokens) for _, tokens, _ in documents(reviews)
         )
         path = write(tmp_path, "imdb100.tsv", text)
         corpus = load_tagged_corpus(path)
         nonblank = sum(1 for line in text.splitlines() if line.strip())
         assert len(corpus) == 100
-        assert sum(len(d.tokens) for d in corpus) == nonblank
+        assert corpus.offsets[-1] == len(corpus.word_ids) == nonblank
 
 
 class TestRepeatedLines:
@@ -100,21 +100,22 @@ class TestRepeatedLines:
     def test_format_a_matches_cache_free_parse(self, tmp_path):
         reviews = make_reviews(80, seed=9)
         text = "\n\n".join(
-            "\n".join(f"{t.text.upper()}\t{t.tag} " for t in doc.tokens) for doc in reviews
+            "\n".join(f"{w.upper()}\t{t} " for w, t in tokens)
+            for _, tokens, _ in documents(reviews)
         ) + "\n \n\n"
         expected = [
-            tuple(TaggedToken(text=word.strip().lower(), tag=tag.strip())
+            tuple((word.strip().lower(), tag.strip())
                   for word, tag in (line.split("\t") for line in block.splitlines()
                                     if line.strip()))
             for block in text.split("\n\n") if block.strip()
         ]
         corpus = load_tagged_corpus(write(tmp_path, "c.tsv", text))
-        assert [doc.tokens for doc in corpus] == expected
+        assert [tokens for _, tokens, _ in documents(corpus)] == expected
 
     def test_review_format_matches_cache_free_parse(self, tmp_path):
         reviews = make_reviews(80, seed=10)
-        lines = [f"{doc.label}\t" + " ".join(f"{t.text.title()}_{t.tag}" for t in doc.tokens)
-                 for doc in reviews]
+        lines = [f"{label}\t" + " ".join(f"{w.title()}_{t}" for w, t in tokens)
+                 for _, tokens, label in documents(reviews)]
         loaded = load_labeled_reviews(write(tmp_path, "r.tsv", "\n".join(lines) + "\n"))
         expected = []
         for line in lines:
@@ -122,9 +123,9 @@ class TestRepeatedLines:
             tokens = []
             for piece in body.split():
                 word, _, tag = piece.rpartition("_")
-                tokens.append(TaggedToken(text=word.lower(), tag=tag))
+                tokens.append((word.lower(), tag))
             expected.append((label, tuple(tokens)))
-        assert [(doc.label, doc.tokens) for doc in loaded] == expected
+        assert [(label, tokens) for _, tokens, label in documents(loaded)] == expected
 
     @pytest.mark.parametrize("bad", ["nonsense", "new york\tNNP"])
     def test_format_a_bad_line_after_valid_lines_names_its_line(self, tmp_path, bad):
@@ -208,20 +209,20 @@ class TestColumns:
     def test_take_copies_its_documents(self):
         reviews = make_reviews(10, seed=3)
         picked = reviews.take(np.array([1, 4, 9]))
-        assert picked.documents == tuple(reviews.documents[i] for i in (1, 4, 9))
+        assert documents(picked) == [documents(reviews)[i] for i in (1, 4, 9)]
 
 
 def parse_whole_text(text):
     """Format-A documents from ``text.splitlines()`` in one go, cache-free."""
-    documents, tokens = [], []
+    docs, tokens = [], []
     for line in text.splitlines() + [""]:
         if line.strip():
             word, tag = line.split("\t")
-            tokens.append(TaggedToken(text=word.strip().lower(), tag=tag.strip()))
+            tokens.append((word.strip().lower(), tag.strip()))
         elif tokens:
-            documents.append(tuple(tokens))
+            docs.append(tuple(tokens))
             tokens = []
-    return documents
+    return docs
 
 
 # Format-A texts whose cuts, over every piece size, land inside "\r\n", next
@@ -248,7 +249,7 @@ class TestPieces:
         for piece_chars in range(1, len(text) + 2):
             monkeypatch.setattr(corpus_mod, "PIECE_CHARS", piece_chars)
             assert list(corpus_mod._lines(text)) == text.splitlines()
-            assert [doc.tokens for doc in load_tagged_corpus(path)] == expected
+            assert [tokens for _, tokens, _ in documents(load_tagged_corpus(path))] == expected
 
     @given(text=st.lists(st.sampled_from(["a", "\t", " ", "\n", "\r", "\r\n", "\x0b",
                                           "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -274,7 +275,7 @@ class TestPieces:
         path = write(tmp_path, "c.txt", text)
         whole = load_tagged_corpus(path, FORMAT_INLINE)
         monkeypatch.setattr(corpus_mod, "PIECE_CHARS", 3)
-        assert load_tagged_corpus(path, FORMAT_INLINE) == whole
+        assert documents(load_tagged_corpus(path, FORMAT_INLINE)) == documents(whole)
         assert len(whole) == 3
 
 
@@ -290,7 +291,7 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "c.tsv"
         save_tagged_corpus(corpus, path)
         again = load_tagged_corpus(path)
-        assert again.documents == corpus.documents
+        assert documents(again) == documents(corpus)
 
     def test_inline_round_trip(self, tmp_path):
         corpus = make_corpus([
@@ -299,22 +300,14 @@ class TestRoundTrip:
         ])
         path = tmp_path / "c.txt"
         save_tagged_corpus(corpus, path, FORMAT_INLINE)
-        assert load_tagged_corpus(path, FORMAT_INLINE).documents == corpus.documents
+        assert documents(load_tagged_corpus(path, FORMAT_INLINE)) == documents(corpus)
 
 
 class TestTypes:
     def test_duplicate_document_ids_rejected(self):
-        doc = TaggedDocument(id="d1", tokens=(TaggedToken("a", "DT"),))
-        with pytest.raises(ValueError, match="duplicate"):
-            corpus_of((doc, doc))
-
-    def test_empty_document_rejected(self):
-        with pytest.raises(ValueError):
-            TaggedDocument(id="d1", tokens=())
-
-    def test_label_validated(self):
-        with pytest.raises(ValueError):
-            TaggedDocument(id="d1", tokens=(TaggedToken("a", "DT"),), label="MAYBE")
+        corpus = make_corpus([[("a", "DT")], [("a", "DT")]])
+        with pytest.raises(ValueError, match="duplicate document id 'd1'"):
+            replace(corpus, ids=("d1", "d1"))
 
 
 class TestPolarityLexicon:
@@ -359,7 +352,7 @@ class TestLabeledReviews:
     def test_parse_labels(self, tmp_path):
         path = write(tmp_path, "r.tsv", "POS\tgood_JJ movie_NN\nNEG\tbad_JJ film_NN\n")
         reviews = load_labeled_reviews(path)
-        assert [d.label for d in reviews] == [POS, NEG]
+        assert reviews.labels == (POS, NEG)
 
     def test_unknown_label_raises(self, tmp_path):
         path = write(tmp_path, "r.tsv", "NEU\tso_RB so_RB\n")
@@ -371,7 +364,7 @@ class TestTagInventory:
     def test_unknown_tags_are_preserved(self, tmp_path):
         path = write(tmp_path, "c.tsv", "weird\tXYZ")
         corpus = load_tagged_corpus(path)
-        assert corpus.documents[0].tokens[0].tag == "XYZ"
+        assert corpus.tags == ("XYZ",)
 
 
 class TestCountFrequencies:
@@ -390,7 +383,7 @@ class TestCountFrequencies:
 
     def test_hundred_reviews_total_matches_oracle(self):
         reviews = make_reviews(100, seed=6)
-        expected = sum(len(d.tokens) for d in reviews)
+        expected = sum(len(tokens) for _, tokens, _ in documents(reviews))
         _, counts, total = _build_vocab(reviews, min_count=1)
         assert total == counts.sum() == expected
 
@@ -418,6 +411,5 @@ def test_all_loaded_words_lowercase(tmp_path_factory, token_lists):
     corpus = make_corpus(token_lists)
     path = tmp_path_factory.mktemp("lc") / "c.tsv"
     save_tagged_corpus(corpus, path)
-    for doc in load_tagged_corpus(path):
-        for token in doc.tokens:
-            assert token.text == token.text.lower()
+    for word in load_tagged_corpus(path).words:
+        assert word == word.lower()

@@ -22,7 +22,7 @@ from sentaxis.evaluation import (
 )
 from sentaxis.sgns import SgnsConfig, train_sgns
 
-from corpus_helpers import join, make_corpus, save_tagged_corpus
+from corpus_helpers import documents, join, make_corpus, save_reviews, save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 
@@ -73,8 +73,8 @@ class TestClassifyReview:
         rng = np.random.default_rng(9)
         lex = lexicon_of(**{w: float(rng.normal()) for w in reviews.words[::2]})
         expected = []
-        for doc in reviews.documents:
-            scored = [lex.scores[t.text] for t in doc.tokens if t.text in lex.scores]
+        for _, tokens, _ in documents(reviews):
+            scored = [lex.scores[word] for word, _ in tokens if word in lex.scores]
             total = 0.0
             for score in scored:
                 total += score
@@ -161,9 +161,8 @@ class TestEvaluate:
     def test_flipped_gold_complements_accuracy(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
         reviews = self.reviews().take([0, 1, 2])
-        flipped = join([review_of(*[t.text for t in r.tokens],
-                                  label=POS if r.label == NEG else NEG)
-                        for r in reviews])
+        flipped = make_corpus([tokens for _, tokens, _ in documents(reviews)],
+                              labels=[POS if label == NEG else NEG for label in reviews.labels])
         assert evaluate(reviews, lex).accuracy == \
             pytest.approx(1.0 - evaluate(flipped, lex).accuracy)
 
@@ -214,11 +213,7 @@ def small_world(tmp_path_factory):
     corpus_path = root / "train.tsv"
     save_tagged_corpus(train, corpus_path)
     reviews_path = root / "reviews.tsv"
-    lines = [
-        f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
-        for doc in test
-    ]
-    reviews_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_reviews(test, reviews_path)
     lexicon_path = root / "gold.tsv"
     records.write(lexicon_path, sorted(gold_lexicon().entries.items()))
     return {"train": train, "test": test, "table": table, "root": root,

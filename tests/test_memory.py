@@ -71,13 +71,13 @@ def test_loaded_corpus_keeps_no_object_per_token(corpus_file):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    n_tokens = sum(len(doc.tokens) for doc in corpus.documents)
+    n_tokens = len(corpus.word_ids)
     assert kept < 10 * n_tokens
 
 
 def test_near_index_holds_its_arrays_and_little_more(corpus_file):
     corpus = load_tagged_corpus(corpus_file)
-    n_tokens = sum(len(doc.tokens) for doc in corpus.documents)
+    n_tokens = len(corpus.word_ids)
     _, peak = traced_peak(NearIndex, corpus, 10)
     # terms and doc_of (4 bytes a slot) and the sorted positions (8 bytes a
     # slot) are kept: 16 bytes a slot, 19 a token here; per-token Python

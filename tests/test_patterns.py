@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sentaxis.corpus import TaggedToken
 from sentaxis import patterns
 from sentaxis.errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError
 from sentaxis.patterns import (
@@ -19,7 +18,7 @@ from sentaxis.patterns import (
     tag_polarity_variance,
 )
 
-from corpus_helpers import make_corpus
+from corpus_helpers import documents, make_corpus
 from pattern_fixture import FIFTY_DOCUMENTS
 
 
@@ -61,9 +60,8 @@ def oracle_extract(corpus):
         ({"RB", "RBR", "RBS"}, {"VBN", "VBG"}, False),
     ]
     rows = []
-    for doc in corpus.documents:
-        tags = [t.tag for t in doc.tokens]
-        words = [t.text for t in doc.tokens]
+    for doc_id, tokens, _ in documents(corpus):
+        words, tags = zip(*tokens)
         for i in range(len(tags) - 1):
             matching = []
             for idx, (first, second, blocks_nouns) in enumerate(rules, start=1):
@@ -73,7 +71,7 @@ def oracle_extract(corpus):
                     continue
                 matching.append(idx)
             if matching:
-                rows.append((words[i], words[i + 1], min(matching), doc.id, i))
+                rows.append((words[i], words[i + 1], min(matching), doc_id, i))
     return rows
 
 
@@ -145,14 +143,13 @@ class TestExtractPhrases:
     def test_every_emitted_phrase_revalidates(self):
         corpus = make_corpus(FIFTY_DOCUMENTS)
         rules = builtin_rules()
-        docs = {d.id: d for d in corpus.documents}
+        docs = {doc_id: [tag for _, tag in tokens] for doc_id, tokens, _ in documents(corpus)}
         for occ in extract_phrases(corpus):
-            doc = docs[occ.doc_id]
+            tags = docs[occ.doc_id]
             rule = rules[occ.rule_index - 1]
-            assert doc.tokens[occ.position].tag in rule.first
-            assert doc.tokens[occ.position + 1].tag in rule.second
-            third = (doc.tokens[occ.position + 2].tag
-                     if occ.position + 2 < len(doc.tokens) else None)
+            assert tags[occ.position] in rule.first
+            assert tags[occ.position + 1] in rule.second
+            third = tags[occ.position + 2] if occ.position + 2 < len(tags) else None
             assert rule.third_allows(third)
 
 
@@ -160,15 +157,14 @@ class TestExtractPhrases:
 def priority_loop(corpus, rules):
     """Every bigram's lowest-numbered matching rule, by a plain loop over the rules."""
     rows = []
-    for doc in corpus.documents:
-        tags = [t.tag for t in doc.tokens]
+    for doc_id, tokens, _ in documents(corpus):
+        words, tags = zip(*tokens)
         for i in range(len(tags) - 1):
             third = tags[i + 2] if i + 2 < len(tags) else None
             for rule_index, rule in enumerate(rules, start=1):
                 if tags[i] in rule.first and tags[i + 1] in rule.second \
                         and rule.third_allows(third):
-                    rows.append((doc.tokens[i].text, doc.tokens[i + 1].text, rule_index,
-                                 doc.id, i))
+                    rows.append((words[i], words[i + 1], rule_index, doc_id, i))
                     break
     return rows
 
@@ -249,12 +245,12 @@ class TestSelectPointWords:
         from collections import Counter
         counts = Counter((o.w1, o.w2) for o in phrases)
         keep = {ph for ph, c in counts.items() if c >= 1}
-        docs = {d.id: d for d in corpus.documents}
+        docs = {doc_id: tokens for doc_id, tokens, _ in documents(corpus)}
         expected = set()
         for o in phrases:
             if o.phrase in keep:
                 for off, w in ((0, o.w1), (1, o.w2)):
-                    if docs[o.doc_id].tokens[o.position + off].tag in MODIFIER_TAGS:
+                    if docs[o.doc_id][o.position + off][1] in MODIFIER_TAGS:
                         expected.add(w)
         got = select_point_words(phrases, corpus, cutoff=1)
         assert got.words == expected
@@ -283,10 +279,10 @@ class TestSelectPointWords:
         corpus = make_corpus(FIFTY_DOCUMENTS)
         phrases = extract_phrases(corpus)
         points = select_point_words(phrases, corpus, cutoff=1)
-        docs = {d.id: d for d in corpus.documents}
+        docs = {doc_id: tokens for doc_id, tokens, _ in documents(corpus)}
         for word in points.words:
             found = any(
-                docs[o.doc_id].tokens[o.position + off].tag in MODIFIER_TAGS
+                docs[o.doc_id][o.position + off][1] in MODIFIER_TAGS
                 for o in phrases  # at cutoff 1 every phrase qualifies
                 for off, w in ((0, o.w1), (1, o.w2)) if w == word
             )
@@ -296,22 +292,22 @@ class TestSelectPointWords:
 class TestTagVariance:
     def test_two_point_variance(self):
         report = tag_polarity_variance([
-            (TaggedToken("good", "JJ"), 1.0),
-            (TaggedToken("bad", "JJ"), -1.0),
+            ("good", "JJ", 1.0),
+            ("bad", "JJ", -1.0),
         ])
         assert report.per_tag["JJ"] == (pytest.approx(1.0), 2)
 
     def test_all_equal_gives_zero(self):
         report = tag_polarity_variance([
-            (TaggedToken("a", "DT"), 0.5),
-            (TaggedToken("b", "NN"), 0.5),
-            (TaggedToken("c", "NN"), 0.5),
+            ("a", "DT", 0.5),
+            ("b", "NN", 0.5),
+            ("c", "NN", 0.5),
         ])
         assert all(var == 0.0 for var, _ in report.per_tag.values())
         assert report.total_variance == 0.0
 
     def test_single_occurrence_is_zero_not_error(self):
-        report = tag_polarity_variance([(TaggedToken("wow", "UH"), 0.7)])
+        report = tag_polarity_variance([("wow", "UH", 0.7)])
         assert report.per_tag["UH"] == (0.0, 1)
 
     def test_thirty_item_fixture_matches_spreadsheet(self):
@@ -326,7 +322,7 @@ class TestTagVariance:
             ("UH", [0.7]),
         ]
         annotated = [
-            (TaggedToken(f"w{tag}{i}".lower().replace(".", "p"), tag), value)
+            (f"w{tag}{i}".lower().replace(".", "p"), tag, value)
             for tag, values in fixture for i, value in enumerate(values)
         ]
         assert len(annotated) == 30
@@ -352,14 +348,14 @@ class TestTagVariance:
 
     def test_non_finite_polarity_raises(self):
         with pytest.raises(ValueError):
-            tag_polarity_variance([(TaggedToken("a", "DT"), float("nan"))])
+            tag_polarity_variance([("a", "DT", float("nan"))])
 
     def test_shares_sum_to_one(self):
         report = tag_polarity_variance([
-            (TaggedToken("good", "JJ"), 1.0),
-            (TaggedToken("bad", "JJ"), -1.0),
-            (TaggedToken("fast", "RB"), 0.4),
-            (TaggedToken("slow", "RB"), -0.4),
+            ("good", "JJ", 1.0),
+            ("bad", "JJ", -1.0),
+            ("fast", "RB", 0.4),
+            ("slow", "RB", -0.4),
         ])
         assert sum(report.shares().values()) == pytest.approx(1.0)
 

@@ -17,7 +17,7 @@ from sentaxis.pmi import (
 )
 from sentaxis.patterns import extract_phrases
 
-from corpus_helpers import join, make_corpus, save_tagged_corpus
+from corpus_helpers import documents, join, make_corpus, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -25,20 +25,20 @@ def words_doc(*words):
     return [(w, "NN") for w in words]
 
 
-def doc_names(index, positions):
-    """The ids of the documents holding these slots."""
-    return {index.doc_ids[d] for d in index.doc_of[positions].tolist()}
+def doc_numbers(index, positions):
+    """The indices of the documents holding these slots."""
+    return set(index.doc_of[positions].tolist())
 
 
 def docs_with(index, term):
-    return doc_names(index, index.positions(term))
+    return doc_numbers(index, index.positions(term))
 
 
 def near_docs(index, a, b):
-    """NEAR(a, b) documents by id, from the positions and the reach mask the
+    """NEAR(a, b) documents by index, from the positions and the reach mask the
     index counts them from; the count it records must agree."""
     at = index.positions(a)
-    docs = doc_names(index, at[index.reach(b)[at]])
+    docs = doc_numbers(index, at[index.reach(b)[at]])
     assert index.near_count(a, b) == len(docs)
     return docs
 
@@ -67,7 +67,7 @@ class TestNearIndex:
     def test_gap_within_window_is_hit(self):
         index = build_near_index(make_corpus([words_doc("a", "x", "x", "x", "b")]),
                                  window=10)
-        assert near_docs(index, "a", "b") == {"d000000"}
+        assert near_docs(index, "a", "b") == {0}
 
     def test_gap_beyond_window_is_not(self):
         tokens = ["a"] + ["x"] * 10 + ["b"]  # positions 0 and 11
@@ -77,7 +77,7 @@ class TestNearIndex:
     def test_boundary_exactly_at_window(self):
         tokens = ["a"] + ["x"] * 9 + ["b"]  # positions 0 and 10
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert near_docs(index, "a", "b") == {"d000000"}
+        assert near_docs(index, "a", "b") == {0}
 
     def test_near_is_order_free(self):
         index = build_near_index(make_corpus([
@@ -85,7 +85,7 @@ class TestNearIndex:
             words_doc("a", "y", "b"),
         ]), window=5)
         assert near_docs(index, "a", "b") == near_docs(index, "b", "a")
-        assert near_docs(index, "a", "b") == {"d000000", "d000001"}
+        assert near_docs(index, "a", "b") == {0, 1}
 
     def test_six_document_corpus_matches_scan_oracle(self):
         corpus = make_corpus([
@@ -102,18 +102,18 @@ class TestNearIndex:
         # oracle: quadratic scan over every token pair in every document
         def oracle(t1, t2):
             found = set()
-            for doc in corpus.documents:
+            for d, (_, tokens, _) in enumerate(documents(corpus)):
                 positions = {tok: [] for tok in (t1, t2)}
-                for pos, token in enumerate(doc.tokens):
-                    if token.text in positions:
-                        positions[token.text].append(pos)
+                for pos, (word, _) in enumerate(tokens):
+                    if word in positions:
+                        positions[word].append(pos)
                 for p in positions[t1]:
                     for q in positions[t2]:
                         if abs(p - q) <= window:
-                            found.add(doc.id)
+                            found.add(d)
             return found
 
-        vocabulary = sorted({t.text for d in corpus.documents for t in d.tokens})
+        vocabulary = sorted(corpus.words)
         for i, t1 in enumerate(vocabulary):
             for t2 in vocabulary[i + 1:]:
                 assert near_docs(index, t1, t2) == oracle(t1, t2), (t1, t2)
@@ -222,7 +222,7 @@ class TestPhraseAnchoring:
     def test_phrase_hit_at_exact_window_from_anchor(self):
         tokens = ["very", "good"] + ["x"] * 8 + ["excellent"]  # anchor 0, seed 10
         index = build_near_index(make_corpus([words_doc(*tokens)]), window=10)
-        assert near_docs(index, ("very", "good"), "excellent") == {"d000000"}
+        assert near_docs(index, ("very", "good"), "excellent") == {0}
 
 
 class TestClassifyReview:
@@ -310,7 +310,7 @@ def scan_oracle(docs, window, a, b):
     for i, tokens in enumerate(docs):
         pos_a, pos_b = scan_positions(tokens, a), scan_positions(tokens, b)
         pairs = sum(1 for p in pos_a for q in pos_b if abs(p - q) <= window)
-        rows.append((f"d{i:06d}", pos_a, pos_b, pairs))
+        rows.append((i, pos_a, pos_b, pairs))
     return rows
 
 
@@ -358,8 +358,8 @@ class TestArrayIndexAgainstScan:
         index = build_near_index(make_corpus(docs), window=10**9)
         assert index.pad == 5
         assert len(index.terms) == 9 + 3 * 5
-        assert near_docs(index, "a", "c") == {"d000000"}
-        assert near_docs(index, "a", "b") == {"d000000", "d000002"}
+        assert near_docs(index, "a", "c") == {0}
+        assert near_docs(index, "a", "b") == {0, 2}
 
 
 class TestIndexSizesReadByTheBenchmark:
@@ -368,7 +368,8 @@ class TestIndexSizesReadByTheBenchmark:
     def test_postings_and_near_hits_sizes(self):
         train = make_reviews(60, seed=3)
         index = build_near_index(train, window=10)
-        assert len(index.postings) == len({t.text for d in train for t in d.tokens})
+        words = {word for _, tokens, _ in documents(train) for word, _ in tokens}
+        assert len(index.postings) == len(words)
         reviews = make_reviews(20, seed=4)
         evaluate_pmi(index, reviews)
         queried = {occ.phrase for occ in extract_phrases(reviews)}

@@ -16,17 +16,15 @@ import pytest
 import sentaxis
 from sentaxis import cli, compiled, records, sgns, vectors
 
-from corpus_helpers import save_tagged_corpus
+from corpus_helpers import save_reviews, save_tagged_corpus
 from synthgen import gold_lexicon, make_reviews
 
 PACKAGE = Path(sentaxis.__file__).parent  # as imported, so file names match the frames'
 TESTS = Path(__file__).resolve().parent
 
 ERROR_PATH = "error path, covered by "
-DOCUMENT_VIEW = "document value view"
 # The reasons a function may stay unreached; an error path names its test.
-REASONS = (ERROR_PATH, "numpy SGNS reference", "read by perfbench", "Mapping protocol",
-           DOCUMENT_VIEW)
+REASONS = (ERROR_PATH, "numpy SGNS reference", "read by perfbench", "Mapping protocol")
 
 UNREACHED = {
     "errors.ParseError.__init__":
@@ -42,11 +40,6 @@ UNREACHED = {
     "evaluation.read_report": "read by perfbench: the workloads' report check",
     "pmi.PmiReviewResult.no_phrase": "read by perfbench: pmi.no_phrase_ratio",
     "vectors.EmbeddingTable.__iter__": "Mapping protocol",
-    # the view that tests build and compare corpora through; no stage walks it
-    "corpus.TaggedDocument.__post_init__": DOCUMENT_VIEW,
-    "corpus.TaggedCorpus.documents": DOCUMENT_VIEW,
-    "corpus.TaggedCorpus.__iter__": DOCUMENT_VIEW,
-    "corpus.TaggedCorpus.__eq__": DOCUMENT_VIEW,
 }
 
 # Functions that wrap a compiled kernel, with the loader that returns the
@@ -85,9 +78,7 @@ def reached(tmp_path_factory):
     train = make_reviews(60, seed=41)
     save_tagged_corpus(train, corpus)
     save_tagged_corpus(train, inline, "inline")
-    reviews.write_text("\n".join(
-        f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
-        for doc in make_reviews(20, seed=42)) + "\n", encoding="utf-8")
+    save_reviews(make_reviews(20, seed=42), reviews)
     records.write(gold, sorted(gold_lexicon().entries.items()))
     annotated.write_text("good\tJJ\t1.0\nbad\tJJ\t-1.0\nfilm\tNN\t0.0\n", encoding="utf-8")
     training = ["--dim", "8", "--epochs", "1", "--min-count", "2", "--seed", "3"]

@@ -14,7 +14,7 @@ from sentaxis.corpus import load_tagged_corpus
 from sentaxis.evaluation import read_report
 from sentaxis.vectors import load_embeddings
 
-from corpus_helpers import save_tagged_corpus
+from corpus_helpers import save_reviews, save_tagged_corpus
 from synthgen import make_reviews
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -50,11 +50,10 @@ def tiny_inputs(tmp_path_factory):
     corpus = root / "train.tsv"
     save_tagged_corpus(make_reviews(150, seed=41), corpus)
     reviews = root / "reviews.tsv"
-    lines = [f"{doc.label}\t" + " ".join(f"{t.text}_{t.tag}" for t in doc.tokens)
-             for doc in make_reviews(40, seed=42)]
+    save_reviews(make_reviews(40, seed=42), reviews)
     # no in-lexicon token and no phrase: undecided in both classifiers
-    lines.append("POS\tzzzunseen_NN")
-    reviews.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with reviews.open("a", encoding="utf-8") as fh:
+        fh.write("POS\tzzzunseen_NN\n")
     return root, corpus, reviews
 
 

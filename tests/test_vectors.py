@@ -241,13 +241,14 @@ def rows(start, stop):
     return "".join(f"w{i} {i} -1.5\n" for i in range(start, stop))
 
 
-# after the header, B rows fill the first block; the second starts at line B + 2
+# B good rows after the header, so the next row is on line SECOND
 B = 256
 SECOND = B + 2
 
 
 class TestBlockLoader:
-    """The blocks numpy parses must give exactly the per-line messages and lines."""
+    """A vector file's first bad line is reported with its number and the
+    message of the per-line parse, however many good rows come before it."""
 
     @pytest.mark.parametrize("text,line,message", [
         pytest.param(f"{B + 1} 2\n" + rows(0, B) + "x 1\n", SECOND,
@@ -320,24 +321,16 @@ class TestBlockLoader:
             os.close(read_end)
         assert str(err.value) == f"/dev/fd/{read_end}:3: byte 0xe9 is not UTF-8"
 
-    @pytest.mark.parametrize("numpy_default", [None, "bytes"], ids=["numpy-2", "numpy-1"])
-    def test_words_load_as_text_under_either_numpy_default(self, tmp_path, numpy_default):
-        # numpy 1's np.loadtxt defaults to encoding="bytes", numpy 2's to None
-        real_loadtxt = np.loadtxt
-
-        def loadtxt(*args, encoding=numpy_default, **kwargs):
-            return real_loadtxt(*args, encoding=encoding, **kwargs)
-
+    def test_non_ascii_words_load(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("3 2\n\u65e5\u672c 1 2\ncaf\u00e9 3 4\nb 5 6\n", encoding="utf-8")
-        with mock.patch.object(np, "loadtxt", loadtxt):
-            table = load_embeddings(path)
+        table = load_embeddings(path)
         assert table.words == ("\u65e5\u672c", "caf\u00e9", "b")
-        assert list(table["\u65e5\u672c"]) == [1.0, 2.0]
+        assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_bad_row_names_its_line(self):
-        # a pipe cannot be read twice, so a bad block is checked from memory
+        # a pipe cannot be read twice: its bad row is named as it is read
         read_end, write_end = os.pipe()
         try:
             os.write(write_end, b"2 2\na 1 0\na 0 1\n")
@@ -349,7 +342,6 @@ class TestBlockLoader:
         assert str(err.value) == f"/dev/fd/{read_end}:3: duplicate word 'a'"
 
     def test_peak_memory_stays_near_the_matrix(self, tmp_path):
-        # the whole file in one np.loadtxt call peaks at about 2.1x the matrix
         n, dim = 20_000, 100
         path = tmp_path / "v.txt"
         values = np.random.default_rng(0).uniform(-1, 1, size=(n, dim))
@@ -452,8 +444,8 @@ def _vector_text(draw, valid: bool):
 
 
 @pytest.fixture(scope="class")
-def text_path():
-    """The compiled parser forced off: every row goes to the text path."""
+def python_reader():
+    """The compiled parser forced off: Python reads every line."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectors, "_load_parser", lambda: None)
         yield
@@ -462,7 +454,7 @@ def text_path():
 # A property test runs here through a given() of its own, under the
 # strategies of its original: hypothesis refuses one given() run from two
 # classes.
-@pytest.mark.usefixtures("text_path")
+@pytest.mark.usefixtures("python_reader")
 class TestTableIOTextPath(TestTableIO):
     """Every TestTableIO case with the compiled parser off."""
 
@@ -470,7 +462,7 @@ class TestTableIOTextPath(TestTableIO):
         TestTableIO.test_round_trip_is_bit_identical.hypothesis.inner_test)
 
 
-@pytest.mark.usefixtures("text_path")
+@pytest.mark.usefixtures("python_reader")
 class TestBlockLoaderTextPath(TestBlockLoader):
     """Every TestBlockLoader case with the compiled parser off."""
 

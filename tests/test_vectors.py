@@ -321,10 +321,19 @@ class TestBlockLoader:
             os.close(read_end)
         assert str(err.value) == f"/dev/fd/{read_end}:3: byte 0xe9 is not UTF-8"
 
-    def test_non_ascii_words_load(self, tmp_path):
+    @pytest.mark.parametrize("numpy_default", [None, "bytes"], ids=["numpy-2", "numpy-1"])
+    def test_words_load_as_text_under_either_numpy_default(self, tmp_path, numpy_default):
+        # numpy 1's np.loadtxt defaults to encoding="bytes", numpy 2's to None;
+        # the loader must give text words whichever default is in force
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, encoding=numpy_default, **kwargs):
+            return real_loadtxt(*args, encoding=encoding, **kwargs)
+
         path = tmp_path / "v.txt"
         path.write_text("3 2\n\u65e5\u672c 1 2\ncaf\u00e9 3 4\nb 5 6\n", encoding="utf-8")
-        table = load_embeddings(path)
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            table = load_embeddings(path)
         assert table.words == ("\u65e5\u672c", "caf\u00e9", "b")
         assert table.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 

@@ -306,10 +306,11 @@ def save_orientation_lexicon(lexicon: OrientationLexicon, path) -> None:
 
 
 def load_orientation_lexicon(path) -> OrientationLexicon:
-    """Read an orientation lexicon; a repeated word is an error."""
+    """Read an orientation lexicon, words stripped; a repeated word is an error."""
     headers, rows = records.read(path, ("word", "score"))
     scores: dict[str, float] = {}
     for line, (word, value) in rows:
+        word = word.strip()
         if word in scores:
             raise ParseError(f"duplicate word {word!r}", path=path, line=line)
         scores[word] = records.finite_float(path, line, value, "score")

@@ -128,7 +128,7 @@ def cmd_extract_phrases(args) -> int:
     phrases = patterns.extract_phrases(corpus)
     patterns.save_phrases(phrases, args.out)
     print(f"extracted {len(phrases)} phrase occurrences "
-          f"({len(set(p.phrase for p in phrases))} types) -> {args.out}")
+          f"({len(set(phrases.pairs().tolist()))} types) -> {args.out}")
     return 0
 
 
@@ -136,8 +136,8 @@ def cmd_select_points(args) -> int:
     if args.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
     corpus = load_tagged_corpus(args.corpus, args.format)
-    phrases = patterns.load_phrases(args.phrases)
-    points = patterns.select_point_words(phrases, corpus, args.cutoff)
+    phrases = patterns.load_phrases(args.phrases, corpus)
+    points = patterns.select_point_words(phrases, args.cutoff)
     patterns.save_point_words(points, args.out)
     print(f"selected {len(points.words)} point words at cutoff {args.cutoff} -> {args.out}")
     return 0

@@ -2,7 +2,8 @@
 
 A review is labeled by ``corpus.label_for`` of the mean orientation of its
 in-lexicon tokens (token occurrences count with multiplicity). The PMI
-baseline labels by the same rule from the mean orientation of its phrases.
+baseline labels by the same rule from the mean orientation of its phrases;
+``evaluate`` and ``evaluate_pmi`` tally ``review_means`` and ``pmi_review_means``.
 A review with no evidence has mean zero, so it is POS, and is counted
 undecided.
 """
@@ -11,8 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, asdict
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -118,29 +117,31 @@ def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon,
     return _tally(reviews, review_means(reviews, lexicon), config_snapshot)
 
 
-def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
-                 pos_seed: str = pmi.DEFAULT_POS_SEED,
-                 neg_seed: str = pmi.DEFAULT_NEG_SEED,
-                 config_snapshot: dict | None = None) -> EvalReport:
-    """PMI baseline accuracy from one phrase extraction over all the reviews.
-
-    Both seeds are checked before any review is classified, so a missing seed
-    is an error even when no review yields a phrase. Each distinct phrase is
-    scored once, in sorted order, so the phrases of one first word come
-    together and its next-word array is gathered once.
-    """
-    _check_gold(reviews)
+def pmi_review_means(index: pmi.NearIndex, reviews: TaggedCorpus, pos_seed: str,
+                     neg_seed: str) -> list[tuple[float, int]]:
+    """Each review's mean phrase orientation and phrase count, from one extraction
+    over all the reviews. Both seeds are checked first, even when no review has a
+    phrase; each distinct phrase is scored once, in sorted order, so each first
+    word's next-word array is gathered once."""
     pmi.seed_hits(index, pos_seed, neg_seed)
-    # occurrences come in review order; a review without one keeps no phrase
-    phrases: dict[str, Sequence[tuple[str, str]]] = dict.fromkeys(reviews.ids, ())
-    for doc_id, occurrences in groupby(pmi.extract_phrases(reviews), attrgetter("doc_id")):
-        phrases[doc_id] = [occ.phrase for occ in occurrences]
+    at = pmi.extract_phrases(reviews).at
+    first, second = (map(reviews.words.__getitem__, reviews.word_ids[at + k].tolist())
+                     for k in (0, 1))
+    phrases = list(zip(first, second))
     orientations = {phrase: pmi.so_phrase(index, phrase, pos_seed=pos_seed, neg_seed=neg_seed)
-                    for phrase in sorted(set().union(*phrases.values()))}
-    results = (pmi.classify_review_pmi(index, phrases[doc_id], pos_seed=pos_seed,
-                                       neg_seed=neg_seed, so_cache=orientations)
-               for doc_id in reviews.ids)
-    return _tally(reviews, ((r.mean_so, r.n_phrases) for r in results), config_snapshot)
+                    for phrase in sorted(set(phrases))}
+    bounds = at.searchsorted(reviews.offsets).tolist()
+    results = (pmi.classify_review_pmi(phrases[start:end], orientations)
+               for start, end in zip(bounds, bounds[1:]))
+    return [(r.mean_so, r.n_phrases) for r in results]
+
+
+def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
+                 pos_seed: str = pmi.DEFAULT_POS_SEED, neg_seed: str = pmi.DEFAULT_NEG_SEED,
+                 config_snapshot: dict | None = None) -> EvalReport:
+    """PMI baseline accuracy and confusion against gold labels."""
+    _check_gold(reviews)
+    return _tally(reviews, pmi_review_means(index, reviews, pos_seed, neg_seed), config_snapshot)
 
 
 def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,
@@ -199,7 +200,7 @@ def sweep_cutoffs(corpus: TaggedCorpus, reviews: TaggedCorpus, mode: str,
     for cutoff in cutoffs:
         k = 0
         try:
-            points = patterns.select_point_words(phrases, corpus, cutoff)
+            points = patterns.select_point_words(phrases, cutoff)
             k = len(points.words)
             oriented, _ = induce_axis(points, table, mode, lexicon=lexicon,
                                       seed_word=seed_word)
@@ -272,8 +273,7 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
         table = _stage("train-embeddings", train_sgns, corpus, config.sgns)
 
     phrases = _stage("extract-phrases", patterns.extract_phrases, corpus)
-    points = _stage("select-points", patterns.select_point_words, phrases, corpus,
-                    config.cutoff)
+    points = _stage("select-points", patterns.select_point_words, phrases, config.cutoff)
     oriented, projection = _stage("build-axis", induce_axis, points, table,
                                   config.mode, polarity, config.seed_word)
     lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)

@@ -8,22 +8,21 @@ position, the lowest-numbered rule wins and a single occurrence is emitted.
 Extraction is one gather from the tag ids through a table ``rule[tag1, tag2,
 third]`` of the lowest-numbered matching rule (0 for none), ``third`` being
 the class of the next word: NN or NNS, another tag, or none at a document's
-end.
+end. Its matches are token positions of the corpus they carry (:class:`Phrases`),
+so no match is checked again; :func:`load_phrases` checks a phrase file once.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from itertools import chain, compress, repeat
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import records
 from .corpus import TaggedCorpus
-from .errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError, ParseError
+from .errors import EmptyInputError, NoQualifyingPhrasesError, ParseError
 
 #: Tags whose bearers count as modifiers when collecting point words.
 MODIFIER_TAGS = frozenset({"JJ", "JJR", "JJS", "RB", "RBR", "RBS"})
@@ -52,16 +51,22 @@ class PatternRule:
         return tag not in NOUN_TAGS
 
 
-class PhraseOccurrence(NamedTuple):  # a tuple: extraction makes one per match
-    w1: str
-    w2: str
-    rule_index: int
-    doc_id: str
-    position: int
+@dataclass(frozen=True, slots=True, eq=False)
+class Phrases:
+    """Occurrence k is tokens ``at[k]`` and ``at[k] + 1`` of ``corpus``, matched
+    by rule ``rule[k]``; ``at`` (int64) is in ascending order."""
 
-    @property
-    def phrase(self) -> tuple[str, str]:
-        return (self.w1, self.w2)
+    corpus: TaggedCorpus
+    at: np.ndarray
+    rule: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def pairs(self) -> np.ndarray:
+        """Each occurrence's (first, second) word ids as one int64 id."""
+        word_ids = self.corpus.word_ids
+        return word_ids[self.at] * np.int64(len(self.corpus.words)) + word_ids[self.at + 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +103,7 @@ def builtin_rules() -> tuple[PatternRule, ...]:
 def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
     """``rule[tag1, tag2, third]`` and each tag id's third-word class: 0 NN or NNS, 1
     another tag, 2 tag id ``len(tags)``, a document boundary (no rule's second word)."""
-    table = np.zeros((len(tags), len(tags) + 1, 3), dtype=np.int32)
+    table = np.zeros((len(tags), len(tags) + 1, 3), dtype=np.int8)
     # lower-numbered rules are written last, so they win
     for rule_index, rule in reversed(list(enumerate(rules, start=1))):
         table[np.ix_([tag in rule.first for tag in tags],
@@ -109,63 +114,46 @@ def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
     return table, third_class
 
 
-def extract_phrases(corpus: TaggedCorpus) -> list[PhraseOccurrence]:
-    """All rule-matching bigram occurrences, in document then position order."""
+def extract_phrases(corpus: TaggedCorpus) -> Phrases:
+    """All rule-matching bigram occurrences of ``corpus``, in token order."""
+    rule = _bigram_rules(corpus)
+    at = rule.nonzero()[0]
+    return Phrases(corpus, at, rule[at])
+
+
+def _bigram_rules(corpus: TaggedCorpus) -> np.ndarray:
+    """Each bigram's lowest-numbered matching rule: 0 for none, or across documents."""
     tag_ids, n = corpus.tag_ids, len(corpus.tag_ids)
-    if n < 2:
-        return []
     table, third_class = _rule_table(builtin_rules(), corpus.tags)
     # bigram i is tokens i and i + 1, then marked[i + 2]; document starts are boundaries
     marked = np.empty(n + 1, dtype=np.intp)
     marked[:n] = tag_ids
     marked[corpus.offsets[1:]] = len(corpus.tags)
-    matched = table[tag_ids[:-1], marked[1:n], third_class[marked[2:]]]
-    at = matched.nonzero()[0]
-    doc = corpus.offsets.searchsorted(at, side="right") - 1
-    return list(map(PhraseOccurrence._make, zip(
-        map(corpus.words.__getitem__, corpus.word_ids[at].tolist()),
-        map(corpus.words.__getitem__, corpus.word_ids[at + 1].tolist()),
-        matched[at].tolist(), map(corpus.ids.__getitem__, doc.tolist()),
-        (at - corpus.offsets[doc]).tolist())))
+    return table[tag_ids[:-1], marked[1:n], third_class[marked[2:]]]
 
 
-def select_point_words(phrases: Iterable[PhraseOccurrence], corpus: TaggedCorpus,
-                       cutoff: int) -> PointWordSet:
+def select_point_words(phrases: Phrases, cutoff: int) -> PointWordSet:
     """Collect modifier words from phrases whose type frequency reaches the cutoff.
 
-    Frequency is counted over (w1, w2) string types across all occurrences. A
-    word qualifies when its tag at a qualifying occurrence is a modifier tag.
-    Every occurrence must name a bigram of ``corpus`` (the corpus it was
-    extracted from); one that does not raises ConfigError.
+    Frequency is counted over (w1, w2) word types across all occurrences. A
+    word qualifies when its tag at a qualifying occurrence is a modifier tag,
+    and counts once for each such occurrence.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    phrases = list(phrases)
-    w1s, w2s, _, doc_ids, positions = tuple(zip(*phrases)) or ((),) * 5
-    qualifying = {ph for ph, c in Counter(zip(w1s, w2s)).items() if c >= cutoff}
-    bounds = corpus.offsets.tolist()
-    spans = map(dict(zip(corpus.ids, zip(bounds, bounds[1:]))).get, doc_ids, repeat((0, 0)))
-    # each occurrence's first token, or -1 where its document has no such bigram
-    at = np.array([start + p if 0 <= p < end - start - 1 else -1
-                   for (start, end), p in zip(spans, positions)], dtype=np.int64)
-    word_index = dict(zip(corpus.words, range(len(corpus.words))))
-    found = at >= 0
-    for k, phrase_words in enumerate((w1s, w2s)):
-        found &= corpus.word_ids[at + k] == [word_index.get(w, -1) for w in phrase_words]
-    if not found.all():
-        occ = phrases[int(np.argmin(found))]
-        raise ConfigError(
-            f"phrase {occ.w1!r} {occ.w2!r} at document {occ.doc_id!r} position "
-            f"{occ.position} is not in the corpus; were the phrases extracted "
-            f"from another corpus?")
+    corpus, at = phrases.corpus, phrases.at
+    _, types, counts = np.unique(phrases.pairs(), return_inverse=True, return_counts=True)
+    first = at[(counts >= cutoff)[types]]
+    tokens = np.concatenate((first, first + 1))
     modifier = np.array([tag in MODIFIER_TAGS for tag in corpus.tags], dtype=bool)
-    counted = np.array([ph in qualifying for ph in zip(w1s, w2s)], dtype=bool)
-    word_counts = Counter(chain(compress(w1s, counted & modifier[corpus.tag_ids[at]]),
-                                compress(w2s, counted & modifier[corpus.tag_ids[at + 1]])))
-    if not word_counts:
+    word_counts = np.bincount(corpus.word_ids[tokens[modifier[corpus.tag_ids[tokens]]]],
+                              minlength=len(corpus.words))
+    qualifying = word_counts.nonzero()[0]
+    if not qualifying.size:
         raise NoQualifyingPhrasesError(cutoff)
-    return PointWordSet(words=frozenset(word_counts), cutoff=cutoff,
-                        word_counts=dict(word_counts))
+    counts = dict(zip(map(corpus.words.__getitem__, qualifying.tolist()),
+                      word_counts[qualifying].tolist()))
+    return PointWordSet(words=frozenset(counts), cutoff=cutoff, word_counts=counts)
 
 
 def tag_polarity_variance(annotated: Sequence[tuple[str, str, float]]) -> TagVarianceReport:
@@ -195,16 +183,37 @@ def tag_polarity_variance(annotated: Sequence[tuple[str, str, float]]) -> TagVar
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_phrases(phrases: Iterable[PhraseOccurrence], path) -> None:
+def save_phrases(phrases: Phrases, path) -> None:
     """Records ``w1<TAB>w2<TAB>rule<TAB>doc_id<TAB>position``."""
-    records.write(path, phrases)
+    corpus, at = phrases.corpus, phrases.at
+    doc = corpus.offsets.searchsorted(at, side="right") - 1
+    words = (map(corpus.words.__getitem__, corpus.word_ids[at + k].tolist()) for k in (0, 1))
+    records.write(path, zip(*words, phrases.rule.tolist(),
+                            map(corpus.ids.__getitem__, doc.tolist()),
+                            (at - corpus.offsets[doc]).tolist()))
 
 
-def load_phrases(path) -> list[PhraseOccurrence]:
+def load_phrases(path, corpus: TaggedCorpus) -> Phrases:
+    """The phrases of ``corpus`` in a ``save_phrases`` file; each record must name a
+    bigram of ``corpus`` and an integer rule, and the rule kept is ``corpus``'s."""
     _, rows = records.read(path, ("w1", "w2", "rule", "doc_id", "position"))
-    return [PhraseOccurrence(w1, w2, records.integer(path, line, rule, "rule"), doc_id,
-                             records.integer(path, line, position, "position"))
-            for line, (w1, w2, rule, doc_id, position) in rows]
+    bounds = corpus.offsets.tolist()
+    spans = dict(zip(corpus.ids, zip(bounds, bounds[1:])))
+    word_index = dict(zip(corpus.words, range(len(corpus.words))))
+    at = []
+    for line, (w1, w2, rule, doc_id, position) in rows:
+        records.integer(path, line, rule, "rule")
+        position = records.integer(path, line, position, "position")
+        start, end = spans.get(doc_id, (0, 0))
+        if not (0 <= position < end - start - 1
+                and corpus.word_ids[start + position] == word_index.get(w1, -1)
+                and corpus.word_ids[start + position + 1] == word_index.get(w2, -1)):
+            raise ParseError(f"phrase {w1!r} {w2!r} at document {doc_id!r} position "
+                             f"{position} is not in the corpus; were the phrases "
+                             f"extracted from another corpus?", path=path, line=line)
+        at.append(start + position)
+    at = np.sort(np.array(at, dtype=np.int64))
+    return Phrases(corpus, at, _bigram_rules(corpus)[at])
 
 
 def save_point_words(points: PointWordSet, path) -> None:
@@ -214,10 +223,11 @@ def save_point_words(points: PointWordSet, path) -> None:
 
 
 def load_point_words(path) -> PointWordSet:
-    """Point words; a repeated word is an error, a missing cutoff header means 1."""
+    """Point words, stripped; a repeated word is an error, no cutoff header means 1."""
     headers, rows = records.read(path, ("word", "count"))
     word_counts: dict[str, int] = {}
     for line, (word, count) in rows:
+        word = word.strip()
         if word in word_counts:
             raise ParseError(f"duplicate word {word!r}", path=path, line=line)
         word_counts[word] = records.integer(path, line, count, "count")

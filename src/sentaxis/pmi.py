@@ -13,7 +13,8 @@ log2[(hits(phrase NEAR pos_seed) * hits(neg_seed)) /
 with 0.01 substituted for zero NEAR counts. Zero seed marginals are an error:
 the corpus cannot support the baseline. A review is labeled by
 ``corpus.label_for`` of its phrases' mean orientation, the rule the axis
-lexicon's reviews are labeled by.
+lexicon's reviews are labeled by. ``classify_review_pmi`` looks a review's
+phrases up in the orientations ``so_phrase`` gave each distinct phrase once.
 
 The index is a few numpy arrays. ``terms`` holds one int32 term id per token,
 the documents laid end to end, each followed by ``pad = min(window, longest
@@ -46,13 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .corpus import TaggedCorpus
 from .errors import EmptyInputError, SeedMissingError
-from .patterns import extract_phrases  # evaluation.evaluate_pmi calls it through this module
+from .patterns import extract_phrases  # evaluation.pmi_review_means calls it through this module
 
 DEFAULT_WINDOW = 10
 DEFAULT_POS_SEED = "excellent"
@@ -175,15 +176,9 @@ def build_near_index(corpus: TaggedCorpus, window: int = DEFAULT_WINDOW) -> Near
     return NearIndex(corpus, window=window)
 
 
-def hits(index: NearIndex, term_or_phrase: Term) -> int:
-    """Hit count for a term or contiguous phrase: the documents holding it,
-    each counted once, as a search engine counts the pages that match."""
-    return index.document_count(term_or_phrase)
-
-
 def seed_hits(index: NearIndex, pos_seed: str, neg_seed: str) -> tuple[int, int]:
     """Hit counts of both seeds; a seed that never occurs is an error."""
-    counts = hits(index, pos_seed), hits(index, neg_seed)
+    counts = index.document_count(pos_seed), index.document_count(neg_seed)
     for seed, count in zip((pos_seed, neg_seed), counts):
         if count == 0:
             raise SeedMissingError(f"seed {seed!r} never occurs in the indexed corpus")
@@ -203,21 +198,10 @@ def so_phrase(index: NearIndex, phrase: tuple[str, str],
     return math.log2(smoothed_pos * seed_neg_hits) - math.log2(smoothed_neg * seed_pos_hits)
 
 
-def classify_review_pmi(index: NearIndex, phrases: Iterable[tuple[str, str]],
-                        pos_seed: str = DEFAULT_POS_SEED,
-                        neg_seed: str = DEFAULT_NEG_SEED,
-                        so_cache: dict | None = None) -> PmiReviewResult:
-    """Mean orientation of one review's phrases; its label is ``label_for`` of it.
-
-    No phrase means a zero mean, which labels POS; ``no_phrase`` flags it so
-    downstream reporting can count it. ``so_cache`` memoizes phrase
-    orientations across reviews.
-    """
-    cache = {} if so_cache is None else so_cache
-    values = []
-    for phrase in phrases:
-        if phrase not in cache:
-            cache[phrase] = so_phrase(index, phrase, pos_seed=pos_seed, neg_seed=neg_seed)
-        values.append(cache[phrase])
+def classify_review_pmi(phrases: Iterable[tuple[str, str]],
+                        orientations: Mapping[tuple[str, str], float]) -> PmiReviewResult:
+    """Mean orientation of one review's phrases, each looked up in ``orientations``;
+    no phrase means a zero mean, which labels POS, and ``no_phrase`` flags it."""
+    values = [orientations[phrase] for phrase in phrases]
     mean = sum(values) / len(values) if values else 0.0
     return PmiReviewResult(mean_so=mean, n_phrases=len(values))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +35,19 @@ def documents(corpus: TaggedCorpus) -> list[tuple[str, tuple[tuple[str, str], ..
     bounds = corpus.offsets.tolist()
     return [(doc_id, tuple(tokens[a:b]), label)
             for doc_id, a, b, label in zip(corpus.ids, bounds, bounds[1:], corpus.labels)]
+
+
+def occurrences(phrases) -> list[tuple[str, str, int, str, int]]:
+    """Each occurrence of a ``patterns.Phrases`` as the fields of its phrase
+    record: ``(w1, w2, rule, doc_id, position)``."""
+    corpus = phrases.corpus
+    words = list(map(corpus.words.__getitem__, corpus.word_ids.tolist()))
+    bounds = corpus.offsets.tolist()
+    rows = []
+    for at, rule in zip(phrases.at.tolist(), phrases.rule.tolist()):
+        doc = bisect_right(bounds, at) - 1
+        rows.append((words[at], words[at + 1], rule, corpus.ids[doc], at - bounds[doc]))
+    return rows
 
 
 def join(corpora: Iterable[TaggedCorpus]) -> TaggedCorpus:

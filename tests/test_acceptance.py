@@ -75,7 +75,7 @@ def world(tmp_path_factory):
 
     start = time.monotonic()
     phrases = patterns.extract_phrases(train)
-    points = patterns.select_point_words(phrases, train, cutoff=2)
+    points = patterns.select_point_words(phrases, cutoff=2)
 
     unsup_axis, projection = ev.induce_axis(points, table, ev.MODE_UNSUP)
     unsup_lexicon = axis_mod.score_vocabulary(unsup_axis, table)
@@ -206,11 +206,11 @@ def test_scale_invariance(world):
 
 
 @criterion("pattern extraction equals the enumeration oracle byte-for-byte")
-def test_pattern_extraction_exactness():
+def test_pattern_extraction_exactness(tmp_path):
     corpus = make_corpus(FIFTY_DOCUMENTS)
-    got = sorted(
-        f"{o.w1}\t{o.w2}\t{o.rule_index}\t{o.doc_id}\t{o.position}"
-        for o in patterns.extract_phrases(corpus))
+    path = tmp_path / "phrases.tsv"
+    patterns.save_phrases(patterns.extract_phrases(corpus), path)
+    got = sorted(path.read_text(encoding="utf-8").splitlines())
     expected = sorted(
         f"{w1}\t{w2}\t{rule}\t{doc}\t{pos}"
         for w1, w2, rule, doc, pos in oracle_extract(corpus))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sentaxis.cli import _sgns_config_from, build_parser, main
@@ -317,17 +319,18 @@ def test_select_points_rejects_phrases_of_another_corpus(tmp_path, capsys):
         assert main(["select-points", "--phrases", str(tmp_path / f"{name}.phrases"),
                      "--corpus", str(tmp_path / f"{name}.tsv"),
                      "--cutoff", "2", "--out", str(out)]) == 0
-        expected = select_point_words(extract_phrases(corpus), corpus, 2).words
+        expected = select_point_words(extract_phrases(corpus), 2).words
         assert load_point_words(out).words == expected
     capsys.readouterr()
 
     for phrases, corpus in (("big", "small"), ("small", "big")):
-        code = main(["select-points", "--phrases", str(tmp_path / f"{phrases}.phrases"),
+        phrases = tmp_path / f"{phrases}.phrases"
+        code = main(["select-points", "--phrases", str(phrases),
                      "--corpus", str(tmp_path / f"{corpus}.tsv"),
                      "--cutoff", "2", "--out", str(tmp_path / "mixed.points")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert re.match(f"error: {re.escape(str(phrases))}:[0-9]+: ", err)
         assert "document 'd0000" in err and "position" in err
         assert "Traceback" not in err
 
@@ -413,6 +416,36 @@ def test_malformed_stage_file_ends_in_its_file_and_line(tmp_path, capsys, comman
     assert main([command, *map(str, argv)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}:{line}:")
     assert not out.exists()
+
+
+def test_point_words_with_spaces_give_the_same_axis(tmp_path):
+    vectors = tmp_path / "v.txt"
+    vectors.write_text(VECTORS_2D, encoding="utf-8")
+    axes = []
+    for name, good in (("plain", "good"), ("spaced", " good ")):
+        points = tmp_path / f"{name}.tsv"
+        points.write_text(f"{good}\t2\nbad\t2\nfine\t1\n", encoding="utf-8")
+        axis_dir = tmp_path / name
+        assert main(["build-axis", "--points", str(points), "--embeddings", str(vectors),
+                     "--mode", "unsup", "--seed-word", "good", "--out", str(axis_dir)]) == 0
+        axes.append((axis_dir / "axis.tsv").read_bytes())
+    assert axes[0] == axes[1]
+
+
+def test_orientation_lexicon_words_with_spaces_classify_the_same(tmp_path):
+    reviews = tmp_path / "reviews.tsv"
+    reviews.write_text("POS\tgood_JJ bad_JJ film_NN\nNEG\tbad_JJ film_NN\n", encoding="utf-8")
+    results = []
+    for name, good in (("plain", "good"), ("spaced", " good ")):
+        lexicon = tmp_path / f"{name}.tsv"
+        lexicon.write_text(f"{good}\t1.0\nbad\t-0.25\n", encoding="utf-8")
+        report = tmp_path / f"{name}.txt"
+        assert main(["classify", "--lexicon", str(lexicon), "--reviews", str(reviews),
+                     "--report", str(report)]) == 0
+        results.append({k: v for k, v in read_report(report).items()
+                        if not k.startswith("config_")})
+    assert results[0] == results[1]
+    assert results[0]["n_correct"] == "2"
 
 
 def test_score_names_both_files_on_dimension_mismatch(tmp_path, capsys):

@@ -12,6 +12,7 @@ from sentaxis import corpus as corpus_mod
 from sentaxis.axis import MODE_UNSUPERVISED, SentimentAxis, score_vocabulary
 from sentaxis.corpus import POS, TaggedCorpus, load_tagged_corpus
 from sentaxis.evaluation import evaluate_pmi
+from sentaxis.patterns import extract_phrases
 from sentaxis.pmi import NearIndex
 from sentaxis.vectors import EmbeddingTable
 
@@ -83,6 +84,20 @@ def test_near_index_holds_its_arrays_and_little_more(corpus_file):
     # slot) are kept: 16 bytes a slot, 19 a token here; per-token Python
     # lists or int64 temporaries would add 20 more
     assert peak < 24 * n_tokens
+
+
+def test_extracted_phrases_keep_their_positions_only():
+    # an int64 first-token index and a rule number an occurrence, with the
+    # corpus they index; a tuple an occurrence, with its strings, kept 96 bytes
+    corpus = make_reviews(2000, seed=1)
+    tracemalloc.start()
+    try:
+        phrases = extract_phrases(corpus)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(phrases) > 10_000
+    assert kept <= 16 * len(phrases)
 
 
 def test_score_vocabulary_never_squares_the_whole_table():

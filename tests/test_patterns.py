@@ -1,12 +1,14 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sentaxis import patterns
-from sentaxis.errors import ConfigError, EmptyInputError, NoQualifyingPhrasesError
+from sentaxis.errors import EmptyInputError, NoQualifyingPhrasesError, ParseError
 from sentaxis.patterns import (
     MODIFIER_TAGS,
     PatternRule,
-    PhraseOccurrence,
     ThirdWord,
     builtin_rules,
     extract_phrases,
@@ -18,8 +20,9 @@ from sentaxis.patterns import (
     tag_polarity_variance,
 )
 
-from corpus_helpers import documents, make_corpus
+from corpus_helpers import documents, make_corpus, occurrences
 from pattern_fixture import FIFTY_DOCUMENTS
+from synthgen import make_reviews
 
 
 class TestBuiltinRules:
@@ -80,22 +83,19 @@ class TestExtractPhrases:
         corpus = make_corpus([[("nice", "JJ"), ("film", "NN"), ("the", "DT")]])
         got = extract_phrases(corpus)
         assert len(got) == 1
-        assert got[0].phrase == ("nice", "film")
-        assert got[0].rule_index == 1
-        assert got[0].position == 0
+        assert occurrences(got) == [("nice", "film", 1, "d000000", 0)]
+        assert got.at.dtype == np.int64
 
     def test_rule_two_blocked_by_noun_third_word(self):
         corpus = make_corpus([[("very", "RB"), ("nice", "JJ"), ("film", "NN")]])
-        got = extract_phrases(corpus)
+        got = occurrences(extract_phrases(corpus))
         # the RB+JJ bigram is blocked by the NN third word; only the trailing
         # JJ+NN bigram matches (rule 1)
-        assert not any(o.position == 0 for o in got)
-        assert [(o.phrase, o.rule_index) for o in got] == [(("nice", "film"), 1)]
+        assert [row[:3] for row in got] == [("nice", "film", 1)]
 
     def test_document_final_bigram_passes_constraints(self):
         corpus = make_corpus([[("very", "RB"), ("nice", "JJ")]])
-        got = extract_phrases(corpus)
-        assert [occ.rule_index for occ in got] == [2]
+        assert extract_phrases(corpus).rule.tolist() == [2]
 
     def test_lowest_rule_index_wins_on_overlap(self):
         # no two built-in rules match one tag pair, so the table is built from two that do
@@ -111,13 +111,11 @@ class TestExtractPhrases:
 
     def test_empty_corpus_gives_empty_list(self):
         corpus = make_corpus([[("the", "DT"), ("film", "NN")]])
-        assert extract_phrases(corpus) == []
+        assert len(extract_phrases(corpus)) == 0
 
     def test_fifty_document_fixture_matches_oracle(self):
         corpus = make_corpus(FIFTY_DOCUMENTS)
-        got = sorted(
-            f"{o.w1}\t{o.w2}\t{o.rule_index}\t{o.doc_id}\t{o.position}"
-            for o in extract_phrases(corpus))
+        got = sorted("\t".join(map(str, row)) for row in occurrences(extract_phrases(corpus)))
         expected = sorted(
             f"{w1}\t{w2}\t{rule}\t{doc}\t{pos}"
             for w1, w2, rule, doc, pos in oracle_extract(corpus))
@@ -129,27 +127,27 @@ class TestExtractPhrases:
             [("great", "JJ")],
             [("film", "NN")],
         ])
-        assert extract_phrases(corpus) == []
+        assert len(extract_phrases(corpus)) == 0
 
     @given(order=st.permutations(range(5)))
     def test_stable_under_document_reordering(self, order):
         docs = FIFTY_DOCUMENTS[:5]
-        base = {(o.w1, o.w2, o.rule_index, o.position)
-                for o in extract_phrases(make_corpus(docs))}
-        shuffled = {(o.w1, o.w2, o.rule_index, o.position)
-                    for o in extract_phrases(make_corpus([docs[i] for i in order]))}
+        base = {(w1, w2, rule, position)
+                for w1, w2, rule, _, position in occurrences(extract_phrases(make_corpus(docs)))}
+        shuffled = {(w1, w2, rule, position) for w1, w2, rule, _, position
+                    in occurrences(extract_phrases(make_corpus([docs[i] for i in order])))}
         assert base == shuffled
 
     def test_every_emitted_phrase_revalidates(self):
         corpus = make_corpus(FIFTY_DOCUMENTS)
         rules = builtin_rules()
         docs = {doc_id: [tag for _, tag in tokens] for doc_id, tokens, _ in documents(corpus)}
-        for occ in extract_phrases(corpus):
-            tags = docs[occ.doc_id]
-            rule = rules[occ.rule_index - 1]
-            assert tags[occ.position] in rule.first
-            assert tags[occ.position + 1] in rule.second
-            third = tags[occ.position + 2] if occ.position + 2 < len(tags) else None
+        for _, _, rule_index, doc_id, position in occurrences(extract_phrases(corpus)):
+            tags = docs[doc_id]
+            rule = rules[rule_index - 1]
+            assert tags[position] in rule.first
+            assert tags[position + 1] in rule.second
+            third = tags[position + 2] if position + 2 < len(tags) else None
             assert rule.third_allows(third)
 
 
@@ -180,7 +178,7 @@ class TestRuleTable:
         docs = [[("a", t1), ("b", t2)] + ([("c", t3)] if t3 else [])
                 for t1 in self.TAGS for t2 in self.TAGS for t3 in self.TAGS + [None]]
         corpus = make_corpus(docs)
-        got = [tuple(occ) for occ in extract_phrases(corpus)]
+        got = occurrences(extract_phrases(corpus))
         assert got == priority_loop(corpus, builtin_rules())
         assert {rule for _, _, rule, _, _ in got} == {1, 2, 3, 4, 5}
 
@@ -189,8 +187,7 @@ class TestRuleTable:
     def test_documents_of_any_tags_match_the_priority_loop(self, tag_lists):
         corpus = make_corpus([[(f"w{i}", tag) for i, tag in enumerate(tags)]
                               for tags in tag_lists])
-        assert [tuple(o) for o in extract_phrases(corpus)] == \
-            priority_loop(corpus, builtin_rules())
+        assert occurrences(extract_phrases(corpus)) == priority_loop(corpus, builtin_rules())
 
     def test_custom_rules_match_the_priority_loop(self, monkeypatch):
         rules = (PatternRule(frozenset({"NN"}), frozenset({"NN"}), ThirdWord.NOT_NN_NOR_NNS),
@@ -198,9 +195,25 @@ class TestRuleTable:
         monkeypatch.setattr(patterns, "builtin_rules", lambda: rules)
         corpus = make_corpus([[("a", "DT"), ("b", "NN"), ("c", "NN"), ("d", "NN")],
                               [("e", "NN"), ("f", "NN")]])
-        got = [tuple(o) for o in extract_phrases(corpus)]
+        got = occurrences(extract_phrases(corpus))
         assert got == priority_loop(corpus, rules)
         assert [rule for _, _, rule, _, _ in got] == [2, 2, 1, 1]
+
+
+def oracle_point_words(corpus, cutoff):
+    """Point words by strings: count (w1, w2) over the oracle's occurrences,
+    then count each word at a qualifying occurrence where it bears a
+    modifier tag."""
+    docs = {doc_id: tokens for doc_id, tokens, _ in documents(corpus)}
+    rows = oracle_extract(corpus)
+    phrase_counts = Counter((w1, w2) for w1, w2, *_ in rows)
+    word_counts = Counter()
+    for w1, w2, _, doc_id, position in rows:
+        if phrase_counts[w1, w2] >= cutoff:
+            for offset, word in enumerate((w1, w2)):
+                if docs[doc_id][position + offset][1] in MODIFIER_TAGS:
+                    word_counts[word] += 1
+    return word_counts
 
 
 class TestSelectPointWords:
@@ -212,25 +225,24 @@ class TestSelectPointWords:
         return corpus, extract_phrases(corpus)
 
     def test_cutoff_keeps_frequent_phrases_only(self):
-        corpus, phrases = self.corpus_and_phrases()
-        points = select_point_words(phrases, corpus, cutoff=2)
+        _, phrases = self.corpus_and_phrases()
+        points = select_point_words(phrases, cutoff=2)
         assert points.words == {"very", "good"}
         assert points.word_counts == {"very": 3, "good": 3}
 
     def test_cutoff_one_is_superset(self):
-        corpus, phrases = self.corpus_and_phrases()
-        low = select_point_words(phrases, corpus, cutoff=1)
-        high = select_point_words(phrases, corpus, cutoff=2)
+        _, phrases = self.corpus_and_phrases()
+        low = select_point_words(phrases, cutoff=1)
+        high = select_point_words(phrases, cutoff=2)
         assert high.words <= low.words
         assert low.words == {"very", "good", "truly", "bad"}
 
     def test_anti_monotone_across_cutoffs(self):
-        corpus = make_corpus(FIFTY_DOCUMENTS)
-        phrases = extract_phrases(corpus)
+        phrases = extract_phrases(make_corpus(FIFTY_DOCUMENTS))
         previous = None
         for cutoff in (1, 2, 3):
             try:
-                points = select_point_words(phrases, corpus, cutoff)
+                points = select_point_words(phrases, cutoff)
             except NoQualifyingPhrasesError:
                 break
             if previous is not None:
@@ -238,22 +250,20 @@ class TestSelectPointWords:
             previous = points.words
 
     def test_fixture_enumeration_oracle(self):
-        # oracle: count phrase strings by hand over the fixture, then collect
-        # words tagged JJ*/RB* at qualifying occurrences
         corpus = make_corpus(FIFTY_DOCUMENTS)
+        got = select_point_words(extract_phrases(corpus), cutoff=1)
+        expected = oracle_point_words(corpus, 1)
+        assert (got.words, got.word_counts) == (set(expected), dict(expected))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_reviews_match_the_string_oracle(self, seed):
+        corpus = make_reviews(2000, seed)
         phrases = extract_phrases(corpus)
-        from collections import Counter
-        counts = Counter((o.w1, o.w2) for o in phrases)
-        keep = {ph for ph, c in counts.items() if c >= 1}
-        docs = {doc_id: tokens for doc_id, tokens, _ in documents(corpus)}
-        expected = set()
-        for o in phrases:
-            if o.phrase in keep:
-                for off, w in ((0, o.w1), (1, o.w2)):
-                    if docs[o.doc_id][o.position + off][1] in MODIFIER_TAGS:
-                        expected.add(w)
-        got = select_point_words(phrases, corpus, cutoff=1)
-        assert got.words == expected
+        for cutoff in range(1, 6):
+            expected = oracle_point_words(corpus, cutoff)
+            got = select_point_words(phrases, cutoff)
+            assert (got.words, got.word_counts, got.cutoff) == \
+                (set(expected), dict(expected), cutoff)
 
     @pytest.mark.parametrize("w1,w2,doc_id,position", [
         ("very", "bad", "d000001", 0),
@@ -262,29 +272,39 @@ class TestSelectPointWords:
         ("very", "good", "d000001", 10**30),
         ("very", "good", "d000009", 0),
     ], ids=["second-word", "across-documents", "negative", "huge", "unknown-document"])
-    def test_occurrence_not_in_the_corpus_is_rejected(self, w1, w2, doc_id, position):
+    def test_occurrence_not_in_the_corpus_is_rejected(self, tmp_path, w1, w2, doc_id,
+                                                      position):
+        # select-points reads its phrases through load_phrases, which checks each record
         corpus, phrases = self.corpus_and_phrases()
-        bad = PhraseOccurrence(w1, w2, 1, doc_id, position)
-        with pytest.raises(ConfigError, match=f"{w1!r} {w2!r} at document {doc_id!r} "
-                                              f"position {position} is not in the corpus"):
-            select_point_words([phrases[0], bad, bad, phrases[2]], corpus, cutoff=1)
+        path = tmp_path / "phrases.tsv"
+        save_phrases(phrases, path)
+        good = path.read_text(encoding="utf-8").splitlines()
+        bad = f"{w1}\t{w2}\t1\t{doc_id}\t{position}"
+        path.write_text("\n".join([good[0], bad, bad, good[2]]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{w1!r} {w2!r} at document {doc_id!r} "
+                                             f"position {position} is not in the corpus"):
+            load_phrases(path, corpus)
+        with pytest.raises(ParseError) as err:
+            load_phrases(path, corpus)
+        assert (err.value.path, err.value.line) == (path, 2)
 
     def test_no_qualifying_phrase_reports_cutoff(self):
-        corpus, phrases = self.corpus_and_phrases()
+        _, phrases = self.corpus_and_phrases()
         with pytest.raises(NoQualifyingPhrasesError) as err:
-            select_point_words(phrases, corpus, cutoff=99)
+            select_point_words(phrases, cutoff=99)
         assert err.value.cutoff == 99
 
     def test_every_point_word_has_modifier_occurrence(self):
         corpus = make_corpus(FIFTY_DOCUMENTS)
         phrases = extract_phrases(corpus)
-        points = select_point_words(phrases, corpus, cutoff=1)
+        points = select_point_words(phrases, cutoff=1)
         docs = {doc_id: tokens for doc_id, tokens, _ in documents(corpus)}
+        rows = occurrences(phrases)  # at cutoff 1 every phrase qualifies
         for word in points.words:
             found = any(
-                docs[o.doc_id][o.position + off][1] in MODIFIER_TAGS
-                for o in phrases  # at cutoff 1 every phrase qualifies
-                for off, w in ((0, o.w1), (1, o.w2)) if w == word
+                docs[doc_id][position + off][1] in MODIFIER_TAGS
+                for w1, w2, _, doc_id, position in rows
+                for off, w in ((0, w1), (1, w2)) if w == word
             )
             assert found, word
 
@@ -366,14 +386,37 @@ class TestPersistence:
         phrases = extract_phrases(corpus)
         path = tmp_path / "phrases.tsv"
         save_phrases(phrases, path)
-        assert load_phrases(path) == phrases
+        again = load_phrases(path, corpus)
+        assert again.corpus is corpus
+        assert again.at.tolist() == phrases.at.tolist()
+        assert again.rule.tolist() == phrases.rule.tolist()
+
+    def test_phrase_records_load_in_any_order_and_with_repeats(self, tmp_path):
+        corpus = make_corpus(FIFTY_DOCUMENTS)
+        phrases = extract_phrases(corpus)
+        path = tmp_path / "phrases.tsv"
+        save_phrases(phrases, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[::-1] + lines[:3]) + "\n", encoding="utf-8")
+        again = load_phrases(path, corpus)
+        assert again.at.tolist() == sorted(phrases.at.tolist() + phrases.at[:3].tolist())
+        counts = Counter(occurrences(phrases) + occurrences(phrases)[:3])
+        assert Counter(occurrences(again)) == counts
 
     def test_point_word_dump_round_trip(self, tmp_path):
         corpus = make_corpus(FIFTY_DOCUMENTS)
-        points = select_point_words(extract_phrases(corpus), corpus, cutoff=1)
+        points = select_point_words(extract_phrases(corpus), cutoff=1)
         path = tmp_path / "points.tsv"
         save_point_words(points, path)
         again = load_point_words(path)
         assert again.words == points.words
         assert again.cutoff == points.cutoff
         assert again.word_counts == points.word_counts
+
+    def test_point_words_are_stripped(self, tmp_path):
+        path = tmp_path / "points.tsv"
+        path.write_text(" good \t2\nbad\t1\n", encoding="utf-8")
+        assert load_point_words(path).word_counts == {"good": 2, "bad": 1}
+        path.write_text(" good \t2\ngood\t1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="duplicate word 'good'"):
+            load_point_words(path)

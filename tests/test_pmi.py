@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sentaxis import pmi
 from sentaxis.corpus import NEG, POS, label_for, load_tagged_corpus
-from sentaxis.evaluation import EvalReport, evaluate_pmi
+from sentaxis.evaluation import EvalReport, evaluate_pmi, pmi_review_means
 from sentaxis.errors import EmptyInputError, SeedMissingError
 from sentaxis.pmi import (
     NearIndex,
     build_near_index,
     classify_review_pmi,
-    hits,
     so_phrase,
 )
 from sentaxis.patterns import extract_phrases
 
-from corpus_helpers import documents, join, make_corpus, save_tagged_corpus
+from corpus_helpers import documents, join, make_corpus, occurrences, save_tagged_corpus
 from synthgen import make_reviews
 
 
@@ -44,7 +44,12 @@ def near_docs(index, a, b):
 
 
 def phrases_of(review):
-    return [occ.phrase for occ in extract_phrases(review)]
+    return [(w1, w2) for w1, w2, *_ in occurrences(extract_phrases(review))]
+
+
+def classify(index, phrases):
+    """classify_review_pmi with each phrase scored by so_phrase."""
+    return classify_review_pmi(phrases, {phrase: so_phrase(index, phrase) for phrase in phrases})
 
 
 def make_index(near_pos: int, near_neg: int, h_pos: int, h_neg: int,
@@ -137,12 +142,12 @@ class TestHits:
             words_doc("b", "a"),
         ])
         index = build_near_index(corpus)
-        assert hits(index, "a") == 3
-        assert hits(index, "b") == 2
+        assert index.document_count("a") == 3
+        assert index.document_count("b") == 2
 
     def test_unknown_term_is_zero(self):
         index = build_near_index(make_corpus([words_doc("a")]))
-        assert hits(index, "zzz") == 0
+        assert index.document_count("zzz") == 0
 
     def test_phrase_must_be_contiguous(self):
         corpus = make_corpus([
@@ -150,13 +155,13 @@ class TestHits:
             words_doc("very", "bad", "good"),  # not contiguous
         ])
         index = build_near_index(corpus)
-        assert hits(index, ("very", "good")) == 1
+        assert index.document_count(("very", "good")) == 1
 
     def test_hand_counted_toy_corpus(self):
         index = make_index(2, 0, 10, 5)
-        assert hits(index, "excellent") == 10
-        assert hits(index, "poor") == 5
-        assert hits(index, ("very", "good")) == 2
+        assert index.document_count("excellent") == 10
+        assert index.document_count("poor") == 5
+        assert index.document_count(("very", "good")) == 2
 
 
 class TestSoPhrase:
@@ -200,7 +205,7 @@ class TestSoPhrase:
             return found
         monkeypatch.setattr(NearIndex, "positions", spy)
         evaluate_pmi(index, reviews)
-        queried = {occ.phrase for occ in extract_phrases(reviews)}
+        queried = set(phrases_of(reviews))
         assert sorted(gathered) == sorted({w1 for w1, _ in queried})
         # one NEAR pair per phrase and seed, as the benchmark counts them
         assert len(index.near_hits) == 2 * len(queried)
@@ -233,7 +238,7 @@ class TestClassifyReview:
         # phrase near 'poor' only: so < 0
         index = make_index(0, 3, 4, 4)
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."))
-        result = classify_review_pmi(index, phrases_of(review))
+        result = classify(index, phrases_of(review))
         assert label_for(result.mean_so) == NEG
         assert result.n_phrases == 1
         assert not result.no_phrase
@@ -241,7 +246,7 @@ class TestClassifyReview:
     def test_no_phrase_labels_pos_with_flag(self):
         index = make_index(1, 1, 2, 2)
         review = self.review(("the", "DT"), ("film", "NN"), (".", "."))
-        result = classify_review_pmi(index, phrases_of(review))
+        result = classify(index, phrases_of(review))
         assert label_for(result.mean_so) == POS
         assert result.no_phrase
         assert result.mean_so == 0.0
@@ -266,7 +271,7 @@ class TestClassifyReview:
             mean = (k * so_good + (10 - k) * so_bad) / 10
             cases.append((pairs, NEG if mean < 0 else POS))
         for pairs, expected in cases:
-            result = classify_review_pmi(index, phrases_of(self.review(*pairs)))
+            result = classify(index, phrases_of(self.review(*pairs)))
             assert label_for(result.mean_so) == expected
 
     def test_cancelling_phrases_label_pos_and_are_decided(self):
@@ -277,21 +282,23 @@ class TestClassifyReview:
         assert so_phrase(index, ("very", "good")) == -so_phrase(index, ("truly", "bad"))
         review = self.review(("very", "RB"), ("good", "JJ"), (".", "."),
                              ("truly", "RB"), ("bad", "JJ"), (".", "."), label=NEG)
-        result = classify_review_pmi(index, phrases_of(review))
+        result = classify(index, phrases_of(review))
         assert (result.mean_so, result.n_phrases) == (0.0, 2)
         assert label_for(result.mean_so) == POS and not result.no_phrase
         report = evaluate_pmi(index, review)
         assert report.confusion == ((0, 0), (1, 0))
         assert report.n_undecided == 0
 
-    def test_so_cache_reused(self):
-        index = make_index(2, 1, 3, 3)
-        cache = {}
-        review = self.review(("very", "RB"), ("good", "JJ"), (".", "."))
-        first = classify_review_pmi(index, phrases_of(review), so_cache=cache)
-        assert ("very", "good") in cache
-        second = classify_review_pmi(index, phrases_of(review), so_cache=cache)
-        assert first == second
+    def test_orientations_are_looked_up_not_scored(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a phrase was scored")
+        monkeypatch.setattr(pmi, "so_phrase", refuse)
+        phrases = [("very", "good"), ("truly", "bad"), ("very", "good")]
+        orientations = {("very", "good"): 0.5, ("truly", "bad"): -2.0}
+        result = classify_review_pmi(phrases, orientations)
+        assert (result.mean_so, result.n_phrases) == ((0.5 - 2.0 + 0.5) / 3, 3)
+        with pytest.raises(KeyError):
+            classify_review_pmi([("so", "fine")], orientations)
 
 
 VOCABULARY = ("a", "b", "c", "d", "e")
@@ -335,21 +342,21 @@ class TestArrayIndexAgainstScan:
         assert near_docs(index, b, a) == near
         assert docs_with(index, a) == with_a
         assert len(index.positions(a)) == sum(len(pos_a) for _, pos_a, _, _ in rows)
-        assert hits(index, a) == len(with_a)
+        assert index.document_count(a) == len(with_a)
 
     def test_phrase_does_not_run_across_documents(self):
         # 'b' ends the first document and starts the second
         index = build_near_index(make_corpus([words_doc("a", "b"), words_doc("b", "a")]),
                                  window=15)
-        assert hits(index, ("b", "b")) == 0
-        assert hits(index, ("a", "b")) == 1
+        assert index.document_count(("b", "b")) == 0
+        assert index.document_count(("a", "b")) == 1
         assert near_docs(index, ("b", "a"), "zz") == set()
 
     def test_unknown_words(self):
         index = build_near_index(make_corpus([words_doc("a", "b", "a")]), window=2)
         assert docs_with(index, "zz") == set()
-        assert hits(index, ("a", "zz")) == 0
-        assert hits(index, ("zz", "a")) == 0
+        assert index.document_count(("a", "zz")) == 0
+        assert index.document_count(("zz", "a")) == 0
         assert near_docs(index, ("a", "zz"), "b") == set()
         assert near_docs(index, "zz", "a") == set()
 
@@ -372,7 +379,7 @@ class TestIndexSizesReadByTheBenchmark:
         assert len(index.postings) == len(words)
         reviews = make_reviews(20, seed=4)
         evaluate_pmi(index, reviews)
-        queried = {occ.phrase for occ in extract_phrases(reviews)}
+        queried = set(phrases_of(reviews))
         assert queried
         assert len(index.near_hits) == 2 * len(queried)
 
@@ -469,7 +476,7 @@ class TestSoPhraseAgainstScan:
                    (phrase[0], phrase[0]), (phrase[1], pos_seed), (pos_seed, neg_seed)]
         for a, b in queries:
             assert index.near_count(a, b) == scan_near(docs, window, a, b), (a, b)
-            assert hits(index, a) == scan_hits(docs, a), a
+            assert index.document_count(a) == scan_hits(docs, a), a
         seed_counts = scan_hits(docs, pos_seed), scan_hits(docs, neg_seed)
         if not all(seed_counts):
             with pytest.raises(SeedMissingError):
@@ -486,14 +493,18 @@ def test_evaluate_pmi_matches_a_per_review_reference():
                     make_corpus([[("zzz", "NN")]], labels=[NEG])])  # no phrase
     snapshot = {"window": 4}
     report = evaluate_pmi(build_near_index(train, window=4), reviews, config_snapshot=snapshot)
+    means = pmi_review_means(build_near_index(train, window=4), reviews, "excellent", "poor")
     # each review extracted alone, each phrase scored on a fresh index
     confusion = {(gold, pred): 0 for gold in (POS, NEG) for pred in (POS, NEG)}
     undecided = 0
+    expected_means = []
     for i, gold in enumerate(reviews.labels):
         values = [so_phrase(build_near_index(train, window=4), phrase)
                   for phrase in phrases_of(reviews.take([i]))]
-        confusion[gold, label_for(sum(values) / len(values) if values else 0.0)] += 1
+        expected_means.append((sum(values) / len(values) if values else 0.0, len(values)))
+        confusion[gold, label_for(expected_means[-1][0])] += 1
         undecided += not values
+    assert means == expected_means
     n_correct = confusion[POS, POS] + confusion[NEG, NEG]
     assert report == EvalReport(
         accuracy=n_correct / len(reviews), n_total=len(reviews), n_correct=n_correct,

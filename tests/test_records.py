@@ -16,13 +16,15 @@ from sentaxis.axis import (
 from sentaxis.corpus import load_polarity_lexicon
 from sentaxis.errors import ParseError
 from sentaxis.patterns import (
-    PhraseOccurrence,
     PointWordSet,
+    extract_phrases,
     load_phrases,
     load_point_words,
     save_phrases,
     save_point_words,
 )
+
+from corpus_helpers import make_corpus
 
 # any UTF-8-encodable text without whitespace, bare or after a '#', which a
 # comment-skipping reader would drop
@@ -134,13 +136,16 @@ class TestRoundTrip:
         again = load_point_words(path)
         assert (again.words, again.cutoff, again.word_counts) == (set(counts), cutoff, counts)
 
-    @given(st.lists(st.builds(PhraseOccurrence, w1=words, w2=words,
-                              rule_index=st.integers(1, 5), doc_id=words,
-                              position=st.integers(0, 10**6)), max_size=8))
-    def test_phrases(self, tmp_path_factory, phrases):
+    @given(st.lists(st.lists(st.tuples(words, st.sampled_from(["JJ", "NN", "RB", "VBN", "DT"])),
+                             min_size=1, max_size=6), min_size=1, max_size=6))
+    def test_phrases(self, tmp_path_factory, documents):
+        corpus = make_corpus(documents)
+        phrases = extract_phrases(corpus)
         path = tmp_path_factory.mktemp("phrases") / "phrases.tsv"
         save_phrases(phrases, path)
-        assert load_phrases(path) == phrases
+        again = load_phrases(path, corpus)
+        assert again.at.tolist() == phrases.at.tolist()
+        assert again.rule.tolist() == phrases.rule.tolist()
 
     @given(st.dictionaries(words.map(str.lower), finite, min_size=1, max_size=8))
     def test_polarity_lexicon(self, tmp_path_factory, entries):

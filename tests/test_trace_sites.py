@@ -113,7 +113,7 @@ def test_unsup_pipeline_trace_counts_agree_with_report(benchmark_modules, tiny_i
     assert metrics["evaluation.undecided_ratio"] == n_undecided / n_total
     # the principal axis again, from the files the run wrote
     train = load_tagged_corpus(corpus)
-    points = patterns.select_point_words(patterns.extract_phrases(train), train, 2)
+    points = patterns.select_point_words(patterns.extract_phrases(train), 2)
     table = load_embeddings(out / "embeddings.txt")
     projection = axis_mod.principal_axis(axis_mod.build_distance_matrix(points, table))
     assert counts["axis.pc1_explained"] == float(projection.explained_variance[0])

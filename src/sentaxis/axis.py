@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import pca, records
-from .corpus import PolarityLexicon
 from .errors import (
     AmbiguousOrientationError,
     ConfigError,
@@ -151,7 +150,7 @@ def partition_by_origin(proj: AxisProjection) -> tuple[tuple[str, ...], tuple[st
     return set_a, set_b
 
 
-def partition_by_lexicon(points: PointWordSet, lex: PolarityLexicon):
+def partition_by_lexicon(points: PointWordSet, lexicon: dict[str, float]):
     """Split point words by the sign of their lexicon polarity.
 
     Words missing from the lexicon or scored exactly 0 (neutral) are dropped.
@@ -159,11 +158,10 @@ def partition_by_lexicon(points: PointWordSet, lex: PolarityLexicon):
     """
     set_a, set_b, dropped = [], [], []
     for word in sorted(points.words):
-        if word not in lex:
-            dropped.append(word)
-        elif lex.score(word) > 0.0:
+        score = lexicon.get(word, 0.0)
+        if score > 0.0:
             set_a.append(word)
-        elif lex.score(word) < 0.0:
+        elif score < 0.0:
             set_b.append(word)
         else:
             dropped.append(word)
@@ -306,11 +304,10 @@ def save_orientation_lexicon(lexicon: OrientationLexicon, path) -> None:
 
 
 def load_orientation_lexicon(path) -> OrientationLexicon:
-    """Read an orientation lexicon, words stripped; a repeated word is an error."""
+    """Read an orientation lexicon; a repeated word is an error."""
     headers, rows = records.read(path, ("word", "score"))
     scores: dict[str, float] = {}
     for line, (word, value) in rows:
-        word = word.strip()
         if word in scores:
             raise ParseError(f"duplicate word {word!r}", path=path, line=line)
         scores[word] = records.finite_float(path, line, value, "score")

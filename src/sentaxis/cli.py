@@ -225,7 +225,7 @@ def cmd_pmi_baseline(args) -> int:
 
 def cmd_tag_variance(args) -> int:
     _, rows = records.read(args.annotated, ("token", "tag", "polarity"))
-    annotated = [(token.strip().lower(), tag.strip(),
+    annotated = [(token.lower(), tag,
                   records.finite_float(args.annotated, line, polarity, "polarity"))
                  for line, (token, tag, polarity) in rows]
     report = patterns.tag_polarity_variance(annotated)

@@ -101,20 +101,6 @@ class TaggedCorpus:
                               for column in (self.ids, self.labels)), self.source)
 
 
-@dataclass(frozen=True, slots=True)
-class PolarityLexicon:
-    """word -> centered real polarity score; 0 is neutral."""
-
-    entries: dict[str, float]
-    duplicate_count: int = 0
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def score(self, word: str) -> float:
-        return self.entries[word]
-
-
 class _FirstSeenIds(dict):
     """text -> id; looking up a new text gives it the next id."""
 
@@ -289,7 +275,7 @@ def _parse_piece(piece: str) -> tuple[str, str] | None:
 def load_labeled_reviews(path) -> TaggedCorpus:
     """Parse ``LABEL<TAB>token_TAG token_TAG ...`` records (see :mod:`.records`)."""
     _, rows = records.read(path, ("LABEL", "tagged text"))
-    labels = tuple(label.strip().upper() for _, (label, _) in rows)
+    labels = tuple(label.upper() for _, (label, _) in rows)
     bad = next((i for i, label in enumerate(labels) if label not in (POS, NEG)), len(rows))
     # a bad piece on an earlier line than the first bad label is the first error
     items = chain.from_iterable((*text.split(), "\n") for _, (_, text) in rows[:bad])
@@ -303,15 +289,12 @@ def load_labeled_reviews(path) -> TaggedCorpus:
                         labels=labels, source=str(path))
 
 
-def load_polarity_lexicon(path) -> PolarityLexicon:
-    """Parse a polarity lexicon of ``word<TAB>score`` records (see :mod:`.records`).
-
-    Words are lowercased. Duplicate words keep the last entry; the number of
-    overwritten entries is recorded in ``duplicate_count``.
-    """
+def load_polarity_lexicon(path) -> dict[str, float]:
+    """A polarity lexicon of ``word<TAB>score`` records (see :mod:`.records`) as word ->
+    centered score, 0 neutral. Words are lowercased; a repeated word keeps its last score."""
     _, rows = records.read(path, ("word", "score"))
-    entries = {word.strip().lower(): records.finite_float(path, line, score, "score")
+    lexicon = {word.lower(): records.finite_float(path, line, score, "score")
                for line, (word, score) in rows}
-    if not entries:
+    if not lexicon:
         raise EmptyInputError(f"{path}: no lexicon entries found")
-    return PolarityLexicon(entries=entries, duplicate_count=len(rows) - len(entries))
+    return lexicon

@@ -156,7 +156,8 @@ def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,
 
 
 def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,
-                lexicon=None, seed_word: str = axis_mod.DEFAULT_SEED_WORD):
+                lexicon: dict[str, float] | None = None,
+                seed_word: str = axis_mod.DEFAULT_SEED_WORD):
     """Point words -> oriented sentiment axis (plus the projection when computed).
 
     mode 'unsup' partitions at the origin of the principal axis; mode 'semi'
@@ -186,7 +187,8 @@ def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,
 
 def sweep_cutoffs(corpus: TaggedCorpus, reviews: TaggedCorpus, mode: str,
                   cutoffs: Sequence[int], table: EmbeddingTable,
-                  lexicon=None, seed_word: str = axis_mod.DEFAULT_SEED_WORD) -> list[SweepRow]:
+                  lexicon: dict[str, float] | None = None,
+                  seed_word: str = axis_mod.DEFAULT_SEED_WORD) -> list[SweepRow]:
     """Re-run selection -> axis -> scoring -> evaluation per cutoff.
 
     Per-cutoff failures become rows with a reason code instead of aborting.
@@ -257,9 +259,6 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
         raise ConfigError("semi-supervised mode requires --lexicon")
     if config.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {config.cutoff}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     corpus = _stage("load-corpus", load_tagged_corpus, config.corpus_path,
                     config.corpus_format)
     reviews = _stage("load-reviews", load_labeled_reviews, config.reviews_path)
@@ -279,7 +278,9 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
     lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)
     report = _stage("evaluate", evaluate, reviews, lexicon, config.snapshot())
 
-    # written only once every stage has passed, so a failed run leaves none
+    # created and written only once every stage has passed, so a failed run leaves none
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if config.embeddings_path is None:
         save_embeddings(table, out_dir / "embeddings.txt")
     axis_mod.save_axis(oriented, out_dir)

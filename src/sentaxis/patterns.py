@@ -1,9 +1,11 @@
 """Two-word phrase extraction by POS-tag rules and point-word selection.
 
-The five built-in rules match a bigram by the tags of its two words plus a
-constraint on the tag of the word after it; at a document's final bigram the
-missing third word satisfies every constraint. When several rules match one
-position, the lowest-numbered rule wins and a single occurrence is emitted.
+:data:`RULES` is the table of the five extraction rules, one row each in
+priority order: the tags the first word may have, the tags the second word
+may have, and whether the word after the bigram (the third word) may be NN
+or NNS. At a document's final bigram the missing third word satisfies every
+rule. When several rules match one position, the lowest-numbered rule wins
+and a single occurrence is emitted.
 
 Extraction is one gather from the tag ids through a table ``rule[tag1, tag2,
 third]`` of the lowest-numbered matching rule (0 for none), ``third`` being
@@ -14,7 +16,6 @@ so no match is checked again; :func:`load_phrases` checks a phrase file once.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,29 +27,18 @@ from .errors import EmptyInputError, NoQualifyingPhrasesError, ParseError
 
 #: Tags whose bearers count as modifiers when collecting point words.
 MODIFIER_TAGS = frozenset({"JJ", "JJR", "JJS", "RB", "RBR", "RBS"})
-#: Tags of a third word that ``ThirdWord.NOT_NN_NOR_NNS`` rejects.
+#: The third-word tags a rule may refuse.
 NOUN_TAGS = frozenset({"NN", "NNS"})
 
-
-class ThirdWord(enum.Enum):
-    ANYTHING = "anything"
-    NOT_NN_NOR_NNS = "not-nn-nor-nns"
-
-
-@dataclass(frozen=True, slots=True)
-class PatternRule:
-    first: frozenset[str]
-    second: frozenset[str]
-    third: ThirdWord
-
-    def __post_init__(self):
-        if not self.first or not self.second:
-            raise ValueError("first and second tag sets must be non-empty")
-
-    def third_allows(self, tag: str | None) -> bool:
-        if self.third is ThirdWord.ANYTHING or tag is None:
-            return True
-        return tag not in NOUN_TAGS
+#: The five extraction rules in priority order: the first word's tags, the
+#: second word's tags, and whether the word after them may be NN or NNS.
+RULES = (
+    (("JJ",), ("NN", "NNS"), True),
+    (("RB", "RBR", "RBS"), ("JJ",), False),
+    (("JJ",), ("JJ",), False),
+    (("NN", "NNS"), ("VB", "VBD"), False),
+    (("RB", "RBR", "RBS"), ("VBN", "VBG"), True),
+)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -89,27 +79,15 @@ class TagVarianceReport:
                 for tag, (var, count) in self.per_tag.items()}
 
 
-def builtin_rules() -> tuple[PatternRule, ...]:
-    """The five bigram extraction rules, in priority order."""
-    return (
-        PatternRule(frozenset({"JJ"}), frozenset({"NN", "NNS"}), ThirdWord.ANYTHING),
-        PatternRule(frozenset({"RB", "RBR", "RBS"}), frozenset({"JJ"}), ThirdWord.NOT_NN_NOR_NNS),
-        PatternRule(frozenset({"JJ"}), frozenset({"JJ"}), ThirdWord.NOT_NN_NOR_NNS),
-        PatternRule(frozenset({"NN", "NNS"}), frozenset({"VB", "VBD"}), ThirdWord.NOT_NN_NOR_NNS),
-        PatternRule(frozenset({"RB", "RBR", "RBS"}), frozenset({"VBN", "VBG"}), ThirdWord.ANYTHING),
-    )
-
-
-def _rule_table(rules: tuple[PatternRule, ...], tags: tuple[str, ...]):
-    """``rule[tag1, tag2, third]`` and each tag id's third-word class: 0 NN or NNS, 1
-    another tag, 2 tag id ``len(tags)``, a document boundary (no rule's second word)."""
+def _rule_table(tags: tuple[str, ...]):
+    """``rule[tag1, tag2, third]`` of :data:`RULES` and each tag id's third-word class:
+    0 NN or NNS, 1 another tag, 2 tag id ``len(tags)``, a document boundary (no rule's
+    second word)."""
     table = np.zeros((len(tags), len(tags) + 1, 3), dtype=np.int8)
     # lower-numbered rules are written last, so they win
-    for rule_index, rule in reversed(list(enumerate(rules, start=1))):
-        table[np.ix_([tag in rule.first for tag in tags],
-                     [tag in rule.second for tag in tags] + [False],
-                     # one tag of each third-word class
-                     [rule.third_allows(tag) for tag in ("NN", "", None)])] = rule_index
+    for rule_index, (first, second, noun_third) in reversed(list(enumerate(RULES, start=1))):
+        table[np.ix_([tag in first for tag in tags], [tag in second for tag in tags] + [False],
+                     [noun_third, True, True])] = rule_index
     third_class = np.array([0 if tag in NOUN_TAGS else 1 for tag in tags] + [2], dtype=np.intp)
     return table, third_class
 
@@ -124,7 +102,7 @@ def extract_phrases(corpus: TaggedCorpus) -> Phrases:
 def _bigram_rules(corpus: TaggedCorpus) -> np.ndarray:
     """Each bigram's lowest-numbered matching rule: 0 for none, or across documents."""
     tag_ids, n = corpus.tag_ids, len(corpus.tag_ids)
-    table, third_class = _rule_table(builtin_rules(), corpus.tags)
+    table, third_class = _rule_table(corpus.tags)
     # bigram i is tokens i and i + 1, then marked[i + 2]; document starts are boundaries
     marked = np.empty(n + 1, dtype=np.intp)
     marked[:n] = tag_ids
@@ -195,25 +173,32 @@ def save_phrases(phrases: Phrases, path) -> None:
 
 def load_phrases(path, corpus: TaggedCorpus) -> Phrases:
     """The phrases of ``corpus`` in a ``save_phrases`` file; each record must name a
-    bigram of ``corpus`` and an integer rule, and the rule kept is ``corpus``'s."""
+    bigram of ``corpus`` and the rule ``corpus`` gives that bigram."""
     _, rows = records.read(path, ("w1", "w2", "rule", "doc_id", "position"))
     bounds = corpus.offsets.tolist()
     spans = dict(zip(corpus.ids, zip(bounds, bounds[1:])))
     word_index = dict(zip(corpus.words, range(len(corpus.words))))
+    matched = _bigram_rules(corpus)
     at = []
     for line, (w1, w2, rule, doc_id, position) in rows:
-        records.integer(path, line, rule, "rule")
+        rule = records.integer(path, line, rule, "rule")
         position = records.integer(path, line, position, "position")
         start, end = spans.get(doc_id, (0, 0))
+        phrase = f"phrase {w1!r} {w2!r} at document {doc_id!r} position {position}"
         if not (0 <= position < end - start - 1
                 and corpus.word_ids[start + position] == word_index.get(w1, -1)
                 and corpus.word_ids[start + position + 1] == word_index.get(w2, -1)):
-            raise ParseError(f"phrase {w1!r} {w2!r} at document {doc_id!r} position "
-                             f"{position} is not in the corpus; were the phrases "
+            raise ParseError(f"{phrase} is not in the corpus; were the phrases "
                              f"extracted from another corpus?", path=path, line=line)
+        given = int(matched[start + position])
+        if not given:
+            raise ParseError(f"{phrase} matches no extraction rule", path=path, line=line)
+        if rule != given:
+            raise ParseError(f"{phrase} has rule {rule}, but the corpus gives rule {given}",
+                             path=path, line=line)
         at.append(start + position)
     at = np.sort(np.array(at, dtype=np.int64))
-    return Phrases(corpus, at, _bigram_rules(corpus)[at])
+    return Phrases(corpus, at, matched[at])
 
 
 def save_point_words(points: PointWordSet, path) -> None:
@@ -223,11 +208,10 @@ def save_point_words(points: PointWordSet, path) -> None:
 
 
 def load_point_words(path) -> PointWordSet:
-    """Point words, stripped; a repeated word is an error, no cutoff header means 1."""
+    """Point words; a repeated word is an error, no cutoff header means 1."""
     headers, rows = records.read(path, ("word", "count"))
     word_counts: dict[str, int] = {}
     for line, (word, count) in rows:
-        word = word.strip()
         if word in word_counts:
             raise ParseError(f"duplicate word {word!r}", path=path, line=line)
         word_counts[word] = records.integer(path, line, count, "count")

@@ -4,7 +4,7 @@ One record per line, fields separated by tabs, UTF-8. Blank lines are
 skipped. A line that starts with ``#`` and holds no tab is a comment, and a
 comment of the form ``# key=value`` is a header; so a record's first field may
 start with ``#``. A record has exactly its layout's number of fields, none
-blank. Every error is a :class:`ParseError` that names ``path:line``, bytes
+blank, and each field is stripped of the whitespace around it. Every error is a :class:`ParseError` that names ``path:line``, bytes
 that are not UTF-8 included.
 """
 
@@ -21,7 +21,7 @@ from .errors import ParseError
 
 def read(path, layout: Sequence[str]) -> tuple[dict, list]:
     """``path``'s headers as key -> (line, value) and its records as
-    (line, fields) in file order; ``layout`` names the fields."""
+    (line, stripped fields) in file order; ``layout`` names the fields."""
     headers: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, list[str]]] = []
     for line, text in enumerate(read_text(path).splitlines(), start=1):
@@ -34,8 +34,8 @@ def read(path, layout: Sequence[str]) -> tuple[dict, list]:
                     raise ParseError(f"duplicate header {key!r}", path=path, line=line)
                 headers[key] = (line, value)
             continue
-        fields = text.split("\t")
-        if len(fields) != len(layout) or not all(f.strip() for f in fields):
+        fields = [field.strip() for field in text.split("\t")]
+        if len(fields) != len(layout) or not all(fields):
             raise ParseError("expected '" + "<TAB>".join(layout) + "'", path=path, line=line)
         rows.append((line, fields))
     return headers, rows

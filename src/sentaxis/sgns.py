@@ -7,7 +7,9 @@ against finite differences; the training loop applies exactly those gradients.
 Training runs in one thread and draws every random number from one generator
 seeded by ``rng_seed``, so equal seeds give bit-identical tables. The whole
 epoch and document loop is one call of ``sgns_kernel.c``, built and bound by
-:mod:`sentaxis.compiled`. It links numpy's ``libnpyrandom.a`` and draws from the
+:mod:`sentaxis.compiled`; its scratch memory is sized in Python with exact
+integers and allocated by numpy, so a size no memory holds is a
+:class:`ConfigError` naming the flags. It links numpy's ``libnpyrandom.a`` and draws from the
 generator's own ``bitgen_t``, through the functions ``Generator.random`` and
 ``Generator.integers`` call, so it takes the same numbers in the same order
 as the numpy loop. On x86-64 with glibc the update body is compiled twice,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,31 +134,38 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     word_id = {w: i for i, w in enumerate(words)}
     vocab_size = len(words)
     rng = np.random.default_rng(config.rng_seed)
-
-    w_in = (rng.random((vocab_size, config.dim)) - 0.5) / config.dim
-    w_out = np.zeros((vocab_size, config.dim))
+    kernel = _load_kernel()
+    # each token's vocabulary index, -1 for a word below min_count; the kept
+    # tokens of document d are ids[offsets[d]:offsets[d + 1]]
+    ids = np.array([word_id.get(w, -1) for w in corpus.words], dtype=np.int64)[corpus.word_ids]
+    kept = ids >= 0
+    ids, offsets = ids[kept], np.concatenate(([0], np.cumsum(kept)))[corpus.offsets]
+    try:
+        w_in = (rng.random((vocab_size, config.dim)) - 0.5) / config.dim
+        w_out = np.zeros((vocab_size, config.dim))
+        train = _train_documents if kernel is None else \
+            partial(_train_kernel, kernel, _kernel_scratch(offsets, vocab_size, config))
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for an array larger than it can address
+        raise ConfigError(f"--dim {config.dim}, --window {config.window} and --negatives "
+                          f"{config.negatives} need more memory than can be allocated") from None
 
     keep_p = _keep_probabilities(counts, config.subsample_threshold)
     noise_cdf = _noise_cdf(counts)
-
-    # each token's vocabulary index, -1 for a word below min_count
-    ids = np.array([word_id.get(w, -1) for w in corpus.words], dtype=np.int64)[corpus.word_ids]
-    kept = ids >= 0
-    bounds = np.concatenate(([0], np.cumsum(kept)))[corpus.offsets]
-    doc_ids = [d for d in np.split(ids[kept], bounds[1:-1]) if d.size]
     total_tokens = int(counts.sum())
-    train = _train_kernel if _load_kernel() else _train_documents
-    train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, config.epochs * total_tokens)
+    train(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
+          config.epochs * total_tokens)
 
     metadata = {"model": "sgns", "corpus_tokens": corpus_total,
                 "vocab_tokens": total_tokens, **asdict(config),
-                "sgns_kernel": "numpy" if train is _train_documents else "c"}
+                "sgns_kernel": "numpy" if kernel is None else "c"}
     return EmbeddingTable(words, w_in, metadata=metadata)
 
 
-def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
+def _train_documents(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
                      planned) -> None:
-    """Draw each document's random numbers, then apply :func:`_numpy_step` to it.
+    """Draw each document's random numbers, then apply :func:`_numpy_step` to it;
+    document d is ``ids[offsets[d]:offsets[d + 1]]``.
 
     The draws come in the order the per-center loop made them (keep mask,
     window radii, then every center's noise words in center order). This is
@@ -165,13 +175,15 @@ def _train_documents(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng,
     lr_floor = _LR_FLOOR * lr0
     window = config.window
     negatives = config.negatives
+    bounds = offsets.tolist()
     tokens = 0
 
     for _ in range(config.epochs):
-        for ids in doc_ids:
-            kept = ids[rng.random(ids.size) < keep_p[ids]]
+        for start, end in zip(bounds, bounds[1:]):
+            doc = ids[start:end]
+            kept = doc[rng.random(doc.size) < keep_p[doc]]
             n = kept.size
-            tokens += ids.size
+            tokens += doc.size
             if n < 2:
                 continue
             lr = max(lr_floor, lr0 * (1.0 - tokens / (planned + 1)))
@@ -226,24 +238,39 @@ def _load_kernel():
     table = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     matrix = ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     count = ctypes.c_int64
+    scratch = tuple(ndpointer(dtype, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+                    for dtype in _SCRATCH_TYPES)
     return compiled.kernel(
         "sgns_kernel", "sgns_train",
         (ids, ids, count, table, table, count, count, count, count, count,
-         ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p),
-        ctypes.c_int, (_numpy_random_library(),))
+         ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p, *scratch),
+        None, (_numpy_random_library(),))
 
 
-def _train_kernel(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, planned) -> None:
-    """:func:`_train_documents` as one call of the kernel :func:`_load_kernel` loads."""
-    kernel = _load_kernel()
-    offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-    np.cumsum([ids.size for ids in doc_ids], out=offsets[1:])
+# the kernel's scratch arrays, in its argument order: kept, shrink, uniform,
+# rows, coeff, grad, draws, negs, guide
+_SCRATCH_TYPES = (np.int64, np.int64, np.float64, np.int64, np.float64, np.float64,
+                  np.float64, np.int64, np.int64)
+
+
+def _kernel_scratch(offsets, vocab_size: int, config: SgnsConfig) -> list[np.ndarray]:
+    """The kernel's scratch arrays (see ``sgns_train``), sized with exact integers
+    for the longest document, so no size wraps and the kernel allocates nothing."""
+    longest = int(np.diff(offsets).max())
+    span = min(2 * config.window, longest - 1)  # the context words of one center
+    rows = span * (1 + config.negatives)
+    draws = longest * span * config.negatives
+    sizes = (longest, longest, longest, rows, rows, config.dim, draws, draws, vocab_size)
+    return [np.empty(size, dtype) for size, dtype in zip(sizes, _SCRATCH_TYPES)]
+
+
+def _train_kernel(kernel, scratch, ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
+                  planned) -> None:
+    """:func:`_train_documents` as one call of ``kernel``, with the arrays of
+    :func:`_kernel_scratch`."""
     lr0 = config.initial_learning_rate
     bit_generator = rng.bit_generator
     with bit_generator.lock:
-        failed = kernel(np.concatenate(doc_ids), offsets, len(doc_ids), keep_p, noise_cdf,
-                        noise_cdf.size, config.epochs, config.window, config.negatives,
-                        w_in.shape[1], lr0, _LR_FLOOR * lr0, planned, w_in, w_out,
-                        bit_generator.ctypes.bit_generator)
-    if failed:
-        raise MemoryError("sgns kernel could not allocate its scratch memory")
+        kernel(ids, offsets, len(offsets) - 1, keep_p, noise_cdf, noise_cdf.size, config.epochs,
+               config.window, config.negatives, w_in.shape[1], lr0, _LR_FLOOR * lr0, planned,
+               w_in, w_out, bit_generator.ctypes.bit_generator, *scratch)

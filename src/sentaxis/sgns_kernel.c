@@ -133,29 +133,22 @@ static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t vocab
 }
 
 /* Every epoch over every document: ids[offsets[d]:offsets[d + 1]] are the
- * vocabulary ids of document d. Returns -1 if scratch memory runs out. */
-int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
-               const double *keep_p, const double *noise_cdf, int64_t vocab,
-               int64_t epochs, int64_t window, int64_t negatives, int64_t dim,
-               double lr0, double lr_floor, int64_t planned,
-               double *w_in, double *w_out, bitgen_t *bitgen)
+ * vocabulary ids of document d. The caller sizes the scratch: kept, shrink
+ * and uniform hold the longest document, rows and coeff the rows of one
+ * center, grad dim entries, draws and negs one document's noise draws, and
+ * guide vocab entries. */
+void sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
+                const double *keep_p, const double *noise_cdf, int64_t vocab,
+                int64_t epochs, int64_t window, int64_t negatives, int64_t dim,
+                double lr0, double lr_floor, int64_t planned,
+                double *w_in, double *w_out, bitgen_t *bitgen,
+                int64_t *kept, int64_t *shrink, double *uniform, int64_t *rows, double *coeff,
+                double *grad, double *draws, int64_t *negs, int64_t *guide)
 {
-    int64_t longest = 0;
-    for (int64_t d = 0; d < n_docs; d++)
-        longest = offsets[d + 1] - offsets[d] > longest ? offsets[d + 1] - offsets[d] : longest;
-    int64_t span = 2 * window < longest ? 2 * window : longest;
-    int64_t cap = span * (1 + negatives); /* rows of one center */
-    int64_t *kept = malloc(longest * sizeof *kept), *shrink = malloc(longest * sizeof *shrink);
-    int64_t *rows = malloc(cap * sizeof *rows), *negs = NULL;
-    double *uniform = malloc(longest * sizeof *uniform), *coeff = malloc(cap * sizeof *coeff);
-    double *grad = malloc(dim * sizeof *grad), *draws = NULL;
-    int64_t *guide = malloc(vocab * sizeof *guide), draws_cap = 0, tokens = 0;
-    int ok = kept && shrink && rows && uniform && coeff && grad && guide;
-    if (ok)
-        guide_table(noise_cdf, vocab, guide);
-
-    for (int64_t e = 0; ok && e < epochs; e++) {
-        for (int64_t d = 0; ok && d < n_docs; d++) {
+    int64_t tokens = 0;
+    guide_table(noise_cdf, vocab, guide);
+    for (int64_t e = 0; e < epochs; e++) {
+        for (int64_t d = 0; d < n_docs; d++) {
             const int64_t *doc = ids + offsets[d];
             int64_t size = offsets[d + 1] - offsets[d], n = 0;
             random_standard_uniform_fill(bitgen, size, uniform);
@@ -175,29 +168,10 @@ int sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
                 int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
                 count += (hi - lo - 1) * negatives;
             }
-            if (count > draws_cap) {
-                free(draws);
-                free(negs);
-                draws = malloc(count * sizeof *draws);
-                negs = malloc(count * sizeof *negs);
-                draws_cap = count;
-                if (!(ok = draws && negs))
-                    break;
-            }
             random_standard_uniform_fill(bitgen, count, draws);
             for (int64_t j = 0; j < count; j++)
                 negs[j] = noise_word(noise_cdf, guide, vocab, draws[j]);
             document(kept, shrink, negs, n, negatives, dim, lr, w_in, w_out, rows, coeff, grad);
         }
     }
-    free(kept);
-    free(shrink);
-    free(rows);
-    free(negs);
-    free(uniform);
-    free(coeff);
-    free(grad);
-    free(draws);
-    free(guide);
-    return ok ? 0 : -1;
 }

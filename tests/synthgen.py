@@ -5,7 +5,7 @@ sentences whose polar adjectives, intensifiers and context nouns follow the
 review's label with controlled crossover noise, and whose seed words
 excellent/poor are rare. The tests seed one generator with ``seed`` where the
 benchmark seeds one with ``[seed, stream]``, so no test corpus is a benchmark
-input, and return a :class:`TaggedCorpus` and a :class:`PolarityLexicon`.
+input, and return a :class:`TaggedCorpus` and a word -> polarity dict.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sentaxis.corpus import NEG, POS, PolarityLexicon, TaggedCorpus
+from sentaxis.corpus import NEG, POS, TaggedCorpus
 
 from corpus_helpers import make_corpus
 
@@ -36,6 +36,5 @@ def make_reviews(n_reviews: int, seed: int) -> TaggedCorpus:
     return make_corpus(token_lists, labels=labels, source=f"synthetic(seed={seed})")
 
 
-def gold_lexicon() -> PolarityLexicon:
-    """Ground-truth polarity scores for the polar adjectives only."""
-    return PolarityLexicon(entries=synth.gold_lexicon())
+#: Ground-truth polarity scores for the polar adjectives only, a new dict a call.
+gold_lexicon = synth.gold_lexicon

@@ -65,7 +65,7 @@ def world(tmp_path_factory):
     reviews_path = root / "reviews.tsv"
     save_reviews(test, reviews_path)
     lexicon_path = root / "gold.tsv"
-    records.write(lexicon_path, sorted(gold_lexicon().entries.items()))
+    records.write(lexicon_path, sorted(gold_lexicon().items()))
 
     timings = {}
     start = time.monotonic()
@@ -264,7 +264,7 @@ def test_tag_variance_directional(world):
     annotated = []
     for _, tokens, _ in documents(world["test"])[:200]:
         for i, (word, tag) in enumerate(tokens):
-            polarity = gold.entries.get(word, 0.01 if i % 2 else -0.01)
+            polarity = gold.get(word, 0.01 if i % 2 else -0.01)
             annotated.append((word, tag, polarity))
     report = patterns.tag_polarity_variance(annotated)
     shares = report.shares()

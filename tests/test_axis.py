@@ -19,7 +19,6 @@ from sentaxis.axis import (
     save_projection_csv,
     score_vocabulary,
 )
-from sentaxis.corpus import PolarityLexicon
 from sentaxis.errors import (
     AmbiguousOrientationError,
     ConfigError,
@@ -115,32 +114,31 @@ class TestPartitionByOrigin:
 
 class TestPartitionByLexicon:
     def test_sign_split(self):
-        lex = PolarityLexicon(entries={"good": 1.2, "bad": -0.8})
+        lex = {"good": 1.2, "bad": -0.8}
         set_a, set_b, dropped = partition_by_lexicon(points_of("good", "bad"), lex)
         assert set_a == ("good",)
         assert set_b == ("bad",)
         assert dropped == ()
 
     def test_missing_word_reported(self):
-        lex = PolarityLexicon(entries={"good": 1.0, "bad": -1.0})
+        lex = {"good": 1.0, "bad": -1.0}
         _, _, dropped = partition_by_lexicon(points_of("good", "bad", "new"), lex)
         assert dropped == ("new",)
 
     def test_at_threshold_dropped(self):
-        lex = PolarityLexicon(entries={"good": 1.0, "bad": -1.0, "meh": 0.0})
+        lex = {"good": 1.0, "bad": -1.0, "meh": 0.0}
         _, _, dropped = partition_by_lexicon(points_of("good", "bad", "meh"), lex)
         assert dropped == ("meh",)
 
     def test_forty_word_fixture_matches_sign_sort(self):
         entries = {f"w{i}": (i - 19.5) / 7.0 for i in range(40)}
-        lex = PolarityLexicon(entries=entries)
-        set_a, set_b, dropped = partition_by_lexicon(points_of(*entries), lex)
+        set_a, set_b, dropped = partition_by_lexicon(points_of(*entries), entries)
         assert set(set_a) == {w for w, s in entries.items() if s > 0}
         assert set(set_b) == {w for w, s in entries.items() if s < 0}
         assert dropped == ()
 
     def test_one_sided_raises(self):
-        lex = PolarityLexicon(entries={"good": 1.0, "fine": 2.0})
+        lex = {"good": 1.0, "fine": 2.0}
         with pytest.raises(PartitionError):
             partition_by_lexicon(points_of("good", "fine"), lex)
 
@@ -353,6 +351,18 @@ class TestPersistence:
         assert again.neg_words == oriented_axis.neg_words
         assert again.seed == oriented_axis.seed
         assert again.mode == oriented_axis.mode
+        assert np.array_equal(again.vec_pos, oriented_axis.vec_pos)
+        assert np.array_equal(again.vec_neg, oriented_axis.vec_neg)
+
+    def test_axis_fields_are_stripped(self, oriented_axis, tmp_path):
+        path = save_axis(oriented_axis, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(" " + " \t ".join(line.split("\t")) + " \n" for line in lines),
+                        encoding="utf-8")
+        again = load_axis(path)
+        assert (again.pos_words, again.neg_words, again.seed, again.mode) == \
+            (oriented_axis.pos_words, oriented_axis.neg_words, oriented_axis.seed,
+             oriented_axis.mode)
         assert np.array_equal(again.vec_pos, oriented_axis.vec_pos)
         assert np.array_equal(again.vec_neg, oriented_axis.vec_neg)
 

@@ -1,7 +1,14 @@
+import os
 import re
+import shlex
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sentaxis
 from sentaxis.cli import _sgns_config_from, build_parser, main
 from sentaxis import records
 from sentaxis.evaluation import read_report
@@ -24,7 +31,7 @@ def world(tmp_path_factory):
     reviews = root / "reviews.tsv"
     save_reviews(test, reviews)
     lexicon = root / "gold.tsv"
-    records.write(lexicon, sorted(gold_lexicon().entries.items()))
+    records.write(lexicon, sorted(gold_lexicon().items()))
 
     embeddings = root / "vectors.txt"
     code = main(["train-embeddings", "--corpus", str(corpus),
@@ -277,7 +284,17 @@ def test_pipeline_failing_after_training_leaves_no_embeddings(world, tmp_path, c
                  "--cutoff", "100000", "--dim", "8", "--epochs", "1", "--min-count", "3",
                  "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err.startswith("error: stage 'select-points' failed")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+def test_pipeline_cutoff_past_int64_creates_no_out(world, tmp_path, capsys):
+    out_dir = tmp_path / "pipe6"
+    assert main(["pipeline", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]), "--mode", "unsup",
+                 "--embeddings", str(world["embeddings"]),
+                 "--cutoff", "100000000000000000000000", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'select-points' failed")
+    assert not out_dir.exists()
 
 
 def test_unknown_subcommand_exits_with_usage_error():
@@ -538,6 +555,58 @@ def test_training_config_error_names_the_flag(tmp_path, capsys, flag, value, err
     assert code == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
+
+
+# the package's parent on the path first, as in this process
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join([str(Path(sentaxis.__file__).parent.parent), *sys.path])}
+
+
+# the numpy loop, which runs without a compiler, allocates its draws a document at a time
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.mark.parametrize("flag,value", [
+    # the kernel's scratch size wrapped past 2**63
+    pytest.param("--negatives", str(2**61), marks=needs_cc, id="negatives-2**61"),
+    # the kernel's scratch cannot be allocated
+    pytest.param("--negatives", "1000000000", marks=needs_cc, id="negatives-1e9"),
+    # the vectors cannot be allocated
+    pytest.param("--dim", "1099511627776", id="dim-2**40"),
+])
+def test_training_memory_out_of_reach_is_a_tool_error(tmp_path, flag, value):
+    # in a child process, so that a crash fails this test and not the run
+    corpus = tmp_path / "train.tsv"
+    save_tagged_corpus(make_reviews(20, seed=3), corpus)
+    out = tmp_path / "v.txt"
+    code = "import sys; from sentaxis.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, "train-embeddings",
+                           "--corpus", str(corpus), "--min-count", "1", "--epochs", "1",
+                           flag, value, "--out", str(out)],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert flag in done.stderr
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Every ``sentaxis ...`` command of the README's shell blocks, continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sentaxis ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 10
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func.__name__ == "cmd_" + argv[0].replace("-", "_")
 
 
 @pytest.mark.parametrize("argv", [

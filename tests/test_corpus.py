@@ -314,18 +314,15 @@ class TestPolarityLexicon:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "excellent\t2.7\npoor\t-2.3")
         lex = load_polarity_lexicon(path)
-        assert lex.entries == {"excellent": 2.7, "poor": -2.3}
-        assert lex.duplicate_count == 0
+        assert lex == {"excellent": 2.7, "poor": -2.3}
 
-    def test_duplicate_last_wins_and_counted(self, tmp_path):
+    def test_duplicate_last_wins(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "good\t1.0\ngood\t0.5")
-        lex = load_polarity_lexicon(path)
-        assert lex.entries == {"good": 0.5}
-        assert lex.duplicate_count == 1
+        assert load_polarity_lexicon(path) == {"good": 0.5}
 
     def test_comments_ignored(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "# header\ngood\t1.0")
-        assert load_polarity_lexicon(path).entries == {"good": 1.0}
+        assert load_polarity_lexicon(path) == {"good": 1.0}
 
     def test_non_numeric_score_raises(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "good\thigh")
@@ -344,8 +341,7 @@ class TestPolarityLexicon:
         text = "\n".join(f"{w}\t{(i % 7) - 3}.5" for i, w in enumerate(words))
         path = write(tmp_path, "big.tsv", text)
         lex = load_polarity_lexicon(path)
-        assert len(lex.entries) == len(set(words))
-        assert lex.duplicate_count == 500 - len(set(words))
+        assert lex == {w: float(f"{(i % 7) - 3}.5") for i, w in enumerate(words)}
 
 
 class TestLabeledReviews:

@@ -215,7 +215,7 @@ def small_world(tmp_path_factory):
     reviews_path = root / "reviews.tsv"
     save_reviews(test, reviews_path)
     lexicon_path = root / "gold.tsv"
-    records.write(lexicon_path, sorted(gold_lexicon().entries.items()))
+    records.write(lexicon_path, sorted(gold_lexicon().items()))
     return {"train": train, "test": test, "table": table, "root": root,
             "corpus_path": corpus_path, "reviews_path": reviews_path,
             "lexicon_path": lexicon_path}

@@ -8,9 +8,7 @@ from sentaxis import patterns
 from sentaxis.errors import EmptyInputError, NoQualifyingPhrasesError, ParseError
 from sentaxis.patterns import (
     MODIFIER_TAGS,
-    PatternRule,
-    ThirdWord,
-    builtin_rules,
+    RULES,
     extract_phrases,
     load_phrases,
     load_point_words,
@@ -27,28 +25,28 @@ from synthgen import make_reviews
 
 class TestBuiltinRules:
     def test_rule_count(self):
-        assert len(builtin_rules()) == 5
+        assert len(RULES) == 5
 
     def test_rule_one(self):
-        rule = builtin_rules()[0]
-        assert rule.first == {"JJ"}
-        assert rule.second == {"NN", "NNS"}
-        assert rule.third is ThirdWord.ANYTHING
+        first, second, noun_third = RULES[0]
+        assert set(first) == {"JJ"}
+        assert set(second) == {"NN", "NNS"}
+        assert noun_third is True
 
     def test_rule_three(self):
-        rule = builtin_rules()[2]
-        assert rule.first == {"JJ"}
-        assert rule.second == {"JJ"}
-        assert rule.third is ThirdWord.NOT_NN_NOR_NNS
+        first, second, noun_third = RULES[2]
+        assert set(first) == {"JJ"}
+        assert set(second) == {"JJ"}
+        assert noun_third is False
 
     def test_all_rows(self):
-        rows = [(r.first, r.second, r.third) for r in builtin_rules()]
+        rows = [(set(first), set(second), noun_third) for first, second, noun_third in RULES]
         assert rows == [
-            ({"JJ"}, {"NN", "NNS"}, ThirdWord.ANYTHING),
-            ({"RB", "RBR", "RBS"}, {"JJ"}, ThirdWord.NOT_NN_NOR_NNS),
-            ({"JJ"}, {"JJ"}, ThirdWord.NOT_NN_NOR_NNS),
-            ({"NN", "NNS"}, {"VB", "VBD"}, ThirdWord.NOT_NN_NOR_NNS),
-            ({"RB", "RBR", "RBS"}, {"VBN", "VBG"}, ThirdWord.ANYTHING),
+            ({"JJ"}, {"NN", "NNS"}, True),
+            ({"RB", "RBR", "RBS"}, {"JJ"}, False),
+            ({"JJ"}, {"JJ"}, False),
+            ({"NN", "NNS"}, {"VB", "VBD"}, False),
+            ({"RB", "RBR", "RBS"}, {"VBN", "VBG"}, True),
         ]
 
 
@@ -97,14 +95,11 @@ class TestExtractPhrases:
         corpus = make_corpus([[("very", "RB"), ("nice", "JJ")]])
         assert extract_phrases(corpus).rule.tolist() == [2]
 
-    def test_lowest_rule_index_wins_on_overlap(self):
+    def test_lowest_rule_index_wins_on_overlap(self, monkeypatch):
         # no two built-in rules match one tag pair, so the table is built from two that do
-        rules = (
-            PatternRule(frozenset({"JJ"}), frozenset({"NN"}), ThirdWord.ANYTHING),
-            PatternRule(frozenset({"JJ", "RB"}), frozenset({"NN", "JJ"}),
-                        ThirdWord.ANYTHING),
-        )
-        table, _ = patterns._rule_table(rules, ("JJ", "NN"))
+        monkeypatch.setattr(patterns, "RULES", ((("JJ",), ("NN",), True),
+                                                (("JJ", "RB"), ("NN", "JJ"), True)))
+        table, _ = patterns._rule_table(("JJ", "NN"))
         # JJ NN before any third word: both rules match, rule 1 wins; JJ JJ is rule 2's alone
         assert table[0, 1].tolist() == [1, 1, 1]
         assert table[0, 0].tolist() == [2, 2, 2]
@@ -140,15 +135,14 @@ class TestExtractPhrases:
 
     def test_every_emitted_phrase_revalidates(self):
         corpus = make_corpus(FIFTY_DOCUMENTS)
-        rules = builtin_rules()
         docs = {doc_id: [tag for _, tag in tokens] for doc_id, tokens, _ in documents(corpus)}
         for _, _, rule_index, doc_id, position in occurrences(extract_phrases(corpus)):
             tags = docs[doc_id]
-            rule = rules[rule_index - 1]
-            assert tags[position] in rule.first
-            assert tags[position + 1] in rule.second
+            first, second, noun_third = RULES[rule_index - 1]
+            assert tags[position] in first
+            assert tags[position + 1] in second
             third = tags[position + 2] if position + 2 < len(tags) else None
-            assert rule.third_allows(third)
+            assert noun_third or third not in ("NN", "NNS")
 
 
 
@@ -159,9 +153,9 @@ def priority_loop(corpus, rules):
         words, tags = zip(*tokens)
         for i in range(len(tags) - 1):
             third = tags[i + 2] if i + 2 < len(tags) else None
-            for rule_index, rule in enumerate(rules, start=1):
-                if tags[i] in rule.first and tags[i + 1] in rule.second \
-                        and rule.third_allows(third):
+            for rule_index, (first, second, noun_third) in enumerate(rules, start=1):
+                if tags[i] in first and tags[i + 1] in second \
+                        and (noun_third or third not in ("NN", "NNS")):
                     rows.append((words[i], words[i + 1], rule_index, doc_id, i))
                     break
     return rows
@@ -170,7 +164,7 @@ def priority_loop(corpus, rules):
 class TestRuleTable:
     """Table-driven extraction against a priority-order loop over the rules."""
 
-    TAGS = sorted(set().union(*(r.first | r.second for r in builtin_rules()))) + ["DT"]
+    TAGS = sorted({tag for first, second, _ in RULES for tag in first + second}) + ["DT"]
 
     def test_every_tag_triple_matches_the_priority_loop(self):
         # every (tag1, tag2, tag3) of the tags the rules name plus a foreign
@@ -179,7 +173,7 @@ class TestRuleTable:
                 for t1 in self.TAGS for t2 in self.TAGS for t3 in self.TAGS + [None]]
         corpus = make_corpus(docs)
         got = occurrences(extract_phrases(corpus))
-        assert got == priority_loop(corpus, builtin_rules())
+        assert got == priority_loop(corpus, RULES)
         assert {rule for _, _, rule, _, _ in got} == {1, 2, 3, 4, 5}
 
     @given(st.lists(st.lists(st.sampled_from(TAGS), min_size=1, max_size=6),
@@ -187,12 +181,11 @@ class TestRuleTable:
     def test_documents_of_any_tags_match_the_priority_loop(self, tag_lists):
         corpus = make_corpus([[(f"w{i}", tag) for i, tag in enumerate(tags)]
                               for tags in tag_lists])
-        assert occurrences(extract_phrases(corpus)) == priority_loop(corpus, builtin_rules())
+        assert occurrences(extract_phrases(corpus)) == priority_loop(corpus, RULES)
 
     def test_custom_rules_match_the_priority_loop(self, monkeypatch):
-        rules = (PatternRule(frozenset({"NN"}), frozenset({"NN"}), ThirdWord.NOT_NN_NOR_NNS),
-                 PatternRule(frozenset({"NN", "DT"}), frozenset({"NN"}), ThirdWord.ANYTHING))
-        monkeypatch.setattr(patterns, "builtin_rules", lambda: rules)
+        rules = ((("NN",), ("NN",), False), (("NN", "DT"), ("NN",), True))
+        monkeypatch.setattr(patterns, "RULES", rules)
         corpus = make_corpus([[("a", "DT"), ("b", "NN"), ("c", "NN"), ("d", "NN")],
                               [("e", "NN"), ("f", "NN")]])
         got = occurrences(extract_phrases(corpus))
@@ -285,6 +278,23 @@ class TestSelectPointWords:
                                              f"position {position} is not in the corpus"):
             load_phrases(path, corpus)
         with pytest.raises(ParseError) as err:
+            load_phrases(path, corpus)
+        assert (err.value.path, err.value.line) == (path, 2)
+
+    @pytest.mark.parametrize("w1,w2,rule,position,error", [
+        ("truly", "bad", "7", 0, "has rule 7, but the corpus gives rule 2"),
+        ("truly", "bad", str(10**30), 0, f"has rule {10**30}, but the corpus gives rule 2"),
+        ("bad", ".", "1", 1, "matches no extraction rule"),
+    ], ids=["rule-7", "rule-10**30", "no-rule"])
+    def test_rule_field_must_be_the_corpus_rule(self, tmp_path, w1, w2, rule, position, error):
+        corpus, phrases = self.corpus_and_phrases()
+        path = tmp_path / "phrases.tsv"
+        save_phrases(phrases, path)
+        good = path.read_text(encoding="utf-8").splitlines()
+        bad = f"{w1}\t{w2}\t{rule}\td000003\t{position}"
+        path.write_text("\n".join([good[0], bad, good[1]]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{w1!r} {w2!r} at document 'd000003' "
+                                             f"position {position} {error}") as err:
             load_phrases(path, corpus)
         assert (err.value.path, err.value.line) == (path, 2)
 
@@ -388,6 +398,18 @@ class TestPersistence:
         save_phrases(phrases, path)
         again = load_phrases(path, corpus)
         assert again.corpus is corpus
+        assert again.at.tolist() == phrases.at.tolist()
+        assert again.rule.tolist() == phrases.rule.tolist()
+
+    def test_phrase_fields_are_stripped(self, tmp_path):
+        corpus = make_corpus(FIFTY_DOCUMENTS[:10])
+        phrases = extract_phrases(corpus)
+        path = tmp_path / "phrases.tsv"
+        save_phrases(phrases, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(" " + " \t ".join(line.split("\t")) + " \n" for line in lines),
+                        encoding="utf-8")
+        again = load_phrases(path, corpus)
         assert again.at.tolist() == phrases.at.tolist()
         assert again.rule.tolist() == phrases.rule.tolist()
 

@@ -79,7 +79,7 @@ def reached(tmp_path_factory):
     save_tagged_corpus(train, corpus)
     save_tagged_corpus(train, inline, "inline")
     save_reviews(make_reviews(20, seed=42), reviews)
-    records.write(gold, sorted(gold_lexicon().entries.items()))
+    records.write(gold, sorted(gold_lexicon().items()))
     annotated.write_text("good\tJJ\t1.0\nbad\tJJ\t-1.0\nfilm\tNN\t0.0\n", encoding="utf-8")
     training = ["--dim", "8", "--epochs", "1", "--min-count", "2", "--seed", "3"]
     vectors, phrases, points, axis, lexicon = (

@@ -1,4 +1,5 @@
 import shutil
+from functools import partial
 
 import numpy as np
 import pytest
@@ -292,11 +293,12 @@ class TestKernel:
             "cdf-tail-below-one", "draw-on-a-cdf-entry", "one-word-vocabulary"])
     def test_kernel_matches_numpy_step(self, monkeypatch, docs, keep, window, hits,
                                        noise_cdf):
-        doc_ids = [np.array(d, dtype=np.int64) for d in docs]
+        ids = np.array([i for d in docs for i in d], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(d) for d in docs])
         config = SgnsConfig(window=window, negatives=3, epochs=3, initial_learning_rate=0.05)
         if callable(noise_cdf):
             recorder = NoiseDrawRecorder(11)
-            sgns._train_documents(doc_ids, np.zeros((5, 7)), np.zeros((5, 7)), np.ones(5),
+            sgns._train_documents(ids, offsets, np.zeros((5, 7)), np.zeros((5, 7)), np.ones(5),
                                   FIVE_WORDS, config, recorder, 40)
             noise_cdf = noise_cdf(recorder.noise)
             assert set(noise_cdf.tolist()) & set(recorder.noise)
@@ -305,13 +307,16 @@ class TestKernel:
         start = np.random.default_rng(0)
         weights = (start.normal(scale=0.5, size=(vocab, 7)),
                    start.normal(scale=0.5, size=(vocab, 7)))
-        assert sgns._load_kernel() is not None
+        kernel = sgns._load_kernel()
+        assert kernel is not None
         stepped = recorded_documents(monkeypatch)
         runs = []
-        for train in (sgns._train_kernel, sgns._train_documents):
+        for train in (partial(sgns._train_kernel, kernel,
+                              sgns._kernel_scratch(offsets, vocab, config)),
+                      sgns._train_documents):
             rng = np.random.default_rng(11)
             w_in, w_out = weights[0].copy(), weights[1].copy()
-            train(doc_ids, w_in, w_out, keep_p, noise_cdf, config, rng, 40)
+            train(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng, 40)
             runs.append((w_in, w_out, rng.bit_generator.state))
         (w_in, w_out, state), (ref_in, ref_out, ref_state) = runs
         assert not np.array_equal(ref_out, weights[1])

@@ -5,11 +5,11 @@ All three kernels, ``sgns_kernel.c``, ``vectors_kernel.c`` and
 ``corpus_kernel.c``, are bound by :func:`kernel`; their modules import this
 one on first use only, so importing the CLI starts no build. The first call
 in a checkout compiles the source into ``<stem>-<key>.so`` in ``CACHE``
-(``__pycache__/`` beside the source); later processes load that file. The
-key is the sha256 of the source, the flags, numpy's version and the bytes
-of every library linked in, so a change to any of them builds anew. Without
-a compiler, or if the build fails, the caller gets None and runs its Python
-path.
+(``__pycache__/`` beside the source); later processes load that file, and
+import no ``subprocess``. The key is the sha256 of the source, the flags,
+numpy's version and the bytes of every library linked in, so a change to any
+of them builds anew. Without a compiler, or if the build fails, the caller
+gets None and runs its Python path.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -39,17 +38,22 @@ def load_library(source: Path, linked: Sequence[Path] = ()):
                              + b"".join(path.read_bytes() for path in linked))
         library = CACHE / f"{source.stem}-{key.hexdigest()[:16]}.so"
         if not library.exists():
+            import subprocess  # here, not at the top: loading a cached library runs none
+
             CACHE.mkdir(exist_ok=True)
             # build under a private name, then move into place in one step, so
             # a concurrent process never loads a half-written library
             with tempfile.TemporaryDirectory(dir=CACHE) as tmp:
                 built = Path(tmp) / library.name
-                subprocess.run(("cc", *FLAGS, "-I", np.get_include(), "-o", str(built),
-                                str(source), *map(str, linked), "-lm"),
-                               check=True, capture_output=True, timeout=120)
+                try:
+                    subprocess.run(("cc", *FLAGS, "-I", np.get_include(), "-o", str(built),
+                                    str(source), *map(str, linked), "-lm"),
+                                   check=True, capture_output=True, timeout=120)
+                except subprocess.SubprocessError:
+                    return None
                 os.replace(built, library)
         return ctypes.CDLL(str(library))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
 
 

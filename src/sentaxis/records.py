@@ -2,10 +2,11 @@
 
 One record per line, fields separated by tabs, UTF-8. Blank lines are
 skipped. A line that starts with ``#`` and holds no tab is a comment, and a
-comment of the form ``# key=value`` is a header; so a record's first field may
-start with ``#``. A record has exactly its layout's number of fields, none
-blank, and each field is stripped of the whitespace around it. Every error is a :class:`ParseError` that names ``path:line``, bytes
-that are not UTF-8 included.
+comment of the form ``# key=value`` is a header, its key and value stripped of
+the whitespace around them; so a record's first field may start with ``#``. A
+record has exactly its layout's number of fields, none blank, and each field
+is stripped of the whitespace around it. Every error is a :class:`ParseError`
+that names ``path:line``, bytes that are not UTF-8 included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def read(path, layout: Sequence[str]) -> tuple[dict, list]:
         if not text.strip():
             continue
         if text.startswith("#") and "\t" not in text:
-            key, sep, value = text[1:].strip().partition("=")
+            key, sep, value = map(str.strip, text[1:].partition("="))
             if sep and key.isidentifier():
                 if key in headers:
                     raise ParseError(f"duplicate header {key!r}", path=path, line=line)

@@ -16,11 +16,15 @@ as the numpy loop. On x86-64 with glibc the update body is compiled twice,
 for AVX2 and for the baseline ISA (``target_clones``), and the dynamic
 loader picks one for the CPU it runs on, so the cached library needs no
 ``-march`` flag and stays shareable between machines; both bodies give the
-same bits. Noise words are found through a guide table of one bucket per
-word, built once per call, which returns exactly ``np.searchsorted``'s
+same bits. Each center's update runs in phases over all its rows (scores
+four rows at a time, sigmoids, the center gradient 16 columns at a time,
+then the updates), so rows and columns overlap while every sum keeps its
+order. Noise words are found through a guide table of ``max(vocab, 4096)``
+buckets, built once per call, which returns exactly ``np.searchsorted``'s
 index. Without a compiler, numpy's random header or that library, or if
 the build fails, :func:`_train_documents` runs instead: it draws each
-document's numbers in Python and applies them with :func:`_numpy_step`, the
+document's numbers in Python, its noise draws into an array sized up front
+as the kernel's scratch is, and applies them with :func:`_numpy_step`, the
 per-center numpy loop the kernel reproduces (to about 1e-13: only the order
 of the dot-product sums differs).
 ``table.metadata["sgns_kernel"]`` records which loop ran: ``"c"`` or
@@ -143,8 +147,10 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     try:
         w_in = (rng.random((vocab_size, config.dim)) - 0.5) / config.dim
         w_out = np.zeros((vocab_size, config.dim))
-        train = _train_documents if kernel is None else \
-            partial(_train_kernel, kernel, _kernel_scratch(offsets, vocab_size, config))
+        if kernel is None:  # its noise draws too are sized here, as the kernel's scratch is
+            train = partial(_train_documents, np.empty(_document_sizes(offsets, config)[2]))
+        else:
+            train = partial(_train_kernel, kernel, _kernel_scratch(offsets, vocab_size, config))
     except (MemoryError, ValueError):
         # numpy raises ValueError for an array larger than it can address
         raise ConfigError(f"--dim {config.dim}, --window {config.window} and --negatives "
@@ -162,10 +168,11 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     return EmbeddingTable(words, w_in, metadata=metadata)
 
 
-def _train_documents(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
+def _train_documents(draws, ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
                      planned) -> None:
     """Draw each document's random numbers, then apply :func:`_numpy_step` to it;
-    document d is ``ids[offsets[d]:offsets[d + 1]]``.
+    document d is ``ids[offsets[d]:offsets[d + 1]]``. ``draws`` has room for
+    the noise draws of any one document.
 
     The draws come in the order the per-center loop made them (keep mask,
     window radii, then every center's noise words in center order). This is
@@ -190,7 +197,8 @@ def _train_documents(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng,
             shrink = rng.integers(1, window + 1, size=n)
             pos = np.arange(n)
             contexts = np.minimum(n, pos + shrink + 1) - np.maximum(0, pos - shrink) - 1
-            negs = np.searchsorted(noise_cdf, rng.random(int(contexts.sum()) * negatives))
+            count = int(contexts.sum()) * negatives
+            negs = np.searchsorted(noise_cdf, rng.random(out=draws[:count]))
             # guard: cdf tail can round below 1.0
             negs = np.minimum(negs, len(noise_cdf) - 1)
             _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives)
@@ -243,7 +251,8 @@ def _load_kernel():
     return compiled.kernel(
         "sgns_kernel", "sgns_train",
         (ids, ids, count, table, table, count, count, count, count, count,
-         ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p, *scratch),
+         ctypes.c_double, ctypes.c_double, count, matrix, matrix, ctypes.c_void_p, *scratch,
+         count),
         None, (_numpy_random_library(),))
 
 
@@ -252,15 +261,25 @@ def _load_kernel():
 _SCRATCH_TYPES = (np.int64, np.int64, np.float64, np.int64, np.float64, np.float64,
                   np.float64, np.int64, np.int64)
 
+# the fewest buckets of the kernel's noise-word guide table: the unigram^0.75
+# cdf is skewed, so with one bucket a word most draws step through several
+_MIN_GUIDE_BUCKETS = 4096
 
-def _kernel_scratch(offsets, vocab_size: int, config: SgnsConfig) -> list[np.ndarray]:
-    """The kernel's scratch arrays (see ``sgns_train``), sized with exact integers
-    for the longest document, so no size wraps and the kernel allocates nothing."""
+
+def _document_sizes(offsets, config: SgnsConfig) -> tuple[int, int, int]:
+    """The longest document's token count, the most rows one center has and
+    the most noise draws one document takes, as exact integers, so no size wraps."""
     longest = int(np.diff(offsets).max())
     span = min(2 * config.window, longest - 1)  # the context words of one center
-    rows = span * (1 + config.negatives)
-    draws = longest * span * config.negatives
-    sizes = (longest, longest, longest, rows, rows, config.dim, draws, draws, vocab_size)
+    return longest, span * (1 + config.negatives), longest * span * config.negatives
+
+
+def _kernel_scratch(offsets, vocab_size: int, config: SgnsConfig) -> list[np.ndarray]:
+    """The kernel's scratch arrays (see ``sgns_train``), sized for the longest
+    document, so the kernel allocates nothing."""
+    longest, rows, draws = _document_sizes(offsets, config)
+    sizes = (longest, longest, longest, rows, rows, config.dim, draws, draws,
+             max(vocab_size, _MIN_GUIDE_BUCKETS))
     return [np.empty(size, dtype) for size, dtype in zip(sizes, _SCRATCH_TYPES)]
 
 
@@ -273,4 +292,4 @@ def _train_kernel(kernel, scratch, ids, offsets, w_in, w_out, keep_p, noise_cdf,
     with bit_generator.lock:
         kernel(ids, offsets, len(offsets) - 1, keep_p, noise_cdf, noise_cdf.size, config.epochs,
                config.window, config.negatives, w_in.shape[1], lr0, _LR_FLOOR * lr0, planned,
-               w_in, w_out, bit_generator.ctypes.bit_generator, *scratch)
+               w_in, w_out, bit_generator.ctypes.bit_generator, *scratch, scratch[-1].size)

@@ -5,18 +5,27 @@
  * call, in the order the numpy loop draws them, so both paths consume the
  * same stream. Linked against numpy's libnpyrandom.a.
  *
- * On x86-64 with glibc, the update body (document, dot, sigmoid) is built
- * twice, for AVX2 and for the baseline ISA, and the loader picks one per CPU
- * through an ifunc: the same .so runs anywhere. All three carry the clone,
- * so the AVX2 body calls the AVX2 helpers. Both bodies give the same bits:
- * element-wise IEEE arithmetic rounds alike in any vector width,
- * -ffp-contract=off forbids FMA in either, and dot's source fixes its
- * summation order. Noise words are found through a guide table (see
- * noise_word), which gives exactly np.searchsorted's index. */
+ * Each center's update runs in phases, each a loop over all its rows (see
+ * document): the rows; their scores, four rows at a time; their sigmoids;
+ * the center gradient, 16 columns at a time; then the updates. The rows or
+ * columns of one phase are independent chains, so the body does not wait on
+ * one row's dot -> sigmoid -> gradient chain at a time, and every sum keeps
+ * the order the per-row loop gave it, so every bit stays.
+ *
+ * On x86-64 with glibc, the update body (document, dot4, dot, gradient,
+ * sigmoid) is built twice, for AVX2 and for the baseline ISA, and the loader
+ * picks one per CPU through an ifunc: the same .so runs anywhere. All five
+ * carry the clone, so the AVX2 body calls the AVX2 helpers. Both bodies give
+ * the same bits: element-wise IEEE arithmetic rounds alike in any vector
+ * width, -ffp-contract=off forbids FMA in either, and the sources of dot,
+ * dot4 and gradient fix their summation orders. Noise words are found
+ * through a guide table of max(vocab, 4096) buckets, sized by the caller
+ * (see noise_word), which gives exactly np.searchsorted's index. */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -61,9 +70,81 @@ static double dot(const double *u, const double *v, int64_t dim)
     return sum;
 }
 
+/* Four doubles, or two, in one value: element-wise arithmetic on them
+ * rounds lane by lane as on doubles, in whatever width the clone has. They
+ * are loaded and stored through memcpy, never passed or returned by value,
+ * as that would change the ABI between the clones (-Wpsabi). */
+typedef double v4d __attribute__((vector_size(32)));
+typedef double v2d __attribute__((vector_size(16)));
+#define LOAD(x, p) memcpy(&(x), (p), sizeof(x))
+
+/* u[t].v for four rows t at once, each row's sum in dot's order: the rows
+ * keep a vector of dot's four partial sums each, so the four rows' additions
+ * are independent chains */
+CLONED
+static void dot4(const double *const u[4], const double *v, int64_t dim, double *out)
+{
+    v4d acc[4] = {{0.0}};
+    int64_t j = 0;
+    for (; j + 4 <= dim; j += 4) {
+        v4d x;
+        LOAD(x, v + j);
+        for (int t = 0; t < 4; t++) {
+            v4d y;
+            LOAD(y, u[t] + j);
+            acc[t] += y * x;
+        }
+    }
+    for (int t = 0; t < 4; t++) {
+        double sum = (acc[t][0] + acc[t][1]) + (acc[t][2] + acc[t][3]);
+        for (int64_t i = j; i < dim; i++)
+            sum += u[t][i] * v[i];
+        out[t] = sum;
+    }
+}
+
+/* grad[j] = sum over the rows r, in row order, of coeff[r] * u_r[j]: 16
+ * columns at a time, in eight 128-bit sums held across the rows, then two
+ * columns and one column at a time */
+CLONED
+static void gradient(const double *w_out, const int64_t *rows, const double *coeff,
+                     int64_t k, int64_t dim, double *grad)
+{
+    int64_t j = 0;
+    for (; j + 16 <= dim; j += 16) {
+        v2d acc[8] = {{0.0}};
+        for (int64_t r = 0; r < k; r++) {
+            const double *u = w_out + rows[r] * dim + j;
+            v2d c = {coeff[r], coeff[r]};
+            for (int q = 0; q < 8; q++) {
+                v2d y;
+                LOAD(y, u + 2 * q);
+                acc[q] += c * y;
+            }
+        }
+        memcpy(grad + j, acc, sizeof(acc));
+    }
+    for (; j + 2 <= dim; j += 2) {
+        v2d acc = {0.0, 0.0};
+        for (int64_t r = 0; r < k; r++) {
+            v2d c = {coeff[r], coeff[r]}, y;
+            LOAD(y, w_out + rows[r] * dim + j);
+            acc += c * y;
+        }
+        memcpy(grad + j, &acc, sizeof(acc));
+    }
+    for (; j < dim; j++) {
+        double acc = 0.0;
+        for (int64_t r = 0; r < k; r++)
+            acc += coeff[r] * w_out[rows[r] * dim + j];
+        grad[j] = acc;
+    }
+}
+
 /* One document of updates, the compiled form of sgns._numpy_step. negs holds
  * `negatives` noise ids per (center, context) pair, in center order; rows and
- * coeff hold at least the rows of one center, grad holds dim entries. */
+ * coeff hold at least the rows of one center, grad holds dim entries. Each
+ * center runs in the phases the top of this file describes. */
 CLONED
 static void document(const int64_t *kept, const int64_t *shrink, const int64_t *negs,
                      int64_t n, int64_t negatives, int64_t dim, double lr,
@@ -73,7 +154,7 @@ static void document(const int64_t *kept, const int64_t *shrink, const int64_t *
         /* the context words, then the noise draws that miss their own pair's */
         int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
         int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
-        int64_t m = 0, k;
+        int64_t m = 0, k, r = 0;
         for (int64_t j = lo; j < hi; j++)
             if (j != i)
                 rows[m++] = kept[j];
@@ -85,18 +166,20 @@ static void document(const int64_t *kept, const int64_t *shrink, const int64_t *
 
         /* every score and the center gradient see the pre-update rows */
         double *v = w_in + kept[i] * dim;
-        for (int64_t j = 0; j < dim; j++)
-            grad[j] = 0.0;
-        for (int64_t r = 0; r < k; r++) {
-            const double *u = w_out + rows[r] * dim;
-            coeff[r] = sigmoid(dot(u, v, dim)) - (r < m ? 1.0 : 0.0);
-            for (int64_t j = 0; j < dim; j++)
-                grad[j] += coeff[r] * u[j];
+        for (; r + 4 <= k; r += 4) {
+            const double *u[4] = {w_out + rows[r] * dim, w_out + rows[r + 1] * dim,
+                                  w_out + rows[r + 2] * dim, w_out + rows[r + 3] * dim};
+            dot4(u, v, dim, coeff + r);
         }
+        for (; r < k; r++)
+            coeff[r] = dot(w_out + rows[r] * dim, v, dim);
+        for (r = 0; r < k; r++)
+            coeff[r] = sigmoid(coeff[r]) - (r < m ? 1.0 : 0.0);
+        gradient(w_out, rows, coeff, k, dim, grad);
         /* w_out first, as its step needs the pre-update center; the matrices
          * are distinct, so this equals numpy's order. Repeated rows update in
          * row order, as np.subtract.at does. */
-        for (int64_t r = 0; r < k; r++)
+        for (r = 0; r < k; r++)
             for (int64_t j = 0; j < dim; j++)
                 w_out[rows[r] * dim + j] -= lr * (coeff[r] * v[j]);
         for (int64_t j = 0; j < dim; j++)
@@ -104,13 +187,13 @@ static void document(const int64_t *kept, const int64_t *shrink, const int64_t *
     }
 }
 
-/* guide[b] = np.searchsorted(cdf, b / vocab) (side "left") for each of the
- * vocab buckets of [0, 1); cdf never decreases, and neither does b / vocab */
-static void guide_table(const double *cdf, int64_t vocab, int64_t *guide)
+/* guide[b] = np.searchsorted(cdf, b / buckets) (side "left") for each of the
+ * buckets of [0, 1); cdf never decreases, and neither does b / buckets */
+static void guide_table(const double *cdf, int64_t vocab, int64_t *guide, int64_t buckets)
 {
     int64_t i = 0;
-    for (int64_t b = 0; b < vocab; b++) {
-        double edge = (double)b / (double)vocab;
+    for (int64_t b = 0; b < buckets; b++) {
+        double edge = (double)b / (double)buckets;
         while (i < vocab && cdf[i] < edge)
             i++;
         guide[b] = i;
@@ -121,10 +204,11 @@ static void guide_table(const double *cdf, int64_t vocab, int64_t *guide)
  * tail can round below 1.0. The walk starts at u's bucket and steps back
  * while the entry before is >= u, then forward while the entry is < u, so it
  * ends at the first entry >= u however the bucket edges rounded. */
-static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t vocab, double u)
+static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t buckets,
+                          int64_t vocab, double u)
 {
-    int64_t b = (int64_t)(u * (double)vocab);
-    int64_t i = guide[b < vocab ? b : vocab - 1];
+    int64_t b = (int64_t)(u * (double)buckets);
+    int64_t i = guide[b < buckets ? b : buckets - 1];
     while (i > 0 && cdf[i - 1] >= u)
         i--;
     while (i < vocab && cdf[i] < u)
@@ -136,17 +220,18 @@ static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t vocab
  * vocabulary ids of document d. The caller sizes the scratch: kept, shrink
  * and uniform hold the longest document, rows and coeff the rows of one
  * center, grad dim entries, draws and negs one document's noise draws, and
- * guide vocab entries. */
+ * guide its buckets entries. */
 void sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
                 const double *keep_p, const double *noise_cdf, int64_t vocab,
                 int64_t epochs, int64_t window, int64_t negatives, int64_t dim,
                 double lr0, double lr_floor, int64_t planned,
                 double *w_in, double *w_out, bitgen_t *bitgen,
                 int64_t *kept, int64_t *shrink, double *uniform, int64_t *rows, double *coeff,
-                double *grad, double *draws, int64_t *negs, int64_t *guide)
+                double *grad, double *draws, int64_t *negs, int64_t *guide,
+                int64_t buckets)
 {
     int64_t tokens = 0;
-    guide_table(noise_cdf, vocab, guide);
+    guide_table(noise_cdf, vocab, guide, buckets);
     for (int64_t e = 0; e < epochs; e++) {
         for (int64_t d = 0; d < n_docs; d++) {
             const int64_t *doc = ids + offsets[d];
@@ -170,7 +255,7 @@ void sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
             }
             random_standard_uniform_fill(bitgen, count, draws);
             for (int64_t j = 0; j < count; j++)
-                negs[j] = noise_word(noise_cdf, guide, vocab, draws[j]);
+                negs[j] = noise_word(noise_cdf, guide, buckets, vocab, draws[j]);
             document(kept, shrink, negs, n, negatives, dim, lr, w_in, w_out, rows, coeff, grad);
         }
     }

@@ -44,8 +44,13 @@ class TestRead:
     def test_comments_headers_and_hash_records(self, tmp_path):
         path = write(tmp_path, "# free text\n# cutoff=3\n\n#tag\t1\n# key = spaced\nword\t2\n")
         headers, rows = records.read(path, ("word", "count"))
-        assert headers == {"cutoff": (2, "3")}
+        assert headers == {"cutoff": (2, "3"), "key": (5, "spaced")}
         assert rows == [(4, ["#tag", "1"]), (6, ["word", "2"])]
+
+    def test_header_with_spaces_around_its_key_and_value(self, tmp_path):
+        # a comment, so no cutoff header, would leave the default cutoff of 1
+        path = write(tmp_path, "#  cutoff = 2 \ngood\t3\n")
+        assert load_point_words(path).cutoff == 2
 
     @pytest.mark.parametrize("text,line", [
         ("a\t1\nb\n", 2),              # too few fields

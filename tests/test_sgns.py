@@ -1,10 +1,11 @@
+import math
 import shutil
 from functools import partial
 
 import numpy as np
 import pytest
 
-from sentaxis import sgns
+from sentaxis import compiled, sgns
 from sentaxis.errors import ConfigError
 from sentaxis.sgns import (
     SgnsConfig,
@@ -225,8 +226,8 @@ class NoiseDrawRecorder:
         self.after_radii = True
         return self.rng.integers(*args, **kwargs)
 
-    def random(self, size):
-        draws = self.rng.random(size)
+    def random(self, size=None, out=None):
+        draws = self.rng.random(size, out=out)
         if self.after_radii:
             self.noise.extend(draws.tolist())
         self.after_radii = False
@@ -234,10 +235,26 @@ class NoiseDrawRecorder:
 
 
 def entry_on_a_draw(draws):
-    """Five words whose cdf holds one of ``draws`` as an entry, and the bucket
-    edge 3/5 (the kernel's guide table has one bucket a word) as another."""
+    """Five words whose cdf holds one of ``draws`` as an entry, and a bucket
+    edge just above 0.6 as another: the kernel's guide table has
+    ``sgns._MIN_GUIDE_BUCKETS`` buckets for five words, so b / buckets is an
+    edge."""
     drawn = next(u for u in draws if 0.05 < u < 0.55)
-    return np.array([drawn / 2, drawn, (drawn + 0.6) / 2, 3 / 5, 1.0])
+    buckets = sgns._MIN_GUIDE_BUCKETS
+    edge = math.ceil(0.6 * buckets) / buckets
+    return np.array([drawn / 2, drawn, (drawn + 0.6) / 2, edge, 1.0])
+
+
+# the kernel's vectors on make_reviews(60, seed=3), SgnsConfig(dim=dim, epochs=2,
+# min_count=2, rng_seed=7), by dim
+KERNEL_FINGERPRINTS = {12: "3722fa76e6675b48", 100: "ecbfbedd4f5bd1d0", 37: "6ff338f5d78b9229"}
+
+
+def kernel_fingerprint(dim):
+    table = train_sgns(make_reviews(60, seed=3),
+                       SgnsConfig(dim=dim, epochs=2, min_count=2, rng_seed=7))
+    assert table.metadata["sgns_kernel"] == "c"
+    return table.fingerprint()
 
 
 class TestKernel:
@@ -250,24 +267,45 @@ class TestKernel:
         assert table.metadata["sgns_kernel"] == "numpy"
         assert table.fingerprint() == "73dd5a9b40a269eb"
 
+    def test_numpy_loop_out_of_memory_is_a_config_error(self, monkeypatch):
+        # the numpy loop sizes its noise draws before it trains, as the kernel
+        # sizes its scratch, so it fails as the kernel path does
+        monkeypatch.setattr(sgns, "_load_kernel", lambda: None)
+        for negatives in (10**9, 2**61):
+            with pytest.raises(ConfigError, match=f"--negatives {negatives} need more memory"):
+                train_sgns(make_reviews(20, seed=3),
+                           SgnsConfig(negatives=negatives, epochs=1, min_count=1))
+
     @needs_cc
     def test_kernel_keeps_the_per_document_step_vectors(self):
         # the fingerprint of the per-document C step the training loop replaced
-        table = train_sgns(make_reviews(60, seed=3),
-                           SgnsConfig(dim=12, epochs=2, min_count=2, rng_seed=7))
-        assert table.metadata["sgns_kernel"] == "c"
-        assert table.fingerprint() == "3722fa76e6675b48"
+        assert kernel_fingerprint(12) == KERNEL_FINGERPRINTS[12]
 
     @needs_cc
-    @pytest.mark.parametrize("dim, fingerprint", [(100, "ecbfbedd4f5bd1d0"),
-                                                  (37, "6ff338f5d78b9229")])
+    @pytest.mark.parametrize("dim, fingerprint", [(100, KERNEL_FINGERPRINTS[100]),
+                                                  (37, KERNEL_FINGERPRINTS[37])])
     def test_kernel_keeps_its_vectors_at_whole_and_odd_dims(self, dim, fingerprint):
         # recorded before the AVX2 clone and the guide table: dim 100 is whole
         # vectors of four doubles, 37 also runs every remainder loop
-        table = train_sgns(make_reviews(60, seed=3),
-                           SgnsConfig(dim=dim, epochs=2, min_count=2, rng_seed=7))
-        assert table.metadata["sgns_kernel"] == "c"
-        assert table.fingerprint() == fingerprint
+        assert kernel_fingerprint(dim) == fingerprint
+
+    @needs_cc
+    def test_baseline_isa_body_keeps_the_vectors(self, monkeypatch, tmp_path):
+        # without its target_clones line the source builds the baseline-ISA
+        # body alone, which a CPU with AVX2 would otherwise never run
+        source = (compiled.PACKAGE / "sgns_kernel.c").read_text()
+        (clone,) = [line for line in source.splitlines(keepends=True)
+                    if "target_clones(" in line]
+        (tmp_path / "sgns_kernel.c").write_text(source.replace(clone, ""))
+        monkeypatch.setattr(compiled, "PACKAGE", tmp_path)
+        monkeypatch.setattr(compiled, "CACHE", tmp_path / "cache")
+        compiled.kernel.cache_clear()
+        try:
+            assert {dim: kernel_fingerprint(dim) for dim in KERNEL_FINGERPRINTS} == \
+                KERNEL_FINGERPRINTS
+            assert len(list((tmp_path / "cache").glob("sgns_kernel-*.so"))) == 1
+        finally:
+            compiled.kernel.cache_clear()
 
     @needs_cc
     @pytest.mark.parametrize("docs, keep, window, hits, noise_cdf", [
@@ -288,9 +326,13 @@ class TestKernel:
         ([[0, 1, 2, 3, 4], [2, 1, 0]], 1.0, 2, False, entry_on_a_draw),
         # every draw is the one word, so every draw hits its context
         ([[0, 0, 0, 0, 0]], 1.0, 2, True, np.array([1.0])),
+        # more words than the guide table's fewest buckets, with Zipf counts
+        ([[0, 5000, 17, 1, 4999, 2, 0, 3], [3, 4500, 1]], 1.0, 3, False,
+         _noise_cdf(1e6 / np.arange(1.0, 5002.0))),
     ], ids=["two-tokens", "draws-hit-context", "repeated-rows", "window-one",
             "short-kept-documents", "window-wider-than-documents", "tied-cdf-entries",
-            "cdf-tail-below-one", "draw-on-a-cdf-entry", "one-word-vocabulary"])
+            "cdf-tail-below-one", "draw-on-a-cdf-entry", "one-word-vocabulary",
+            "more-words-than-buckets"])
     def test_kernel_matches_numpy_step(self, monkeypatch, docs, keep, window, hits,
                                        noise_cdf):
         ids = np.array([i for d in docs for i in d], dtype=np.int64)
@@ -298,7 +340,8 @@ class TestKernel:
         config = SgnsConfig(window=window, negatives=3, epochs=3, initial_learning_rate=0.05)
         if callable(noise_cdf):
             recorder = NoiseDrawRecorder(11)
-            sgns._train_documents(ids, offsets, np.zeros((5, 7)), np.zeros((5, 7)), np.ones(5),
+            sgns._train_documents(np.empty(sgns._document_sizes(offsets, config)[2]), ids,
+                                  offsets, np.zeros((5, 7)), np.zeros((5, 7)), np.ones(5),
                                   FIVE_WORDS, config, recorder, 40)
             noise_cdf = noise_cdf(recorder.noise)
             assert set(noise_cdf.tolist()) & set(recorder.noise)
@@ -313,7 +356,8 @@ class TestKernel:
         runs = []
         for train in (partial(sgns._train_kernel, kernel,
                               sgns._kernel_scratch(offsets, vocab, config)),
-                      sgns._train_documents):
+                      partial(sgns._train_documents,
+                              np.empty(sgns._document_sizes(offsets, config)[2]))):
             rng = np.random.default_rng(11)
             w_in, w_out = weights[0].copy(), weights[1].copy()
             train(ids, offsets, w_in, w_out, keep_p, noise_cdf, config, rng, 40)

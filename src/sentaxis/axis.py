@@ -289,6 +289,9 @@ def load_axis(directory_or_file) -> SentimentAxis:
                          path=path, line=single["vec_neg"][0])
     if np.array_equal(vec_pos, vec_neg):
         raise ParseError("vec_neg equals vec_pos", path=path, line=single["vec_neg"][0])
+    for key, vec in (("vec_pos", vec_pos), ("vec_neg", vec_neg)):
+        if not vec.any():
+            raise ParseError(f"{key} is a zero vector", path=path, line=single[key][0])
     return SentimentAxis(pos_words=tuple(words["pos"]), neg_words=tuple(words["neg"]),
                          vec_pos=vec_pos, vec_neg=vec_neg,
                          seed=single["seed"][1], mode=single["mode"][1])

@@ -32,25 +32,10 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
                         help="tagged corpus file format")
 
 
-def _add_review_filter_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--limit", type=int, default=None,
-                        help="evaluate only the first N reviews")
-    parser.add_argument("--min-tokens", type=int, default=None,
-                        help="drop reviews shorter than N tokens")
-
-
-def _check_review_args(args, output: str) -> None:
-    """Fail before any file is read on a negative filter or a missing output directory."""
-    for flag, value in (("--limit", args.limit), ("--min-tokens", args.min_tokens)):
-        if value is not None and value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value}")
+def _check_output_dir(output: str) -> None:
+    """Fail before any file is read on an output in a missing directory."""
     if not Path(output).parent.is_dir():
         raise ConfigError(f"cannot write {output}: its directory does not exist")
-
-
-def _load_reviews(args) -> "eval_mod.TaggedCorpus":
-    return eval_mod.filter_reviews(load_labeled_reviews(args.reviews),
-                                   limit=args.limit, min_tokens=args.min_tokens)
 
 
 def _parse_cutoffs(text: str) -> list[int]:
@@ -171,9 +156,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _check_review_args(args, args.report)
+    _check_output_dir(args.report)
     lexicon = axis_mod.load_orientation_lexicon(args.lexicon)
-    reviews = _load_reviews(args)
+    reviews = load_labeled_reviews(args.reviews)
     report = eval_mod.evaluate(reviews, lexicon,
                                config_snapshot={"lexicon": args.lexicon,
                                                 "reviews": args.reviews})
@@ -183,10 +168,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_review_args(args, args.csv)
+    _check_output_dir(args.csv)
     cutoffs = _parse_cutoffs(args.cutoffs)
     corpus = load_tagged_corpus(args.corpus, args.format)
-    reviews = _load_reviews(args)
+    reviews = load_labeled_reviews(args.reviews)
     table = load_embeddings(args.embeddings)
     lexicon = load_polarity_lexicon(args.lexicon) if args.lexicon else None
     rows = eval_mod.sweep_cutoffs(corpus, reviews, args.mode, cutoffs, table,
@@ -207,9 +192,9 @@ def cmd_pmi_baseline(args) -> int:
     if pos_seed == neg_seed:
         # every phrase's SO would be exactly 0, so every review would be POS
         raise ConfigError(f"--seeds must be two different words, got {args.seeds!r}")
-    _check_review_args(args, args.report)
+    _check_output_dir(args.report)
     corpus = load_tagged_corpus(args.corpus, args.format)
-    reviews = _load_reviews(args)
+    reviews = load_labeled_reviews(args.reviews)
     index = pmi.build_near_index(corpus, window=args.window)
     # hits count documents, the one unit; report.txt keeps its config_hit_unit line
     report = eval_mod.evaluate_pmi(index, reviews, pos_seed=pos_seed, neg_seed=neg_seed,
@@ -290,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True, help="orientation lexicon TSV")
     p.add_argument("--reviews", required=True, help="labeled reviews file")
     p.add_argument("--report", required=True, help="output report file")
-    _add_review_filter_args(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep", help="accuracy across a range of frequency cutoffs")
@@ -300,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", required=True, help="range 'A..B' or list 'a,b,c'")
     _add_axis_args(p)
     p.add_argument("--csv", required=True, help="output CSV")
-    _add_review_filter_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pmi-baseline", help="PMI proximity baseline over a local index")
@@ -311,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=f"{pmi.DEFAULT_POS_SEED},{pmi.DEFAULT_NEG_SEED}",
                    help="comma-separated positive,negative seed words (lowercased)")
     p.add_argument("--report", required=True)
-    _add_review_filter_args(p)
     p.set_defaults(func=cmd_pmi_baseline)
 
     p = sub.add_parser("tag-variance", help="polarity variance per POS tag")

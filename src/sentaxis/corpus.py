@@ -91,15 +91,6 @@ class TaggedCorpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, docs: list[int]) -> TaggedCorpus:
-        """The documents at the ascending indices ``docs``, copied."""
-        lengths = np.diff(self.offsets)
-        tokens = np.repeat(np.isin(np.arange(len(self)), docs), lengths)
-        return TaggedCorpus(self.words, self.tags, self.word_ids[tokens], self.tag_ids[tokens],
-                            np.append(0, np.cumsum(lengths[docs])),
-                            *(tuple(map(column.__getitem__, docs))
-                              for column in (self.ids, self.labels)), self.source)
-
 
 class _FirstSeenIds(dict):
     """text -> id; looking up a new text gives it the next id."""

@@ -11,9 +11,11 @@ undecided.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import axis as axis_mod
 from . import patterns, pmi
@@ -144,17 +146,6 @@ def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
     return _tally(reviews, pmi_review_means(index, reviews, pos_seed, neg_seed), config_snapshot)
 
 
-def filter_reviews(reviews: TaggedCorpus, limit: int | None = None,
-                   min_tokens: int | None = None) -> TaggedCorpus:
-    """Review-filter hook: drop short reviews, then truncate to the first N."""
-    bounds = reviews.offsets.tolist()
-    kept = [i for i in range(len(reviews))
-            if bounds[i + 1] - bounds[i] >= (min_tokens or 0)][:limit]
-    if not kept:
-        raise EmptyInputError("review filter left no reviews")
-    return reviews.take(kept)
-
-
 def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,
                 lexicon: dict[str, float] | None = None,
                 seed_word: str = axis_mod.DEFAULT_SEED_WORD):
@@ -185,14 +176,32 @@ def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,
     return oriented, projection
 
 
+class Run(NamedTuple):
+    """What ``induce_lexicon`` gives; projection is None when not computed."""
+    axis: axis_mod.SentimentAxis
+    projection: axis_mod.AxisProjection | None
+    lexicon: axis_mod.OrientationLexicon
+    report: EvalReport
+
+
+def induce_lexicon(points: patterns.PointWordSet, table: EmbeddingTable, reviews: TaggedCorpus,
+                   mode: str, polarity: dict[str, float] | None = None,
+                   seed_word: str = axis_mod.DEFAULT_SEED_WORD,
+                   config_snapshot: dict | None = None) -> Run:
+    """The stages build-axis -> score -> evaluate, a failure a PipelineError naming its stage."""
+    oriented, projection = _stage("build-axis", induce_axis, points, table, mode,
+                                  polarity, seed_word)
+    lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)
+    report = _stage("evaluate", evaluate, reviews, lexicon, config_snapshot)
+    return Run(oriented, projection, lexicon, report)
+
+
 def sweep_cutoffs(corpus: TaggedCorpus, reviews: TaggedCorpus, mode: str,
                   cutoffs: Sequence[int], table: EmbeddingTable,
                   lexicon: dict[str, float] | None = None,
                   seed_word: str = axis_mod.DEFAULT_SEED_WORD) -> list[SweepRow]:
-    """Re-run selection -> axis -> scoring -> evaluation per cutoff.
-
-    Per-cutoff failures become rows with a reason code instead of aborting.
-    """
+    """Select point words and ``induce_lexicon`` per cutoff. A failed cutoff is a
+    row of its point-word count (0 if selection failed) and its error's type name."""
     if mode not in _MODE_NAMES:
         raise ConfigError(f"sweep mode must be one of {sorted(_MODE_NAMES)}, got {mode!r}")
     if not cutoffs:
@@ -200,19 +209,15 @@ def sweep_cutoffs(corpus: TaggedCorpus, reviews: TaggedCorpus, mode: str,
     phrases = patterns.extract_phrases(corpus)
     rows: list[SweepRow] = []
     for cutoff in cutoffs:
-        k = 0
+        k, accuracy, reason = 0, None, ""
         try:
-            points = patterns.select_point_words(phrases, cutoff)
+            points = _stage("select-points", patterns.select_point_words, phrases, cutoff)
             k = len(points.words)
-            oriented, _ = induce_axis(points, table, mode, lexicon=lexicon,
-                                      seed_word=seed_word)
-            lex = axis_mod.score_vocabulary(oriented, table)
-            report = evaluate(reviews, lex)
-            rows.append(SweepRow(cutoff=cutoff, k_point_words=k,
-                                 accuracy=report.accuracy, mode=mode))
-        except SentaxisError as exc:
-            rows.append(SweepRow(cutoff=cutoff, k_point_words=k, accuracy=None,
-                                 mode=mode, reason=type(exc).__name__))
+            run = induce_lexicon(points, table, reviews, mode, lexicon, seed_word)
+            accuracy = run.report.accuracy
+        except PipelineError as exc:
+            reason = type(exc.cause).__name__
+        rows.append(SweepRow(cutoff, k, accuracy, mode, reason))
     return rows
 
 
@@ -249,7 +254,7 @@ def _stage(name: str, func, *args, **kwargs):
 
 
 def run_pipeline(config: PipelineConfig) -> EvalReport:
-    """Corpus -> embeddings -> point words -> axis -> lexicon -> evaluation.
+    """Corpus -> embeddings -> point words -> ``induce_lexicon`` -> ``write_run``.
 
     Writes lexicon.tsv, axis.tsv, projection.csv, report.txt (and
     embeddings.txt when vectors were trained here) under config.out_dir.
@@ -259,6 +264,8 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
         raise ConfigError("semi-supervised mode requires --lexicon")
     if config.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {config.cutoff}")
+    if Path(config.out_dir).exists() and not Path(config.out_dir).is_dir():
+        raise ConfigError(f"--out {config.out_dir} exists and is not a directory")
     corpus = _stage("load-corpus", load_tagged_corpus, config.corpus_path,
                     config.corpus_format)
     reviews = _stage("load-reviews", load_labeled_reviews, config.reviews_path)
@@ -273,22 +280,30 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
 
     phrases = _stage("extract-phrases", patterns.extract_phrases, corpus)
     points = _stage("select-points", patterns.select_point_words, phrases, config.cutoff)
-    oriented, projection = _stage("build-axis", induce_axis, points, table,
-                                  config.mode, polarity, config.seed_word)
-    lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)
-    report = _stage("evaluate", evaluate, reviews, lexicon, config.snapshot())
+    run = induce_lexicon(points, table, reviews, config.mode, polarity, config.seed_word,
+                         config.snapshot())
+    write_run(run, config.out_dir, table if config.embeddings_path is None else None)
+    return run.report
 
-    # created and written only once every stage has passed, so a failed run leaves none
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if config.embeddings_path is None:
-        save_embeddings(table, out_dir / "embeddings.txt")
-    axis_mod.save_axis(oriented, out_dir)
-    axis_mod.save_orientation_lexicon(lexicon, out_dir / "lexicon.tsv")
-    if projection is not None:
-        axis_mod.save_projection_csv(projection, out_dir / "projection.csv")
-    write_report(report, out_dir / "report.txt")
-    return report
+
+def write_run(run: Run, out_dir, trained: EmbeddingTable | None = None) -> None:
+    """Write a run's files (and ``trained`` vectors as embeddings.txt) into a
+    temporary directory beside ``out_dir``, then move each into ``out_dir``,
+    which is created only then: a failed write leaves ``out_dir`` as it was."""
+    out_dir = Path(out_dir)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
+        tmp = Path(tmp)
+        if trained is not None:
+            save_embeddings(trained, tmp / "embeddings.txt")
+        axis_mod.save_axis(run.axis, tmp)
+        axis_mod.save_orientation_lexicon(run.lexicon, tmp / "lexicon.tsv")
+        if run.projection is not None:
+            axis_mod.save_projection_csv(run.projection, tmp / "projection.csv")
+        write_report(run.report, tmp / "report.txt")
+        out_dir.mkdir(exist_ok=True)
+        for path in tmp.iterdir():
+            os.replace(path, out_dir / path.name)
 
 
 # ---------------------------------------------------------------------------

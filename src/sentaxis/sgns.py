@@ -145,8 +145,9 @@ def train_sgns(corpus: TaggedCorpus, config: SgnsConfig) -> EmbeddingTable:
     kept = ids >= 0
     ids, offsets = ids[kept], np.concatenate(([0], np.cumsum(kept)))[corpus.offsets]
     try:
-        w_in = (rng.random((vocab_size, config.dim)) - 0.5) / config.dim
-        w_out = np.zeros((vocab_size, config.dim))
+        w_in, w_out = (_aligned_zeros(vocab_size, config.dim) for _ in range(2))
+        np.subtract(rng.random(out=w_in), 0.5, out=w_in)
+        w_in /= config.dim
         if kernel is None:  # its noise draws too are sized here, as the kernel's scratch is
             train = partial(_train_documents, np.empty(_document_sizes(offsets, config)[2]))
         else:
@@ -226,6 +227,13 @@ def _numpy_step(kept, shrink, negs, lr, w_in, w_out, negatives) -> None:
         d_center, d_outputs = negative_sampling_grads(v, w_out[rows], m)
         w_in[center] = v - lr * d_center
         np.subtract.at(w_out, rows, lr * d_outputs)
+
+
+def _aligned_zeros(rows: int, cols: int) -> np.ndarray:
+    """A float64 zero matrix starting on a 64-byte boundary, so that its rows
+    split cache lines alike in every run."""
+    buffer = np.zeros(rows * cols + 8)
+    return buffer[-buffer.ctypes.data % 64 // 8:][:rows * cols].reshape(rows, cols)
 
 
 def _numpy_random_library() -> Path:

@@ -101,14 +101,6 @@ def test_build_axis_semi_with_lexicon(world):
     assert "mode\tsemi-supervised" in content
 
 
-def test_classify_with_review_filters(world):
-    report = world["root"] / "limited.txt"
-    assert main(["classify", "--lexicon", str(world["root"] / "orientation.tsv"),
-                 "--reviews", str(world["reviews"]),
-                 "--limit", "10", "--report", str(report)]) == 0
-    assert int(read_report(report)["n_total"]) == 10
-
-
 def test_sweep_csv(world):
     csv_path = world["root"] / "sweep.csv"
     assert main(["sweep", "--corpus", str(world["corpus"]),
@@ -406,6 +398,8 @@ VECTORS_2D = "3 2\ngood 1 0\nbad 0 1\nfine 1 1\n"
     pytest.param("score", AXIS.replace("neg\tbad", "pos\tbad\nneg\tbad"), 5,
                  id="axis-word-on-both-sides-pos-first"),
     pytest.param("score", AXIS.replace("0.0 1.0", "1.0 0.0"), 6, id="axis-identical-vectors"),
+    pytest.param("score", AXIS.replace("1.0 0.0", "0.0 0.0"), 5, id="axis-zero-vec_pos"),
+    pytest.param("score", AXIS.replace("0.0 1.0", "-0.0 0.0"), 6, id="axis-zero-vec_neg"),
     pytest.param("build-axis", "# cutoff=two\ngood\t2\nbad\t2\nfine\t1\n", 1,
                  id="points-bad-cutoff"),
     pytest.param("build-axis", "# cutoff=2\ngood\t2\nbad\t2\ngood\t1\n", 4,
@@ -477,22 +471,6 @@ def test_score_names_both_files_on_dimension_mismatch(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "pmi-baseline", "sweep"])
-@pytest.mark.parametrize("flag,value", [("--limit", "-1"), ("--min-tokens", "-5")])
-def test_negative_review_filter_rejected_before_reading_files(tmp_path, capsys,
-                                                              command, flag, value):
-    nope = str(tmp_path / "nope.tsv")
-    argv = {
-        "classify": ["--lexicon", nope, "--report", str(tmp_path / "r.txt")],
-        "pmi-baseline": ["--corpus", nope, "--report", str(tmp_path / "r.txt")],
-        "sweep": ["--corpus", nope, "--embeddings", nope, "--cutoffs", "1",
-                  "--mode", "unsup", "--csv", str(tmp_path / "s.csv")],
-    }[command]
-    assert main([command, *argv, "--reviews", nope, flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be >= 0") and "nope" not in err
-
-
 @pytest.mark.parametrize("command", ["classify", "pmi-baseline"])
 def test_report_in_missing_directory_rejected_before_reading_files(tmp_path, capsys, command):
     nope = str(tmp_path / "nope.tsv")
@@ -502,6 +480,18 @@ def test_report_in_missing_directory_rejected_before_reading_files(tmp_path, cap
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(report) in err and "nope" not in err
+
+
+def test_pipeline_out_that_is_a_file_rejected_before_reading_files(tmp_path, capsys):
+    nope = str(tmp_path / "nope.tsv")
+    out = tmp_path / "out"
+    out.write_text("kept\n", encoding="utf-8")
+    code = main(["pipeline", "--corpus", nope, "--reviews", nope, "--mode", "unsup",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out} ") and "nope" not in err
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_pmi_seeds_are_lowercased_like_the_corpus(world, tmp_path):

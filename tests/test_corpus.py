@@ -197,20 +197,6 @@ class TestColumns:
         assert corpus.offsets.tolist() == [0, 2, 4, 5]
         assert (corpus.ids, corpus.labels) == (("d000000", "d000001", "d000002"), (None,) * 3)
 
-    def test_take_keeps_the_duplicate_id_check(self, monkeypatch):
-        reviews = make_reviews(10, seed=3)
-
-        def refuse(corpus):
-            raise AssertionError("duplicate-id check ran")
-        monkeypatch.setattr(corpus_mod.TaggedCorpus, "__post_init__", refuse)
-        with pytest.raises(AssertionError, match="duplicate-id check"):
-            reviews.take([2, 3, 4, 5])
-
-    def test_take_copies_its_documents(self):
-        reviews = make_reviews(10, seed=3)
-        picked = reviews.take(np.array([1, 4, 9]))
-        assert documents(picked) == [documents(reviews)[i] for i in (1, 4, 9)]
-
 
 def parse_whole_text(text):
     """Format-A documents from ``text.splitlines()`` in one go, cache-free."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sentaxis import axis as axis_mod
 from sentaxis import records
 from sentaxis.axis import OrientationLexicon
 from sentaxis.corpus import NEG, POS, label_for
@@ -12,7 +13,6 @@ from sentaxis.evaluation import (
     PipelineConfig,
     SweepRow,
     evaluate,
-    filter_reviews,
     read_report,
     review_means,
     run_pipeline,
@@ -20,6 +20,7 @@ from sentaxis.evaluation import (
     write_report,
     write_sweep_csv,
 )
+from sentaxis.patterns import extract_phrases, select_point_words
 from sentaxis.sgns import SgnsConfig, train_sgns
 
 from corpus_helpers import documents, join, make_corpus, save_reviews, save_tagged_corpus
@@ -160,8 +161,10 @@ class TestEvaluate:
 
     def test_flipped_gold_complements_accuracy(self):
         lex = lexicon_of(good=1.0, bad=-0.5)
-        reviews = self.reviews().take([0, 1, 2])
-        flipped = make_corpus([tokens for _, tokens, _ in documents(reviews)],
+        docs = documents(self.reviews())[:3]
+        token_lists = [tokens for _, tokens, _ in docs]
+        reviews = make_corpus(token_lists, labels=[label for *_, label in docs])
+        flipped = make_corpus(token_lists,
                               labels=[POS if label == NEG else NEG for label in reviews.labels])
         assert evaluate(reviews, lex).accuracy == \
             pytest.approx(1.0 - evaluate(flipped, lex).accuracy)
@@ -183,23 +186,6 @@ class TestEvaluate:
                 assert after == before
             else:
                 assert after != before
-
-
-class TestFilterReviews:
-    def test_limit(self):
-        reviews = make_reviews(10, seed=1)
-        assert len(filter_reviews(reviews, limit=4)) == 4
-
-    def test_min_tokens(self):
-        corpus = make_corpus(
-            [[("a", "NN")], [("a", "NN")] * 5], labels=[POS, NEG])
-        kept = filter_reviews(corpus, min_tokens=3)
-        assert len(kept) == 1
-
-    def test_empty_result_raises(self):
-        reviews = make_reviews(4, seed=1)
-        with pytest.raises(EmptyInputError):
-            filter_reviews(reviews, min_tokens=10_000)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +228,15 @@ class TestSweep:
                              [10_000], small_world["table"])
         assert rows[0].accuracy is None
         assert rows[0].reason == "NoQualifyingPhrasesError"
+
+    def test_failure_after_selection_keeps_its_point_word_count(self, small_world):
+        # a one-sided polarity lexicon: selection passes, build-axis cannot partition
+        rows = sweep_cutoffs(small_world["train"], small_world["test"], MODE_SEMI,
+                             [7, 10_000], small_world["table"], lexicon={"excellent": 1.0})
+        k = len(select_point_words(extract_phrases(small_world["train"]), 7).words)
+        assert k > 0
+        assert [(r.k_point_words, r.accuracy, r.reason) for r in rows] == [
+            (k, None, "PartitionError"), (0, None, "NoQualifyingPhrasesError")]
 
     def test_pmi_mode_rejected(self, small_world):
         with pytest.raises(ConfigError):
@@ -318,6 +313,30 @@ class TestPipeline:
         )
         with pytest.raises((PipelineError, FileNotFoundError)):
             run_pipeline(config)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_out_as_it_was(self, small_world, tmp_path, monkeypatch,
+                                               existing):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+
+        def config(seed):
+            return PipelineConfig(
+                corpus_path=str(small_world["corpus_path"]),
+                reviews_path=str(small_world["reviews_path"]), out_dir=str(runs / "out"),
+                sgns=SgnsConfig(dim=8, epochs=1, min_count=3, rng_seed=seed))
+        if existing:
+            run_pipeline(config(9))
+        before = {path.name: path.read_bytes() for path in runs.glob("*/*")}
+        assert len(before) == (5 if existing else 0)
+
+        def fail(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(axis_mod, "save_projection_csv", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(config(10))
+        assert {path.name: path.read_bytes() for path in runs.glob("*/*")} == before
+        assert [path.name for path in runs.iterdir()] == (["out"] if existing else [])
 
     def test_bad_cutoff_attributed_to_select_stage(self, small_world, tmp_path):
         config = PipelineConfig(

@@ -498,9 +498,9 @@ def test_evaluate_pmi_matches_a_per_review_reference():
     confusion = {(gold, pred): 0 for gold in (POS, NEG) for pred in (POS, NEG)}
     undecided = 0
     expected_means = []
-    for i, gold in enumerate(reviews.labels):
+    for _, tokens, gold in documents(reviews):
         values = [so_phrase(build_near_index(train, window=4), phrase)
-                  for phrase in phrases_of(reviews.take([i]))]
+                  for phrase in phrases_of(make_corpus([tokens]))]
         expected_means.append((sum(values) / len(values) if values else 0.0, len(values)))
         confusion[gold, label_for(expected_means[-1][0])] += 1
         undecided += not values

@@ -29,8 +29,6 @@ REASONS = (ERROR_PATH, "numpy SGNS reference", "read by perfbench", "Mapping pro
 UNREACHED = {
     "errors.ParseError.__init__":
         ERROR_PATH + "test_cli.py::test_malformed_stage_file_ends_in_its_file_and_line",
-    "errors.PipelineError.__init__":
-        ERROR_PATH + "test_evaluation.py::TestPipeline::test_bad_cutoff_attributed_to_select_stage",
     "records.not_utf8": ERROR_PATH + "test_records.py::TestRead::test_undecodable_byte_names_its_line",
     "sgns._train_documents": "numpy SGNS reference",
     "sgns._numpy_step": "numpy SGNS reference",

@@ -267,6 +267,14 @@ class TestKernel:
         assert table.metadata["sgns_kernel"] == "numpy"
         assert table.fingerprint() == "73dd5a9b40a269eb"
 
+    @pytest.mark.parametrize("n_reviews, dim", [(60, 12), (60, 37), (150, 16), (100, 50),
+                                                (300, 100)])
+    def test_trained_matrix_starts_on_a_64_byte_boundary(self, n_reviews, dim):
+        # so the kernel's row loads split cache lines alike in every run
+        table = train_sgns(make_reviews(n_reviews, seed=1),
+                           SgnsConfig(dim=dim, epochs=1, min_count=3, rng_seed=1))
+        assert table.matrix.ctypes.data % 64 == 0
+
     def test_numpy_loop_out_of_memory_is_a_config_error(self, monkeypatch):
         # the numpy loop sizes its noise draws before it trains, as the kernel
         # sizes its scratch, so it fails as the kernel path does

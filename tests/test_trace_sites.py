@@ -118,3 +118,24 @@ def test_unsup_pipeline_trace_counts_agree_with_report(benchmark_modules, tiny_i
     projection = axis_mod.principal_axis(axis_mod.build_distance_matrix(points, table))
     assert counts["axis.pc1_explained"] == float(projection.explained_variance[0])
     assert metrics["axis.pc1_explained"] == counts["axis.pc1_explained"]
+
+
+def test_pipeline_into_an_existing_empty_out_leaves_no_temporary_directory(
+        benchmark_modules, tiny_inputs):
+    # the benchmark runs each pipeline into an empty --out it made beforehand
+    tracing, workloads = benchmark_modules
+    root, corpus, reviews = tiny_inputs
+    out = root / "runs" / "out"
+    out.mkdir(parents=True)
+    trace, _ = _traced_run(tracing, [
+        "pipeline", "--corpus", str(corpus), "--reviews", str(reviews),
+        "--mode", "unsup", "--cutoff", "2", "--dim", "16", "--epochs", "2",
+        "--min-count", "3", "--seed", "13", "--out", str(out)])
+    calls = tracing.site_calls(trace["spans"])
+    assert set(calls) >= workloads.EXPECTED_SITES["train-unsup-2k"]
+    writers = ("evaluation.save_embeddings", "axis.save_axis", "axis.save_orientation_lexicon",
+               "axis.save_projection_csv", "evaluation.write_report")
+    assert [calls[site] for site in writers] == [1] * len(writers)
+    assert [path.name for path in out.parent.iterdir()] == ["out"]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "axis.tsv", "embeddings.txt", "lexicon.tsv", "projection.csv", "report.txt"]

@@ -248,9 +248,9 @@ _AXIS_KEYS = ("mode", "seed", "vec_pos", "vec_neg")
 
 
 def save_axis(axis: SentimentAxis, directory) -> Path:
-    """Write the axis as ``key<TAB>value`` records under the directory."""
+    """Write the axis as ``key<TAB>value`` records under the directory, made if absent."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(exist_ok=True)
     path = directory / AXIS_FILENAME
     records.write(path, [("mode", axis.mode), ("seed", axis.seed),
                          *(("pos", w) for w in axis.pos_words),

@@ -32,10 +32,16 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
                         help="tagged corpus file format")
 
 
-def _check_output_dir(output: str) -> None:
-    """Fail before any file is read on an output in a missing directory."""
-    if not Path(output).parent.is_dir():
-        raise ConfigError(f"cannot write {output}: its directory does not exist")
+def _check_output(flag: str, output: str, kind: str) -> None:
+    """The one output rule: the output's directory exists, a "dir" output
+    exists only as a directory, and a "file" output not as one."""
+    path = Path(output)
+    if not path.parent.is_dir():
+        raise ConfigError(f"{flag} {output}: its directory does not exist")
+    if kind == "dir" and path.exists() and not path.is_dir():
+        raise ConfigError(f"{flag} {output} exists and is not a directory")
+    if kind == "file" and path.is_dir():
+        raise ConfigError(f"{flag} {output} is a directory")
 
 
 def _parse_cutoffs(text: str) -> list[int]:
@@ -156,19 +162,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _check_output_dir(args.report)
     lexicon = axis_mod.load_orientation_lexicon(args.lexicon)
     reviews = load_labeled_reviews(args.reviews)
-    report = eval_mod.evaluate(reviews, lexicon,
-                               config_snapshot={"lexicon": args.lexicon,
-                                                "reviews": args.reviews})
-    eval_mod.write_report(report, args.report)
+    report = eval_mod.evaluate(reviews, lexicon)
+    eval_mod.write_report(report, args.report,
+                          {"lexicon": args.lexicon, "reviews": args.reviews})
     print(f"accuracy={report.accuracy:.4f} over {report.n_total} reviews -> {args.report}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _check_output_dir(args.csv)
     cutoffs = _parse_cutoffs(args.cutoffs)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = load_labeled_reviews(args.reviews)
@@ -192,18 +195,14 @@ def cmd_pmi_baseline(args) -> int:
     if pos_seed == neg_seed:
         # every phrase's SO would be exactly 0, so every review would be POS
         raise ConfigError(f"--seeds must be two different words, got {args.seeds!r}")
-    _check_output_dir(args.report)
     corpus = load_tagged_corpus(args.corpus, args.format)
     reviews = load_labeled_reviews(args.reviews)
     index = pmi.build_near_index(corpus, window=args.window)
     # hits count documents, the one unit; report.txt keeps its config_hit_unit line
-    report = eval_mod.evaluate_pmi(index, reviews, pos_seed=pos_seed, neg_seed=neg_seed,
-                                   config_snapshot={"window": args.window,
-                                                    "seeds": args.seeds,
-                                                    "hit_unit": "docs",
-                                                    "corpus": args.corpus,
-                                                    "reviews": args.reviews})
-    eval_mod.write_report(report, args.report)
+    report = eval_mod.evaluate_pmi(index, reviews, pos_seed=pos_seed, neg_seed=neg_seed)
+    eval_mod.write_report(report, args.report,
+                          {"window": args.window, "seeds": args.seeds, "hit_unit": "docs",
+                           "corpus": args.corpus, "reviews": args.reviews})
     print(f"pmi accuracy={report.accuracy:.4f} over {report.n_total} reviews -> {args.report}")
     return 0
 
@@ -244,38 +243,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_training_args(p)
     p.add_argument("--out", required=True, help="output vector file")
-    p.set_defaults(func=cmd_train_embeddings)
+    p.set_defaults(func=cmd_train_embeddings, output=("--out", "file"))
 
     p = sub.add_parser("extract-phrases", help="extract two-word phrases by tag rules")
     _add_corpus_args(p)
     p.add_argument("--out", required=True, help="output phrase TSV")
-    p.set_defaults(func=cmd_extract_phrases)
+    p.set_defaults(func=cmd_extract_phrases, output=("--out", "file"))
 
     p = sub.add_parser("select-points", help="select point words by phrase frequency")
     p.add_argument("--phrases", required=True, help="phrase TSV from extract-phrases")
     _add_corpus_args(p)
     p.add_argument("--cutoff", type=int, required=True, help="minimum phrase frequency")
     p.add_argument("--out", required=True, help="output point-word TSV")
-    p.set_defaults(func=cmd_select_points)
+    p.set_defaults(func=cmd_select_points, output=("--out", "file"))
 
     p = sub.add_parser("build-axis", help="discover and orient the sentiment axis")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--points", required=True, help="point-word TSV from select-points")
     _add_axis_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_build_axis)
+    p.set_defaults(func=cmd_build_axis, output=("--out", "dir"))
 
     p = sub.add_parser("score", help="score the whole vocabulary against an axis")
     p.add_argument("--axis", required=True, help="axis directory or axis.tsv")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True, help="output orientation lexicon TSV")
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, output=("--out", "file"))
 
     p = sub.add_parser("classify", help="evaluate an orientation lexicon on labeled reviews")
     p.add_argument("--lexicon", required=True, help="orientation lexicon TSV")
     p.add_argument("--reviews", required=True, help="labeled reviews file")
     p.add_argument("--report", required=True, help="output report file")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, output=("--report", "file"))
 
     p = sub.add_parser("sweep", help="accuracy across a range of frequency cutoffs")
     _add_corpus_args(p)
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", required=True, help="range 'A..B' or list 'a,b,c'")
     _add_axis_args(p)
     p.add_argument("--csv", required=True, help="output CSV")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, output=("--csv", "file"))
 
     p = sub.add_parser("pmi-baseline", help="PMI proximity baseline over a local index")
     _add_corpus_args(p)
@@ -294,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=f"{pmi.DEFAULT_POS_SEED},{pmi.DEFAULT_NEG_SEED}",
                    help="comma-separated positive,negative seed words (lowercased)")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_pmi_baseline)
+    p.set_defaults(func=cmd_pmi_baseline, output=("--report", "file"))
 
     p = sub.add_parser("tag-variance", help="polarity variance per POS tag")
     p.add_argument("--annotated", required=True,
                    help="TSV 'token<TAB>tag<TAB>polarity'")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tag_variance)
+    p.set_defaults(func=cmd_tag_variance, output=("--out", "file"))
 
     p = sub.add_parser("pipeline", help="run the full pipeline into an output directory")
     _add_corpus_args(p)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="load vectors instead of training")
     _add_training_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, output=("--out", "dir"))
 
     return parser
 
@@ -319,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flag, kind = args.output
     try:
+        # before the subcommand reads anything, so a bad output costs no work
+        _check_output(flag, getattr(args, flag[2:]), kind)
         return args.func(args)
     except (SentaxisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ class EvalReport:
     n_neg_gold: int
     n_undecided: int
     confusion: tuple[tuple[int, int], tuple[int, int]]
-    config_snapshot: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +88,7 @@ def _check_gold(reviews: TaggedCorpus) -> None:
         raise ConfigError(f"reviews without gold labels: {unlabeled[:5]}")
 
 
-def _tally(reviews: TaggedCorpus, scores: Iterable[tuple[float, int]],
-           config_snapshot: dict | None) -> EvalReport:
+def _tally(reviews: TaggedCorpus, scores: Iterable[tuple[float, int]]) -> EvalReport:
     """Label each review by its (mean, n) in ``scores``; n == 0 is undecided."""
     confusion = {(POS, POS): 0, (POS, NEG): 0, (NEG, POS): 0, (NEG, NEG): 0}
     undecided = 0
@@ -108,15 +106,13 @@ def _tally(reviews: TaggedCorpus, scores: Iterable[tuple[float, int]],
         n_undecided=undecided,
         confusion=((confusion[(POS, POS)], confusion[(POS, NEG)]),
                    (confusion[(NEG, POS)], confusion[(NEG, NEG)])),
-        config_snapshot=dict(config_snapshot or {}),
     )
 
 
-def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon,
-             config_snapshot: dict | None = None) -> EvalReport:
+def evaluate(reviews: TaggedCorpus, lexicon: axis_mod.OrientationLexicon) -> EvalReport:
     """Accuracy and confusion of lexicon classification against gold labels."""
     _check_gold(reviews)
-    return _tally(reviews, review_means(reviews, lexicon), config_snapshot)
+    return _tally(reviews, review_means(reviews, lexicon))
 
 
 def pmi_review_means(index: pmi.NearIndex, reviews: TaggedCorpus, pos_seed: str,
@@ -139,11 +135,11 @@ def pmi_review_means(index: pmi.NearIndex, reviews: TaggedCorpus, pos_seed: str,
 
 
 def evaluate_pmi(index: pmi.NearIndex, reviews: TaggedCorpus,
-                 pos_seed: str = pmi.DEFAULT_POS_SEED, neg_seed: str = pmi.DEFAULT_NEG_SEED,
-                 config_snapshot: dict | None = None) -> EvalReport:
+                 pos_seed: str = pmi.DEFAULT_POS_SEED,
+                 neg_seed: str = pmi.DEFAULT_NEG_SEED) -> EvalReport:
     """PMI baseline accuracy and confusion against gold labels."""
     _check_gold(reviews)
-    return _tally(reviews, pmi_review_means(index, reviews, pos_seed, neg_seed), config_snapshot)
+    return _tally(reviews, pmi_review_means(index, reviews, pos_seed, neg_seed))
 
 
 def induce_axis(points: patterns.PointWordSet, table: EmbeddingTable, mode: str,
@@ -186,13 +182,12 @@ class Run(NamedTuple):
 
 def induce_lexicon(points: patterns.PointWordSet, table: EmbeddingTable, reviews: TaggedCorpus,
                    mode: str, polarity: dict[str, float] | None = None,
-                   seed_word: str = axis_mod.DEFAULT_SEED_WORD,
-                   config_snapshot: dict | None = None) -> Run:
+                   seed_word: str = axis_mod.DEFAULT_SEED_WORD) -> Run:
     """The stages build-axis -> score -> evaluate, a failure a PipelineError naming its stage."""
     oriented, projection = _stage("build-axis", induce_axis, points, table, mode,
                                   polarity, seed_word)
     lexicon = _stage("score", axis_mod.score_vocabulary, oriented, table)
-    report = _stage("evaluate", evaluate, reviews, lexicon, config_snapshot)
+    report = _stage("evaluate", evaluate, reviews, lexicon)
     return Run(oriented, projection, lexicon, report)
 
 
@@ -204,6 +199,8 @@ def sweep_cutoffs(corpus: TaggedCorpus, reviews: TaggedCorpus, mode: str,
     row of its point-word count (0 if selection failed) and its error's type name."""
     if mode not in _MODE_NAMES:
         raise ConfigError(f"sweep mode must be one of {sorted(_MODE_NAMES)}, got {mode!r}")
+    if mode == MODE_SEMI and lexicon is None:
+        raise ConfigError("semi-supervised mode requires a polarity lexicon")
     if not cutoffs:
         raise ConfigError("cutoff range is empty")
     phrases = patterns.extract_phrases(corpus)
@@ -264,8 +261,6 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
         raise ConfigError("semi-supervised mode requires --lexicon")
     if config.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {config.cutoff}")
-    if Path(config.out_dir).exists() and not Path(config.out_dir).is_dir():
-        raise ConfigError(f"--out {config.out_dir} exists and is not a directory")
     corpus = _stage("load-corpus", load_tagged_corpus, config.corpus_path,
                     config.corpus_format)
     reviews = _stage("load-reviews", load_labeled_reviews, config.reviews_path)
@@ -280,18 +275,19 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
 
     phrases = _stage("extract-phrases", patterns.extract_phrases, corpus)
     points = _stage("select-points", patterns.select_point_words, phrases, config.cutoff)
-    run = induce_lexicon(points, table, reviews, config.mode, polarity, config.seed_word,
-                         config.snapshot())
-    write_run(run, config.out_dir, table if config.embeddings_path is None else None)
+    run = induce_lexicon(points, table, reviews, config.mode, polarity, config.seed_word)
+    write_run(run, config.out_dir, config.snapshot(),
+              table if config.embeddings_path is None else None)
     return run.report
 
 
-def write_run(run: Run, out_dir, trained: EmbeddingTable | None = None) -> None:
-    """Write a run's files (and ``trained`` vectors as embeddings.txt) into a
-    temporary directory beside ``out_dir``, then move each into ``out_dir``,
-    which is created only then: a failed write leaves ``out_dir`` as it was."""
+def write_run(run: Run, out_dir, config: dict, trained: EmbeddingTable | None = None) -> None:
+    """Write a run's files, its report with ``config``'s settings (and ``trained``
+    vectors as embeddings.txt) into a temporary directory beside ``out_dir``,
+    then move each into ``out_dir``, which is created only then: a failed write
+    leaves ``out_dir`` as it was. The directory that holds ``out_dir`` must
+    exist; nothing creates it."""
     out_dir = Path(out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
         tmp = Path(tmp)
         if trained is not None:
@@ -300,7 +296,7 @@ def write_run(run: Run, out_dir, trained: EmbeddingTable | None = None) -> None:
         axis_mod.save_orientation_lexicon(run.lexicon, tmp / "lexicon.tsv")
         if run.projection is not None:
             axis_mod.save_projection_csv(run.projection, tmp / "projection.csv")
-        write_report(run.report, tmp / "report.txt")
+        write_report(run.report, tmp / "report.txt", config)
         out_dir.mkdir(exist_ok=True)
         for path in tmp.iterdir():
             os.replace(path, out_dir / path.name)
@@ -309,8 +305,9 @@ def write_run(run: Run, out_dir, trained: EmbeddingTable | None = None) -> None:
 # ---------------------------------------------------------------------------
 # report and sweep serialization
 
-def write_report(report: EvalReport, path) -> None:
-    """Line-oriented key=value dump with the confusion matrix."""
+def write_report(report: EvalReport, path, config: dict) -> None:
+    """Line-oriented key=value dump with the confusion matrix, then each of
+    the run's settings in ``config`` as ``config_<key>=<value>``, sorted."""
     lines = [
         f"accuracy={report.accuracy!r}",
         f"n_total={report.n_total}",
@@ -323,8 +320,8 @@ def write_report(report: EvalReport, path) -> None:
         f"confusion_gold_neg_pred_pos={report.confusion[1][0]}",
         f"confusion_gold_neg_pred_neg={report.confusion[1][1]}",
     ]
-    for key in sorted(report.config_snapshot):
-        lines.append(f"config_{key}={report.config_snapshot[key]}")
+    for key in sorted(config):
+        lines.append(f"config_{key}={config[key]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -29,7 +29,7 @@ import math
 import os
 from pathlib import Path
 from stat import S_ISREG
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from . import records
 from .errors import DegenerateVectorError, ParseError
 
 
-class EmbeddingTable(Mapping[str, np.ndarray]):
-    """Immutable word -> vector mapping backed by a single matrix."""
+class EmbeddingTable:
+    """Immutable word -> vector table backed by a single matrix."""
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray,
                  metadata: dict | None = None):
@@ -76,15 +76,11 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self._words)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._words)
-
     def __contains__(self, word) -> bool:
         return word in self._index
 
     def __getitem__(self, word: str) -> np.ndarray:
-        """The word's vector; a word not in the table raises ``KeyError``, so
-        ``get`` gives None for it."""
+        """The word's vector; a word not in the table raises ``KeyError``."""
         return self._matrix[self._index[word]]
 
     def fingerprint(self) -> str:

@@ -113,6 +113,17 @@ def test_sweep_csv(world):
     assert len(lines) == 4
 
 
+def test_sweep_semi_without_lexicon_is_tool_error(world, tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--corpus", str(world["corpus"]),
+                 "--reviews", str(world["reviews"]),
+                 "--embeddings", str(world["embeddings"]),
+                 "--cutoffs", "1..3", "--mode", "semi", "--csv", str(csv_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: semi-supervised mode requires a polarity lexicon\n"
+    assert not csv_path.exists()
+
+
 def test_sweep_comma_list(world):
     csv_path = world["root"] / "sweep2.csv"
     assert main(["sweep", "--corpus", str(world["corpus"]),
@@ -471,15 +482,64 @@ def test_score_names_both_files_on_dimension_mismatch(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "pmi-baseline"])
-def test_report_in_missing_directory_rejected_before_reading_files(tmp_path, capsys, command):
-    nope = str(tmp_path / "nope.tsv")
-    report = tmp_path / "nodir" / "r.txt"
-    inputs = ["--lexicon", nope] if command == "classify" else ["--corpus", nope]
-    code = main([command, *inputs, "--reviews", nope, "--report", str(report)])
-    assert code == 1
+# each subcommand's inputs, none of which exist, its output flag and whether
+# that output is a directory
+OUTPUTS = {
+    "train-embeddings": (["--corpus", "nope.tsv"], "--out", False),
+    "extract-phrases": (["--corpus", "nope.tsv"], "--out", False),
+    "select-points": (["--phrases", "nope-p.tsv", "--corpus", "nope.tsv", "--cutoff", "2"],
+                      "--out", False),
+    "build-axis": (["--embeddings", "nope-v.txt", "--points", "nope-pw.tsv", "--mode", "unsup"],
+                   "--out", True),
+    "score": (["--axis", "nope-axis", "--embeddings", "nope-v.txt"], "--out", False),
+    "classify": (["--lexicon", "nope-lex.tsv", "--reviews", "nope-r.tsv"], "--report", False),
+    "sweep": (["--corpus", "nope.tsv", "--reviews", "nope-r.tsv", "--embeddings", "nope-v.txt",
+               "--cutoffs", "2", "--mode", "unsup"], "--csv", False),
+    "pmi-baseline": (["--corpus", "nope.tsv", "--reviews", "nope-r.tsv"], "--report", False),
+    "tag-variance": (["--annotated", "nope-a.tsv"], "--out", False),
+    "pipeline": (["--corpus", "nope.tsv", "--reviews", "nope-r.tsv", "--mode", "unsup"],
+                 "--out", True),
+}
+
+
+def refuse_output(tmp_path, capsys, command, output):
+    """Run ``command`` on missing inputs into ``output``; its one error line."""
+    inputs, flag, _ = OUTPUTS[command]
+    inputs = [str(tmp_path / a) if a.startswith("nope") else a for a in inputs]
+    assert main([command, *inputs, flag, str(output)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(report) in err and "nope" not in err
+    assert err.startswith(f"error: {flag} {output}") and err.count("\n") == 1
+    assert "nope" not in err
+    return err
+
+
+def test_every_subcommand_declares_its_output():
+    parser = build_parser()
+    for command, (inputs, flag, is_dir) in OUTPUTS.items():
+        args = parser.parse_args([command, *inputs, flag, "x"])
+        assert args.output == (flag, "dir" if is_dir else "file")
+    assert sorted(OUTPUTS) == sorted(argv[0] for argv in readme_commands())
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_report_in_missing_directory_rejected_before_reading_files(tmp_path, capsys, command):
+    err = refuse_output(tmp_path, capsys, command, tmp_path / "nodir" / "out")
+    assert err.endswith(": its directory does not exist\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_output_of_the_wrong_kind_rejected_before_reading_files(tmp_path, capsys, command):
+    output = tmp_path / "out"
+    if OUTPUTS[command][2]:
+        kept, expected = output, "exists and is not a directory"
+    else:
+        output.mkdir()
+        kept, expected = output / "kept.txt", "is a directory"
+    kept.write_text("kept\n", encoding="utf-8")
+    assert refuse_output(tmp_path, capsys, command, output).endswith(f" {expected}\n")
+    assert sorted(tmp_path.rglob("*")) == sorted({output, kept})
+    assert kept.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_pipeline_out_that_is_a_file_rejected_before_reading_files(tmp_path, capsys):

@@ -303,7 +303,7 @@ class TestPipeline:
         )
         report = run_pipeline(config)
         assert report.accuracy > 0.0
-        assert report.config_snapshot["mode"] == MODE_SEMI
+        assert read_report(tmp_path / "out" / "report.txt")["config_mode"] == MODE_SEMI
 
     def test_stage_attribution_on_failure(self, small_world, tmp_path):
         config = PipelineConfig(
@@ -356,10 +356,9 @@ class TestReportFormat:
         from sentaxis.evaluation import EvalReport
         report = EvalReport(
             accuracy=0.75, n_total=4, n_correct=3, n_pos_gold=2, n_neg_gold=2,
-            n_undecided=1, confusion=((2, 0), (1, 1)),
-            config_snapshot={"mode": "unsup", "cutoff": 3})
+            n_undecided=1, confusion=((2, 0), (1, 1)))
         path = tmp_path / "report.txt"
-        write_report(report, path)
+        write_report(report, path, {"mode": "unsup", "cutoff": 3})
         values = read_report(path)
         assert values["accuracy"] == "0.75"
         assert values["n_total"] == "4"
@@ -371,8 +370,8 @@ class TestReportFormat:
         from sentaxis.evaluation import EvalReport
         report = EvalReport(
             accuracy=1.0, n_total=1, n_correct=1, n_pos_gold=1, n_neg_gold=0,
-            n_undecided=0, confusion=((1, 0), (0, 0)), config_snapshot={})
+            n_undecided=0, confusion=((1, 0), (0, 0)))
         path = tmp_path / "report.txt"
-        write_report(report, path)
+        write_report(report, path, {})
         for line in path.read_text().splitlines():
             assert "=" in line

@@ -491,8 +491,7 @@ def test_evaluate_pmi_matches_a_per_review_reference():
     train = make_reviews(80, seed=5)
     reviews = join([make_reviews(30, seed=6),
                     make_corpus([[("zzz", "NN")]], labels=[NEG])])  # no phrase
-    snapshot = {"window": 4}
-    report = evaluate_pmi(build_near_index(train, window=4), reviews, config_snapshot=snapshot)
+    report = evaluate_pmi(build_near_index(train, window=4), reviews)
     means = pmi_review_means(build_near_index(train, window=4), reviews, "excellent", "poor")
     # each review extracted alone, each phrase scored on a fresh index
     confusion = {(gold, pred): 0 for gold in (POS, NEG) for pred in (POS, NEG)}
@@ -511,6 +510,5 @@ def test_evaluate_pmi_matches_a_per_review_reference():
         n_pos_gold=reviews.labels.count(POS), n_neg_gold=reviews.labels.count(NEG),
         n_undecided=undecided,
         confusion=((confusion[POS, POS], confusion[POS, NEG]),
-                   (confusion[NEG, POS], confusion[NEG, NEG])),
-        config_snapshot=snapshot)
+                   (confusion[NEG, POS], confusion[NEG, NEG])))
     assert undecided == 1 and 0 < n_correct < len(reviews)

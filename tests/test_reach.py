@@ -24,7 +24,7 @@ TESTS = Path(__file__).resolve().parent
 
 ERROR_PATH = "error path, covered by "
 # The reasons a function may stay unreached; an error path names its test.
-REASONS = (ERROR_PATH, "numpy SGNS reference", "read by perfbench", "Mapping protocol")
+REASONS = (ERROR_PATH, "numpy SGNS reference", "read by perfbench")
 
 UNREACHED = {
     "errors.ParseError.__init__":
@@ -37,7 +37,6 @@ UNREACHED = {
     "sgns._sigmoid": "numpy SGNS reference",
     "evaluation.read_report": "read by perfbench: the workloads' report check",
     "pmi.PmiReviewResult.no_phrase": "read by perfbench: pmi.no_phrase_ratio",
-    "vectors.EmbeddingTable.__iter__": "Mapping protocol",
 }
 
 # Functions that wrap a compiled kernel, with the loader that returns the

@@ -102,6 +102,8 @@ class TestTableIO:
         assert table.dim == 3
         assert len(table) == 2
         assert np.array_equal(table["a"], [1.0, 0.0, 0.0])
+        with pytest.raises(KeyError):
+            table["c"]
 
     def test_short_row_raises_with_row_number(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -228,13 +230,6 @@ class TestTableIO:
         with pytest.raises(ValueError):
             EmbeddingTable([""], np.ones((1, 2)))
 
-    def test_get_of_an_absent_word_is_none(self, toy_table):
-        # Mapping.get catches KeyError only
-        assert toy_table.get("absent") is None
-        assert toy_table.get("absent", "default") == "default"
-        assert np.array_equal(toy_table.get("east"), [1.0, 0.2, 0.0])
-        with pytest.raises(KeyError):
-            toy_table["absent"]
 
 
 def rows(start, stop):

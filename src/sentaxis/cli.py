@@ -320,8 +320,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     flag, kind = args.output
     try:
-        # before the subcommand reads anything, so a bad output costs no work
+        # before the subcommand reads anything, so a bad output or mode costs no work
         _check_output(flag, getattr(args, flag[2:]), kind)
+        if getattr(args, "mode", None) == eval_mod.MODE_SEMI and args.lexicon is None:
+            raise ConfigError("semi-supervised mode requires a polarity lexicon")
         return args.func(args)
     except (SentaxisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

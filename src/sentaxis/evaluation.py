@@ -284,9 +284,10 @@ def run_pipeline(config: PipelineConfig) -> EvalReport:
 def write_run(run: Run, out_dir, config: dict, trained: EmbeddingTable | None = None) -> None:
     """Write a run's files, its report with ``config``'s settings (and ``trained``
     vectors as embeddings.txt) into a temporary directory beside ``out_dir``,
-    then move each into ``out_dir``, which is created only then: a failed write
-    leaves ``out_dir`` as it was. The directory that holds ``out_dir`` must
-    exist; nothing creates it."""
+    then move each into ``out_dir``, which is created only then: a failed write,
+    or a directory in ``out_dir`` named as one of the files, leaves ``out_dir``
+    as it was. The directory that holds ``out_dir`` must exist; nothing
+    creates it."""
     out_dir = Path(out_dir)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as tmp:
         tmp = Path(tmp)
@@ -297,8 +298,12 @@ def write_run(run: Run, out_dir, config: dict, trained: EmbeddingTable | None = 
         if run.projection is not None:
             axis_mod.save_projection_csv(run.projection, tmp / "projection.csv")
         write_report(run.report, tmp / "report.txt", config)
+        written = list(tmp.iterdir())
+        for path in written:
+            if (out_dir / path.name).is_dir():
+                raise ConfigError(f"{out_dir / path.name} is a directory; {out_dir} is unchanged")
         out_dir.mkdir(exist_ok=True)
-        for path in tmp.iterdir():
+        for path in written:
             os.replace(path, out_dir / path.name)
 
 

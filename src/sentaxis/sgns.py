@@ -16,17 +16,20 @@ as the numpy loop. On x86-64 with glibc the update body is compiled twice,
 for AVX2 and for the baseline ISA (``target_clones``), and the dynamic
 loader picks one for the CPU it runs on, so the cached library needs no
 ``-march`` flag and stays shareable between machines; both bodies give the
-same bits. Each center's update runs in phases over all its rows (scores
-four rows at a time, sigmoids, the center gradient 16 columns at a time,
-then the updates), so rows and columns overlap while every sum keeps its
-order. Noise words are found through a guide table of ``max(vocab, 4096)``
-buckets, built once per call, which returns exactly ``np.searchsorted``'s
-index. Without a compiler, numpy's random header or that library, or if
-the build fails, :func:`_train_documents` runs instead: it draws each
-document's numbers in Python, its noise draws into an array sized up front
-as the kernel's scratch is, and applies them with :func:`_numpy_step`, the
-per-center numpy loop the kernel reproduces (to about 1e-13: only the order
-of the dot-product sums differs).
+same bits. Each center is one pass in phases over all its rows: its noise
+draws, taken from the generator just before its rows are built; the scores
+of every row, four rows at a time, through one loop; the sigmoids; the
+center gradient 16 columns at a time; then the updates. Rows and columns
+overlap while every sum keeps its order, and the noise draws' scratch holds
+one center's, whatever a document's length. Noise words are found through
+a guide table of ``max(vocab, 4096)`` buckets, built once per call, which
+returns exactly ``np.searchsorted``'s index. Without a compiler, numpy's
+random header or that library, or if the build fails,
+:func:`_train_documents` runs instead: it draws each document's numbers in
+Python, all its noise draws at once into an array sized up front for the
+longest document, and applies them with :func:`_numpy_step`, the per-center
+numpy loop the kernel reproduces (to about 1e-13: only the order of the
+dot-product sums differs).
 ``table.metadata["sgns_kernel"]`` records which loop ran: ``"c"`` or
 ``"numpy"``."""
 
@@ -265,9 +268,9 @@ def _load_kernel():
 
 
 # the kernel's scratch arrays, in its argument order: kept, shrink, uniform,
-# rows, coeff, grad, draws, negs, guide
+# rows, coeff, grad, draws, guide
 _SCRATCH_TYPES = (np.int64, np.int64, np.float64, np.int64, np.float64, np.float64,
-                  np.float64, np.int64, np.int64)
+                  np.float64, np.int64)
 
 # the fewest buckets of the kernel's noise-word guide table: the unigram^0.75
 # cdf is skewed, so with one bucket a word most draws step through several
@@ -275,18 +278,21 @@ _MIN_GUIDE_BUCKETS = 4096
 
 
 def _document_sizes(offsets, config: SgnsConfig) -> tuple[int, int, int]:
-    """The longest document's token count, the most rows one center has and
-    the most noise draws one document takes, as exact integers, so no size wraps."""
+    """The longest document's token count, the most context words one center
+    has and the most noise draws one document takes, as exact integers, so no
+    size wraps."""
     longest = int(np.diff(offsets).max())
-    span = min(2 * config.window, longest - 1)  # the context words of one center
-    return longest, span * (1 + config.negatives), longest * span * config.negatives
+    span = min(2 * config.window, longest - 1)
+    return longest, span, longest * span * config.negatives
 
 
 def _kernel_scratch(offsets, vocab_size: int, config: SgnsConfig) -> list[np.ndarray]:
     """The kernel's scratch arrays (see ``sgns_train``), sized for the longest
-    document, so the kernel allocates nothing."""
-    longest, rows, draws = _document_sizes(offsets, config)
-    sizes = (longest, longest, longest, rows, rows, config.dim, draws, draws,
+    document and the most rows one center has, so the kernel allocates nothing;
+    coeff has three spare entries for the spare lanes of a center's last four rows."""
+    longest, span, _ = _document_sizes(offsets, config)
+    draws = span * config.negatives
+    sizes = (longest, longest, longest, span + draws, span + draws + 3, config.dim, draws,
              max(vocab_size, _MIN_GUIDE_BUCKETS))
     return [np.empty(size, dtype) for size, dtype in zip(sizes, _SCRATCH_TYPES)]
 

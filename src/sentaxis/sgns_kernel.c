@@ -5,22 +5,23 @@
  * call, in the order the numpy loop draws them, so both paths consume the
  * same stream. Linked against numpy's libnpyrandom.a.
  *
- * Each center's update runs in phases, each a loop over all its rows (see
- * document): the rows; their scores, four rows at a time; their sigmoids;
- * the center gradient, 16 columns at a time; then the updates. The rows or
- * columns of one phase are independent chains, so the body does not wait on
- * one row's dot -> sigmoid -> gradient chain at a time, and every sum keeps
- * the order the per-row loop gave it, so every bit stays.
+ * Each center is one pass of document, in phases, each a loop over all its
+ * rows: its noise draws, mapped to words; its rows; their scores, four rows
+ * at a time; their sigmoids; the center gradient, 16 columns at a time; then
+ * the updates. The rows or columns of one phase are independent chains, so
+ * the body does not wait on one row's dot -> sigmoid -> gradient chain at a
+ * time, and every sum keeps the order the per-row loop gave it, so every bit
+ * stays.
  *
- * On x86-64 with glibc, the update body (document, dot4, dot, gradient,
- * sigmoid) is built twice, for AVX2 and for the baseline ISA, and the loader
- * picks one per CPU through an ifunc: the same .so runs anywhere. All five
- * carry the clone, so the AVX2 body calls the AVX2 helpers. Both bodies give
- * the same bits: element-wise IEEE arithmetic rounds alike in any vector
- * width, -ffp-contract=off forbids FMA in either, and the sources of dot,
- * dot4 and gradient fix their summation orders. Noise words are found
- * through a guide table of max(vocab, 4096) buckets, sized by the caller
- * (see noise_word), which gives exactly np.searchsorted's index. */
+ * On x86-64 with glibc, the update body (document, dot4, gradient, sigmoid)
+ * is built twice, for AVX2 and for the baseline ISA, and the loader picks
+ * one per CPU through an ifunc: the same .so runs anywhere. All four carry
+ * the clone, so the AVX2 body calls the AVX2 helpers. Both bodies give the
+ * same bits: element-wise IEEE arithmetic rounds alike in any vector width,
+ * -ffp-contract=off forbids FMA in either, and the sources of dot4 and
+ * gradient fix their summation orders. Noise words are found through a
+ * guide table of max(vocab, 4096) buckets, sized by the caller (see
+ * noise_word), which gives exactly np.searchsorted's index. */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
@@ -54,22 +55,6 @@ static double sigmoid(double x)
     return exp(-l);
 }
 
-/* u.v in four independent partial sums: the additions do not wait on each
- * other, and the order, hence the result, does not depend on the flags */
-CLONED
-static double dot(const double *u, const double *v, int64_t dim)
-{
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    int64_t j = 0;
-    for (; j + 4 <= dim; j += 4)
-        for (int t = 0; t < 4; t++)
-            acc[t] += u[j + t] * v[j + t];
-    double sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (; j < dim; j++)
-        sum += u[j] * v[j];
-    return sum;
-}
-
 /* Four doubles, or two, in one value: element-wise arithmetic on them
  * rounds lane by lane as on doubles, in whatever width the clone has. They
  * are loaded and stored through memcpy, never passed or returned by value,
@@ -78,9 +63,10 @@ typedef double v4d __attribute__((vector_size(32)));
 typedef double v2d __attribute__((vector_size(16)));
 #define LOAD(x, p) memcpy(&(x), (p), sizeof(x))
 
-/* u[t].v for four rows t at once, each row's sum in dot's order: the rows
- * keep a vector of dot's four partial sums each, so the four rows' additions
- * are independent chains */
+/* u[t].v for four rows t at once. Each row's sum is four partial sums, of
+ * the columns j = 0, 1, 2 and 3 mod 4, added as (0 + 1) + (2 + 3), then the
+ * columns past the last whole four one by one: an order that does not
+ * depend on the flags. The four rows' additions are independent chains. */
 CLONED
 static void dot4(const double *const u[4], const double *v, int64_t dim, double *out)
 {
@@ -104,8 +90,8 @@ static void dot4(const double *const u[4], const double *v, int64_t dim, double 
 }
 
 /* grad[j] = sum over the rows r, in row order, of coeff[r] * u_r[j]: 16
- * columns at a time, in eight 128-bit sums held across the rows, then two
- * columns and one column at a time */
+ * columns at a time, in eight 128-bit sums held across the rows, then one
+ * column at a time */
 CLONED
 static void gradient(const double *w_out, const int64_t *rows, const double *coeff,
                      int64_t k, int64_t dim, double *grad)
@@ -124,66 +110,11 @@ static void gradient(const double *w_out, const int64_t *rows, const double *coe
         }
         memcpy(grad + j, acc, sizeof(acc));
     }
-    for (; j + 2 <= dim; j += 2) {
-        v2d acc = {0.0, 0.0};
-        for (int64_t r = 0; r < k; r++) {
-            v2d c = {coeff[r], coeff[r]}, y;
-            LOAD(y, w_out + rows[r] * dim + j);
-            acc += c * y;
-        }
-        memcpy(grad + j, &acc, sizeof(acc));
-    }
     for (; j < dim; j++) {
         double acc = 0.0;
         for (int64_t r = 0; r < k; r++)
             acc += coeff[r] * w_out[rows[r] * dim + j];
         grad[j] = acc;
-    }
-}
-
-/* One document of updates, the compiled form of sgns._numpy_step. negs holds
- * `negatives` noise ids per (center, context) pair, in center order; rows and
- * coeff hold at least the rows of one center, grad holds dim entries. Each
- * center runs in the phases the top of this file describes. */
-CLONED
-static void document(const int64_t *kept, const int64_t *shrink, const int64_t *negs,
-                     int64_t n, int64_t negatives, int64_t dim, double lr,
-                     double *w_in, double *w_out, int64_t *rows, double *coeff, double *grad)
-{
-    for (int64_t i = 0; i < n; i++) {
-        /* the context words, then the noise draws that miss their own pair's */
-        int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
-        int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
-        int64_t m = 0, k, r = 0;
-        for (int64_t j = lo; j < hi; j++)
-            if (j != i)
-                rows[m++] = kept[j];
-        k = m;
-        for (int64_t p = 0; p < m; p++, negs += negatives)
-            for (int64_t q = 0; q < negatives; q++)
-                if (negs[q] != rows[p])
-                    rows[k++] = negs[q];
-
-        /* every score and the center gradient see the pre-update rows */
-        double *v = w_in + kept[i] * dim;
-        for (; r + 4 <= k; r += 4) {
-            const double *u[4] = {w_out + rows[r] * dim, w_out + rows[r + 1] * dim,
-                                  w_out + rows[r + 2] * dim, w_out + rows[r + 3] * dim};
-            dot4(u, v, dim, coeff + r);
-        }
-        for (; r < k; r++)
-            coeff[r] = dot(w_out + rows[r] * dim, v, dim);
-        for (r = 0; r < k; r++)
-            coeff[r] = sigmoid(coeff[r]) - (r < m ? 1.0 : 0.0);
-        gradient(w_out, rows, coeff, k, dim, grad);
-        /* w_out first, as its step needs the pre-update center; the matrices
-         * are distinct, so this equals numpy's order. Repeated rows update in
-         * row order, as np.subtract.at does. */
-        for (r = 0; r < k; r++)
-            for (int64_t j = 0; j < dim; j++)
-                w_out[rows[r] * dim + j] -= lr * (coeff[r] * v[j]);
-        for (int64_t j = 0; j < dim; j++)
-            v[j] -= lr * grad[j];
     }
 }
 
@@ -216,19 +147,71 @@ static int64_t noise_word(const double *cdf, const int64_t *guide, int64_t bucke
     return i < vocab ? i : vocab - 1;
 }
 
+/* One document of updates, the compiled form of sgns._numpy_step. Each
+ * center draws `negatives` noise words per (center, context) pair, in pair
+ * order, through draws, which holds those of one center; rows holds the
+ * rows of one center, coeff three more, and grad dim entries. Each center
+ * runs in the phases the top of this file describes. */
+CLONED
+static void document(const int64_t *kept, const int64_t *shrink, int64_t n, int64_t negatives,
+                     int64_t dim, double lr, double *w_in, double *w_out, bitgen_t *bitgen,
+                     const double *cdf, const int64_t *guide, int64_t buckets, int64_t vocab,
+                     double *draws, int64_t *rows, double *coeff, double *grad)
+{
+    for (int64_t i = 0; i < n; i++) {
+        /* the context words, then the noise draws that miss their own pair's */
+        int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
+        int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
+        int64_t m = 0, k, r;
+        for (int64_t j = lo; j < hi; j++)
+            if (j != i)
+                rows[m++] = kept[j];
+        k = m;
+        random_standard_uniform_fill(bitgen, m * negatives, draws);
+        for (int64_t p = 0; p < m; p++)
+            for (int64_t q = 0; q < negatives; q++) {
+                int64_t word = noise_word(cdf, guide, buckets, vocab, draws[p * negatives + q]);
+                if (word != rows[p])
+                    rows[k++] = word;
+            }
+
+        /* every score and the center gradient see the pre-update rows; the
+         * spare lanes of the last four score row k - 1 again, into coeff's
+         * spare entries */
+        double *v = w_in + kept[i] * dim;
+        for (r = 0; r < k; r += 4) {
+            const double *u[4];
+            for (int t = 0; t < 4; t++)
+                u[t] = w_out + rows[r + t < k ? r + t : k - 1] * dim;
+            dot4(u, v, dim, coeff + r);
+        }
+        for (r = 0; r < k; r++)
+            coeff[r] = sigmoid(coeff[r]) - (r < m ? 1.0 : 0.0);
+        gradient(w_out, rows, coeff, k, dim, grad);
+        /* w_out first, as its step needs the pre-update center; the matrices
+         * are distinct, so this equals numpy's order. Repeated rows update in
+         * row order, as np.subtract.at does. */
+        for (r = 0; r < k; r++)
+            for (int64_t j = 0; j < dim; j++)
+                w_out[rows[r] * dim + j] -= lr * (coeff[r] * v[j]);
+        for (int64_t j = 0; j < dim; j++)
+            v[j] -= lr * grad[j];
+    }
+}
+
 /* Every epoch over every document: ids[offsets[d]:offsets[d + 1]] are the
  * vocabulary ids of document d. The caller sizes the scratch: kept, shrink
- * and uniform hold the longest document, rows and coeff the rows of one
- * center, grad dim entries, draws and negs one document's noise draws, and
- * guide its buckets entries. */
+ * and uniform hold the longest document, rows the rows of one center, coeff
+ * three more, grad dim entries, draws one center's noise draws, and guide
+ * its buckets entries. Per document the generator gives the keep mask, the
+ * window radii, then each center's noise draws as document reaches it. */
 void sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
                 const double *keep_p, const double *noise_cdf, int64_t vocab,
                 int64_t epochs, int64_t window, int64_t negatives, int64_t dim,
                 double lr0, double lr_floor, int64_t planned,
                 double *w_in, double *w_out, bitgen_t *bitgen,
                 int64_t *kept, int64_t *shrink, double *uniform, int64_t *rows, double *coeff,
-                double *grad, double *draws, int64_t *negs, int64_t *guide,
-                int64_t buckets)
+                double *grad, double *draws, int64_t *guide, int64_t buckets)
 {
     int64_t tokens = 0;
     guide_table(noise_cdf, vocab, guide, buckets);
@@ -247,16 +230,8 @@ void sgns_train(const int64_t *ids, const int64_t *offsets, int64_t n_docs,
             lr = lr > lr_floor ? lr : lr_floor;
             random_bounded_uint64_fill(bitgen, 1, (uint64_t)(window - 1), n, false,
                                        (uint64_t *)shrink);
-            int64_t count = 0;
-            for (int64_t i = 0; i < n; i++) {
-                int64_t lo = i >= shrink[i] ? i - shrink[i] : 0;
-                int64_t hi = i + shrink[i] + 1 < n ? i + shrink[i] + 1 : n;
-                count += (hi - lo - 1) * negatives;
-            }
-            random_standard_uniform_fill(bitgen, count, draws);
-            for (int64_t j = 0; j < count; j++)
-                negs[j] = noise_word(noise_cdf, guide, buckets, vocab, draws[j]);
-            document(kept, shrink, negs, n, negatives, dim, lr, w_in, w_out, rows, coeff, grad);
+            document(kept, shrink, n, negatives, dim, lr, w_in, w_out, bitgen, noise_cdf, guide,
+                     buckets, vocab, draws, rows, coeff, grad);
         }
     }
 }

@@ -554,6 +554,16 @@ def test_pipeline_out_that_is_a_file_rejected_before_reading_files(tmp_path, cap
     assert out.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["build-axis", "sweep", "pipeline"])
+def test_semi_without_lexicon_rejected_before_reading_files(tmp_path, capsys, command):
+    inputs, flag, _ = OUTPUTS[command]
+    inputs = ["semi" if a == "unsup" else str(tmp_path / a) if a.startswith("nope") else a
+              for a in inputs]
+    assert main([command, *inputs, flag, str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: semi-supervised mode requires a polarity lexicon\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pmi_seeds_are_lowercased_like_the_corpus(world, tmp_path):
     reports = []
     for seeds in ("excellent,poor", "Excellent,POOR"):

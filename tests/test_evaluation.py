@@ -338,6 +338,21 @@ class TestPipeline:
         assert {path.name: path.read_bytes() for path in runs.glob("*/*")} == before
         assert [path.name for path in runs.iterdir()] == (["out"] if existing else [])
 
+    def test_directory_named_as_an_output_leaves_out_as_it_was(self, small_world, tmp_path):
+        # refused before the first file moves in, so no new file sits beside it
+        out = tmp_path / "runs" / "out"
+        (out / "lexicon.tsv").mkdir(parents=True)
+        (out / "kept.txt").write_text("kept\n", encoding="utf-8")
+        config = PipelineConfig(
+            corpus_path=str(small_world["corpus_path"]),
+            reviews_path=str(small_world["reviews_path"]), out_dir=str(out),
+            sgns=SgnsConfig(dim=8, epochs=1, min_count=3, rng_seed=9))
+        with pytest.raises(ConfigError, match="lexicon.tsv is a directory"):
+            run_pipeline(config)
+        assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+            "runs", "runs/out", "runs/out/kept.txt", "runs/out/lexicon.tsv"]
+        assert (out / "kept.txt").read_text(encoding="utf-8") == "kept\n"
+
     def test_bad_cutoff_attributed_to_select_stage(self, small_world, tmp_path):
         config = PipelineConfig(
             corpus_path=str(small_world["corpus_path"]),

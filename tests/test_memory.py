@@ -4,11 +4,13 @@ array buffers to tracemalloc)."""
 
 import shutil
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sentaxis import corpus as corpus_mod
+from sentaxis import sgns
 from sentaxis.axis import MODE_UNSUPERVISED, SentimentAxis, score_vocabulary
 from sentaxis.corpus import POS, TaggedCorpus, load_tagged_corpus
 from sentaxis.evaluation import evaluate_pmi
@@ -132,3 +134,20 @@ def test_pmi_evaluation_holds_two_reach_masks_and_one_first_word():
     report, peak = traced_peak(evaluate_pmi, index, reviews)
     assert report.n_total == len(words) and report.n_undecided == 0
     assert peak < 4 * len(index.terms)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sgns_kernel_holds_no_more_for_one_long_document():
+    # the kernel draws each center's noise words when it reaches the center,
+    # so the same tokens as one document hold about what they hold as 2,000;
+    # drawing a whole document's noise words at once held 24x more
+    assert sgns._load_kernel() is not None
+    corpus = make_reviews(2000, seed=1)
+    one_document = replace(corpus, offsets=np.array([0, len(corpus.word_ids)]), ids=("all",),
+                           labels=(None,))
+    peaks = []
+    for documents in (corpus, one_document):
+        table, peak = traced_peak(sgns.train_sgns, documents, sgns.SgnsConfig(epochs=1))
+        assert table.metadata["sgns_kernel"] == "c"
+        peaks.append(peak)
+    assert peaks[1] <= 1.5 * peaks[0]
